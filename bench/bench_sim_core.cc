@@ -4,35 +4,26 @@
  * every hot-path PR is measured against.
  *
  * Metrics, all wall-clock:
- *  - events/sec (headline): burst-scheduled one-shot callables
- *    coalesced through scheduleBatch — the post-batching hot path;
- *    events_unbatched_per_sec is the identical workload with
- *    batching disabled, so their ratio isolates the coalescing win;
- *  - events_chain/sec: the legacy chain + retimer churn workload kept
- *    for continuity with the pre/post_overhaul baselines;
+ *  - events_chain/sec: one-shot chains plus retimer churn (tombstones)
+ *    through the event queue;
  *  - packets/sec: full traffic-generation fast path — makeUdpPacket,
  *    link serialization, packet teardown — at line rate;
  *  - checksum MB/s: RFC 1071 one's-complement sum over MTU frames;
- *  - single_run_events_per_sec_*: one full HAL ServerSystem run
- *    (DpdkFwd, watchdog off) on the monolithic engine with batching
- *    on/off and on the partitioned engine with 1 and 3 threads.
+ *  - single_run_events_per_sec: one full HAL ServerSystem run
+ *    (DpdkFwd at 90 Gbps) timed end to end.
  *
  * `--json PATH` writes the metrics as a BENCH_simcore.json-style
  * artifact for CI trend tracking; `--quick` shrinks the workloads for
- * smoke runs. `--batch on|off` and `--run-threads N` restrict the
- * matrix to one cell for manual A/B runs (the restricted artifact
- * then carries only the measured fields).
+ * smoke runs.
  */
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/server.hh"
 #include "core/sweep.hh"
@@ -98,76 +89,20 @@ struct Retimer
     }
 };
 
-/**
- * Burst producer: each firing schedules a same-tick burst of trivial
- * callables through scheduleBatch (the eswitch/link fan-out shape),
- * then re-arms itself. With batching on, each burst coalesces into
- * one heap entry; off, every callable pays its own heap round-trip —
- * same event count either way.
- */
-struct BurstProducer
-{
-    EventQueue *eq;
-    std::uint64_t *budget;
-    Rng *rng;
-
-    void
-    operator()()
-    {
-        if (*budget == 0)
-            return;
-        const std::size_t n =
-            *budget < EventQueue::kBatchCapacity
-                ? static_cast<std::size_t>(*budget)
-                : EventQueue::kBatchCapacity;
-        *budget -= n;
-        const Tick at = eq->now() + 1 + (rng->next() & 255);
-        for (std::size_t i = 0; i < n; ++i)
-            eq->scheduleBatch([] {}, at);
-        eq->scheduleFnIn(BurstProducer{*this}, 1 + (rng->next() & 255));
-    }
-};
-
+/** One full HAL run (DpdkFwd) timed end to end, in events/s. */
 double
-benchEventsBurst(std::uint64_t target, bool batched)
-{
-    EventQueue eq;
-    eq.setBatchingEnabled(batched);
-    Rng rng(42);
-    std::uint64_t budget = target;
-
-    constexpr int kProducers = 16;
-    for (int i = 0; i < kProducers; ++i)
-        eq.scheduleFn(BurstProducer{&eq, &budget, &rng},
-                      1 + (rng.next() & 255));
-
-    const auto t0 = std::chrono::steady_clock::now();
-    eq.run();
-    const double dt = secondsSince(t0);
-    return static_cast<double>(eq.executed()) / dt;
-}
-
-/**
- * One full HAL run (DpdkFwd, watchdog off — the partitioned engine's
- * supported surface) timed end to end; events/s over every queue the
- * engine used. run_threads 0 is the monolithic loop.
- */
-double
-benchSingleRun(unsigned run_threads, bool batched, Tick measure)
+benchSingleRun(Tick measure)
 {
     core::ServerConfig cfg;
     cfg.mode = core::Mode::Hal;
     cfg.function = funcs::FunctionId::DpdkFwd;
-    cfg.watchdog.enabled = false;
-    cfg.run_threads = run_threads;
 
     EventQueue eq;
-    eq.setBatchingEnabled(batched);
     core::ServerSystem sys(eq, cfg);
     const auto t0 = std::chrono::steady_clock::now();
     sys.run(std::make_unique<net::ConstantRate>(90.0), 5 * kMs, measure);
     const double dt = secondsSince(t0);
-    return static_cast<double>(sys.eventsExecuted()) / dt;
+    return static_cast<double>(eq.executed()) / dt;
 }
 
 double
@@ -268,8 +203,6 @@ main(int argc, char **argv)
     Tick pkt_sim = 60 * kMs;
     Tick run_measure = 40 * kMs;
     std::uint64_t cksum_iters = 400'000;
-    int only_batch = -1;       // -1 = both, 0 = off, 1 = on
-    int only_threads = -1;     // -1 = full matrix, else exactly N
     core::ArgRegistrar reg(argv[0],
                            "Simulator-core microbenchmark (wall-clock "
                            "perf baseline).");
@@ -284,76 +217,18 @@ main(int argc, char **argv)
         run_measure /= 4;
         cksum_iters /= 10;
     });
-    reg.value("--batch", "on|off",
-              "restrict the matrix to batched or unbatched cells",
-              [&](const std::string &v) -> std::string {
-                  if (v == "on")
-                      only_batch = 1;
-                  else if (v == "off")
-                      only_batch = 0;
-                  else
-                      return "needs on or off, got '" + v + "'";
-                  return {};
-              });
-    reg.value("--run-threads", "N",
-              "restrict single-run cells to this engine thread count",
-              [&](const std::string &v) -> std::string {
-                  char *end = nullptr;
-                  const long n = std::strtol(v.c_str(), &end, 10);
-                  if (end == nullptr || *end != '\0' || n < 0)
-                      return "needs a non-negative count, got '" + v +
-                             "'";
-                  only_threads = static_cast<int>(n);
-                  return {};
-              });
     reg.parse(argc, argv);
 
-    // (name, value) in emission order; restriction flags simply leave
-    // cells out.
-    std::vector<std::pair<std::string, double>> metrics;
-    const bool want_on = only_batch != 0;
-    const bool want_off = only_batch != 1;
-
-    if (want_on)
-        metrics.emplace_back("events_per_sec",
-                             benchEventsBurst(event_target, true));
-    if (want_off)
-        metrics.emplace_back("events_unbatched_per_sec",
-                             benchEventsBurst(event_target, false));
-    if (want_on)
-        metrics.emplace_back("events_chain_per_sec",
-                             benchEvents(event_target));
-    metrics.emplace_back("sim_packets_per_sec", benchPackets(pkt_sim));
-    metrics.emplace_back("checksum_mb_per_sec",
-                         benchChecksum(cksum_iters));
-
-    struct Cell
-    {
-        const char *name;
-        unsigned threads;
-        bool batched;
+    const std::pair<const char *, double> metrics[] = {
+        {"events_chain_per_sec", benchEvents(event_target)},
+        {"sim_packets_per_sec", benchPackets(pkt_sim)},
+        {"checksum_mb_per_sec", benchChecksum(cksum_iters)},
+        {"single_run_events_per_sec", benchSingleRun(run_measure)},
     };
-    static constexpr Cell kCells[] = {
-        {"single_run_events_per_sec_mono", 0, true},
-        {"single_run_events_per_sec_mono_nobatch", 0, false},
-        {"single_run_events_per_sec_part1", 1, true},
-        {"single_run_events_per_sec_part3", 3, true},
-    };
-    for (const Cell &c : kCells) {
-        if (only_threads >= 0 &&
-            c.threads != static_cast<unsigned>(only_threads))
-            continue;
-        if ((only_batch == 1 && !c.batched) ||
-            (only_batch == 0 && c.batched))
-            continue;
-        metrics.emplace_back(c.name,
-                             benchSingleRun(c.threads, c.batched,
-                                            run_measure));
-    }
 
     std::printf("bench_sim_core\n");
     for (const auto &[name, value] : metrics)
-        std::printf("  %-40s %14.0f\n", name.c_str(), value);
+        std::printf("  %-40s %14.0f\n", name, value);
 
     if (!json_path.empty()) {
         std::FILE *f = std::fopen(json_path.c_str(), "w");
@@ -364,10 +239,10 @@ main(int argc, char **argv)
         std::fprintf(f, "{\n"
                         "  \"bench\": \"sim_core\",\n"
                         "  \"metrics\": {\n");
-        for (std::size_t i = 0; i < metrics.size(); ++i)
-            std::fprintf(f, "    \"%s\": %.0f%s\n",
-                         metrics[i].first.c_str(), metrics[i].second,
-                         i + 1 < metrics.size() ? "," : "");
+        const std::size_t n = std::size(metrics);
+        for (std::size_t i = 0; i < n; ++i)
+            std::fprintf(f, "    \"%s\": %.0f%s\n", metrics[i].first,
+                         metrics[i].second, i + 1 < n ? "," : "");
         std::fprintf(f,
                      "  },\n"
                      "  \"workload\": {\n"

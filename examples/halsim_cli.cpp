@@ -18,8 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -42,17 +40,6 @@ parseFunction(const std::string &name)
             return id;
     }
     return std::nullopt;
-}
-
-/** Strict positive-number parse: "bad value" beats silent atof(0). */
-std::optional<double>
-parseNumber(const std::string &v)
-{
-    char *end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0' || v.empty())
-        return std::nullopt;
-    return x;
 }
 
 } // namespace
@@ -107,7 +94,7 @@ main(int argc, char **argv)
               });
     reg.value("--rate", "GBPS", "constant offered rate",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
+                  const auto x = parseNumberArg<double>(v);
                   if (!x || *x <= 0.0)
                       return "needs a positive rate, got '" + v + "'";
                   rate = *x;
@@ -128,35 +115,35 @@ main(int argc, char **argv)
               });
     reg.value("--frame", "BYTES", "frame size",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x < 64.0)
+                  const auto x = parseNumberArg<std::size_t>(v);
+                  if (!x || *x < 64)
                       return "needs a frame size >= 64, got '" + v + "'";
-                  cfg.frame_bytes = static_cast<std::size_t>(*x);
+                  cfg.frame_bytes = *x;
                   return {};
               });
     reg.value("--measure", "MS", "measurement window (milliseconds)",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x <= 0.0)
+                  const auto x = parseNumberArg<Tick>(v, kMs);
+                  if (!x || *x == 0)
                       return "needs a positive window, got '" + v + "'";
-                  measure = static_cast<Tick>(*x * kMs);
+                  measure = *x;
                   return {};
               });
     reg.value("--warmup", "MS", "warmup window (milliseconds)",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x < 0.0)
+                  const auto x = parseNumberArg<Tick>(v, kMs);
+                  if (!x)
                       return "needs a non-negative window, got '" + v +
                              "'";
-                  warmup = static_cast<Tick>(*x * kMs);
+                  warmup = *x;
                   return {};
               });
     reg.value("--seed", "N", "traffic RNG seed",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x < 0.0)
+                  const auto x = parseNumberArg<std::uint64_t>(v);
+                  if (!x)
                       return "needs a non-negative seed, got '" + v + "'";
-                  cfg.seed = static_cast<std::uint64_t>(*x);
+                  cfg.seed = *x;
                   return {};
               });
     reg.value("--split", "token|rr|flow", "HLB splitter discipline",
@@ -177,15 +164,15 @@ main(int argc, char **argv)
              [&] { cfg.coherent_state = false; });
     reg.value("--slb-cores", "N", "cores reserved for the software LB",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x < 1.0)
+                  const auto x = parseNumberArg<unsigned>(v);
+                  if (!x || *x < 1)
                       return "needs a core count >= 1, got '" + v + "'";
-                  cfg.slb_cores = static_cast<unsigned>(*x);
+                  cfg.slb_cores = *x;
                   return {};
               });
     reg.value("--slb-th", "GBPS", "software-LB forwarding threshold",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
+                  const auto x = parseNumberArg<double>(v);
                   if (!x || *x <= 0.0)
                       return "needs a positive threshold, got '" + v +
                              "'";
@@ -204,24 +191,10 @@ main(int argc, char **argv)
               });
     reg.value("--slo-p99", "US", "arm the SLO monitor at this p99 target",
               [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x <= 0.0)
+                  const auto x = parseNumberArg<Tick>(v, kUs);
+                  if (!x || *x == 0)
                       return "needs a positive target, got '" + v + "'";
-                  cfg.slo.target_p99_us = *x;
-                  return {};
-              });
-    reg.value("--run-threads", "N",
-              "time-parallel engine worker threads (0 = monolithic)",
-              [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x < 0.0)
-                      return "needs a non-negative count, got '" + v +
-                             "'";
-                  cfg.run_threads = static_cast<unsigned>(*x);
-                  // The partitioned engine excludes the watchdog's
-                  // cross-wheel probes; drop it so plain hal runs
-                  // qualify.
-                  cfg.watchdog.enabled = false;
+                  cfg.slo.target_p99_us = ticksToUs(*x);
                   return {};
               });
     reg.value("--stats-out", "PATH", "write the stats tree here",
@@ -248,13 +221,6 @@ main(int argc, char **argv)
                     ? funcs::functionName(*cfg.pipeline_second)
                     : "",
                 trace ? net::traceName(*trace) : "constant");
-    if (cfg.run_threads > 0)
-        std::printf("engine       %s\n",
-                    sys.partitioned()
-                        ? (cfg.run_threads >= 2
-                               ? "partitioned (3 wheels, threaded)"
-                               : "partitioned (3 wheels, sequential)")
-                        : "monolithic (config not partitionable)");
     std::printf("offered      %8.2f Gbps\n", r.offered_gbps);
     std::printf("delivered    %8.2f Gbps (max window %.2f)\n",
                 r.delivered_gbps, r.max_window_gbps);

@@ -19,7 +19,6 @@
 
 #include "funcs/calibration.hh"
 #include "net/packet.hh"
-#include "net/packet_batch.hh"
 #include "obs/hooks.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
@@ -227,16 +226,6 @@ class TrafficMerger : public net::PacketSink
         }
         ++total_;
         out_.accept(std::move(pkt));
-    }
-
-    /** Burst merge: the per-packet rewrite logic in a devirtualized
-     *  loop (one dispatch per burst, not per frame). */
-    // halint: hotpath
-    void
-    acceptBatch(net::PacketBatch &&batch) override
-    {
-        while (!batch.empty())
-            TrafficMerger::accept(batch.takeFront());
     }
 
     std::uint64_t merged() const { return merged_; }

@@ -165,55 +165,13 @@ ServerSystem::makeFn(const ServerConfig &cfg)
                : funcs::makeFunction(cfg.function);
 }
 
-/**
- * The partitioned engine covers the paper's steady-state operating
- * point: the full HAL datapath with a stateless function. Anything
- * that couples the wheels outside the four packet edges — coherent
- * shared state, the watchdog's cross-component probes, fault
- * injection timers, the obs sampler — falls back to the monolithic
- * loop instead of silently racing.
- */
-bool
-ServerSystem::supportsPartition(const ServerConfig &cfg,
-                                const funcs::NetworkFunction &fn)
-{
-    return cfg.run_threads > 0 && cfg.mode == Mode::Hal &&
-           cfg.faults.empty() && !cfg.watchdog.enabled &&
-           !cfg.obs.enabled() && !fn.stateful();
-}
-
-namespace {
-
-std::array<std::unique_ptr<EventQueue>, 3>
-makeWheelQueues(bool partitioned)
-{
-    std::array<std::unique_ptr<EventQueue>, 3> qs;
-    if (!partitioned)
-        return qs;
-    // WheelBand::Mono stays the monolithic queue's; wheels take
-    // Client/Snic/Host so merged same-tick keys keep the
-    // (tick, band, seq) order (registry: src/sim/wheels.hh).
-    static constexpr std::array<WheelBand, 3> kBands{
-        WheelBand::Client, WheelBand::Snic, WheelBand::Host};
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-        qs[i] = std::make_unique<EventQueue>();
-        qs[i]->setBand(static_cast<std::uint8_t>(kBands[i]));
-    }
-    return qs;
-}
-
-} // namespace
-
 ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
     : eq_(eq), cfg_(cfg), rng_(cfg.seed ^ 0x5E57E4),
       clientMac_(net::MacAddr::fromUint(0x020000000001)),
       snicMac_(net::MacAddr::fromUint(0x020000000002)),
       hostMac_(net::MacAddr::fromUint(0x020000000003)),
       clientIp_(10, 0, 0, 1), snicIp_(10, 0, 0, 2), hostIp_(10, 0, 0, 3),
-      fn_(makeFn(cfg_)),
-      partitioned_(supportsPartition(cfg_, *fn_)),
-      wheelEq_(makeWheelQueues(partitioned_)),
-      client_(clientEq()), extraPower_(snicEq())
+      fn_(makeFn(cfg_)), client_(eq_), extraPower_(eq_)
 {
     const std::vector<std::string> errors = cfg_.validate();
     if (!errors.empty()) {
@@ -228,14 +186,6 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
 
     const auto &paths = funcs::pathLatencies();
 
-    if (partitioned_) {
-        // The SNIC and host wheels run concurrently; give each its
-        // own function instance instead of sharing fn_ (which stays
-        // the client-side request builder).
-        fnSnic_ = makeFn(cfg_);
-        fnHost_ = makeFn(cfg_);
-    }
-
     const bool cooperative = cfg_.mode != Mode::HostOnly &&
                              cfg_.mode != Mode::SnicOnly;
     if (fn_->stateful() && cooperative && cfg_.coherent_state)
@@ -243,14 +193,14 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
 
     // --- Egress: processors -> (merger) -> return link -> client ----
     returnLink_ = std::make_unique<net::Link>(
-        snicEq(), net::Link::Config{100.0, 500 * kNs, 4096, "return"},
+        eq_, net::Link::Config{100.0, 500 * kNs, 4096, "return"},
         client_);
 
     net::PacketSink *egress = returnLink_.get();
     if (cfg_.mode == Mode::Hal) {
         // Responses also traverse the HLB FPGA on the way out.
         mergerDelay_ = std::make_unique<nic::FixedDelay>(
-            snicEq(), paths.hlb_per_direction, *returnLink_);
+            eq_, paths.hlb_per_direction, *returnLink_);
         egress = mergerDelay_.get();
     }
     merger_ = std::make_unique<TrafficMerger>(
@@ -258,7 +208,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
 
     // Host responses cross PCIe back to the eSwitch first.
     hostTxDelay_ = std::make_unique<nic::FixedDelay>(
-        hostEq(), paths.pcie_extra, *merger_);
+        eq_, paths.pcie_extra, *merger_);
 
     // --- Profiles -----------------------------------------------------
     auto profileFor = [&](funcs::Platform p) {
@@ -317,8 +267,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         // In host-only mode the host IS the service identity.
         hc.service_ip = cfg_.mode == Mode::HostOnly ? snicIp_ : hostIp_;
         host_ = std::make_unique<proc::Processor>(
-            hostEq(), hc, partitioned_ ? *fnHost_ : *fn_, domain_.get(),
-            *hostTxDelay_);
+            eq_, hc, *fn_, domain_.get(), *hostTxDelay_);
     }
 
     if (wants_snic) {
@@ -341,8 +290,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         sc.service_mac = snicMac_;
         sc.service_ip = snicIp_;
         snic_ = std::make_unique<proc::Processor>(
-            snicEq(), sc, partitioned_ ? *fnSnic_ : *fn_, domain_.get(),
-            *merger_);
+            eq_, sc, *fn_, domain_.get(), *merger_);
     }
 
     // --- Ingress paths -------------------------------------------------
@@ -354,14 +302,11 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
 
     if (wants_snic) {
         snicPathDelay_ = std::make_unique<nic::FixedDelay>(
-            snicEq(), paths.eswitch_to_snic, snic_->input());
+            eq_, paths.eswitch_to_snic, snic_->input());
     }
     if (wants_host) {
-        // In partitioned mode this is the SNIC wheel's egress toward
-        // the host wheel: it stamps now + host_hop and hands the
-        // packet to the cross-wheel edge (buildPartition()).
         hostPathDelay_ = std::make_unique<nic::FixedDelay>(
-            snicEq(), host_hop, host_->input());
+            eq_, host_hop, host_->input());
     }
 
     switch (cfg_.mode) {
@@ -375,8 +320,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         eswitch_ = std::make_unique<nic::ESwitch>();
         eswitch_->addRule(snicIp_, snicPathDelay_.get());
         eswitch_->addRule(hostIp_, hostPathDelay_.get());
-        monitor_ = std::make_unique<TrafficMonitor>(snicEq(),
-                                                    cfg_.monitor);
+        monitor_ = std::make_unique<TrafficMonitor>(eq_, cfg_.monitor);
         TrafficDirector::Config dc;
         dc.snic_ip = snicIp_;
         dc.host_ip = hostIp_;
@@ -384,11 +328,11 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         dc.mode = cfg_.split_mode;
         dc.initial_fwd_th_gbps = cfg_.lbp.initial_fwd_gbps;
         director_ = std::make_unique<TrafficDirector>(
-            snicEq(), dc, *monitor_, *eswitch_);
+            eq_, dc, *monitor_, *eswitch_);
         hlbDelay_ = std::make_unique<nic::FixedDelay>(
-            snicEq(), funcs::pathLatencies().hlb_per_direction,
+            eq_, funcs::pathLatencies().hlb_per_direction,
             *director_);
-        lbp_ = std::make_unique<LoadBalancingPolicy>(snicEq(), cfg_.lbp,
+        lbp_ = std::make_unique<LoadBalancingPolicy>(eq_, cfg_.lbp,
                                                      *snic_, *director_);
         if (snic_->hasGovernor()) {
             // LBP/governor co-design contract: the director decides
@@ -485,11 +429,8 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
 
     // --- Client link ----------------------------------------------------
     clientLink_ = std::make_unique<net::Link>(
-        clientEq(), net::Link::Config{100.0, 500 * kNs, 4096, "client"},
+        eq_, net::Link::Config{100.0, 500 * kNs, 4096, "client"},
         *ingress_);
-
-    if (partitioned_)
-        buildPartition();
 
     // --- Energy ledger (§V-B / Fig. 3) -------------------------------
     // Dynamic accounts bind the processors' monotone per-component
@@ -640,7 +581,7 @@ ServerSystem::buildObs()
     reg->fnCounter("server.return_link.fault_drops",
                    [this] { return returnLink_->faultDrops(); });
     reg->fnCounter("server.eq.past_clamps",
-                   [this] { return pastClamps(); });
+                   [this] { return eq_.pastClamps(); });
 
     // Core-scaling governor aggregates over both processors. These
     // register unconditionally (zero when the governor is off) so
@@ -812,66 +753,6 @@ ServerSystem::buildObs()
     }
 }
 
-void
-ServerSystem::buildPartition()
-{
-    // The four cross-wheel hops. Each edge's sender reserves keys on
-    // its own (banded) queue, so merged same-tick work keeps the
-    // fixed (tick, band, seq) order across thread counts.
-    edgeClientToSnic_ = std::make_unique<net::WheelEdge>(
-        clientEq(), snicEq(), *ingress_, "edge:client->snic");
-    clientLink_->setEgressEdge(edgeClientToSnic_.get());
-
-    edgeSnicToClient_ = std::make_unique<net::WheelEdge>(
-        snicEq(), clientEq(), client_, "edge:snic->client");
-    returnLink_->setEgressEdge(edgeSnicToClient_.get());
-
-    edgeSnicToHost_ = std::make_unique<net::WheelEdge>(
-        snicEq(), hostEq(), host_->input(), "edge:snic->host");
-    hostPathDelay_->setEgressEdge(edgeSnicToHost_.get());
-
-    edgeHostToSnic_ = std::make_unique<net::WheelEdge>(
-        hostEq(), snicEq(), *merger_, "edge:host->snic");
-    hostTxDelay_->setEgressEdge(edgeHostToSnic_.get());
-
-    // Lookahead: the smallest latency any packet pays to cross
-    // between wheels. Link deliveries add serialization on top of
-    // propagation, so propagation alone is a safe lower bound there.
-    const Tick lookahead = std::min(
-        std::min(clientLink_->config().propagation,
-                 returnLink_->config().propagation),
-        std::min(hostPathDelay_->delay(), hostTxDelay_->delay()));
-
-    std::vector<WheelRunner::Wheel> wheels(3);
-    wheels[0].eq = &clientEq();
-    wheels[0].ingest = [this](Tick before) {
-        edgeSnicToClient_->ingest(before);
-    };
-    wheels[0].pendingTick = [this] {
-        return edgeSnicToClient_->pendingTick();
-    };
-    wheels[1].eq = &snicEq();
-    wheels[1].ingest = [this](Tick before) {
-        edgeClientToSnic_->ingest(before);
-        edgeHostToSnic_->ingest(before);
-    };
-    wheels[1].pendingTick = [this] {
-        return std::min(edgeClientToSnic_->pendingTick(),
-                        edgeHostToSnic_->pendingTick());
-    };
-    wheels[2].eq = &hostEq();
-    wheels[2].ingest = [this](Tick before) {
-        edgeSnicToHost_->ingest(before);
-    };
-    wheels[2].pendingTick = [this] {
-        return edgeSnicToHost_->pendingTick();
-    };
-
-    runner_ = std::make_unique<WheelRunner>(std::move(wheels),
-                                            lookahead,
-                                            cfg_.run_threads);
-}
-
 ServerSystem::~ServerSystem() = default;
 
 double
@@ -910,19 +791,9 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     gc.resample_epoch = resample_epoch;
     gc.seed = cfg_.seed;
 
-    net::TrafficGenerator gen(clientEq(), gc, std::move(rate),
-                              *clientLink_);
+    net::TrafficGenerator gen(eq_, gc, std::move(rate), *clientLink_);
     gen.setPayloadFn(
         [this](net::Packet &pkt) { fn_->makeRequest(pkt, rng_); });
-
-    // Engine selector: the monolithic loop or the wheel runner; both
-    // advance every component to exactly `until`.
-    auto advance = [this](Tick until) {
-        if (runner_ != nullptr)
-            runner_->runUntil(until);
-        else
-            eq_.runUntil(until);
-    };
 
     if (monitor_ != nullptr)
         monitor_->start();
@@ -966,12 +837,12 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
         injector_->start(eq_.now());
     }
 
-    const Tick start = clientEq().now();
+    const Tick start = eq_.now();
     const Tick measure_start = start + warmup;
     const Tick end = measure_start + measure;
     gen.start(end);
 
-    advance(measure_start);
+    eq_.runUntil(measure_start);
 
     // Reset all statistics at the warmup boundary.
     client_.resetStats();
@@ -1028,40 +899,19 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     };
     std::uint64_t last_bytes_snapshot = delivered_bytes();
     CallbackEvent sampler;
-    Tick sample_at = measure_start + window;
-    if (runner_ != nullptr) {
-        // Partitioned runs sample via the runner's between-window
-        // callback: every wheel is quiesced when it fires, so the
-        // cross-wheel processedBytes reads are safe. Same fire ticks
-        // and re-arm rule as the event-based sampler below.
-        runner_->setGlobalCallback(sample_at, [&]() -> Tick {
-            const std::uint64_t b = delivered_bytes();
-            max_window = std::max(max_window,
-                                  gbps(b - last_bytes_snapshot, window));
-            last_bytes_snapshot = b;
-            if (sample_at + window <= end) {
-                sample_at += window;
-                return sample_at;
-            }
-            return kTickNever;
-        });
-    } else {
-        sampler.setCallback([&] {
-            const std::uint64_t b = delivered_bytes();
-            max_window = std::max(max_window,
-                                  gbps(b - last_bytes_snapshot, window));
-            last_bytes_snapshot = b;
-            if (eq_.now() + window <= end)
-                eq_.scheduleIn(&sampler, window);
-        });
-        eq_.scheduleIn(&sampler, window);
-    }
+    sampler.setCallback([&] {
+        const std::uint64_t b = delivered_bytes();
+        max_window = std::max(max_window,
+                              gbps(b - last_bytes_snapshot, window));
+        last_bytes_snapshot = b;
+        if (eq_.now() + window <= end)
+            eq_.scheduleIn(&sampler, window);
+    });
+    eq_.scheduleIn(&sampler, window);
 
-    advance(end);
+    eq_.runUntil(end);
     if (sampler.scheduled())
         eq_.deschedule(&sampler);
-    if (runner_ != nullptr)
-        runner_->setGlobalCallback(kTickNever, {});
     if (obs_ != nullptr)
         obs_->stopSampling();
     gen.stop();
@@ -1093,7 +943,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
             sent_w > resolved ? sent_w - resolved : 0;
     }
 
-    advance(end + 10 * kMs);
+    eq_.runUntil(end + 10 * kMs);
 
     r.sent = gen.sentFrames() - sent_base;
     r.responses = client_.responses();
@@ -1135,7 +985,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     }
     if (lbp_ != nullptr)
         r.ctrl_updates_dropped = lbp_->updatesDropped();
-    r.past_clamps = pastClamps();
+    r.past_clamps = eq_.pastClamps();
 
     // --- distributed tracing / flight recorder (zero when off) -------
     if (obs_ != nullptr) {

@@ -20,7 +20,6 @@
 #ifndef HALSIM_CORE_SERVER_HH
 #define HALSIM_CORE_SERVER_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -39,14 +38,12 @@
 #include "net/client.hh"
 #include "net/link.hh"
 #include "net/traffic.hh"
-#include "net/wheel_edge.hh"
 #include "nic/eswitch.hh"
 #include "obs/energy.hh"
 #include "obs/obs.hh"
 #include "obs/slo.hh"
 #include "proc/processor.hh"
 #include "sim/event_queue.hh"
-#include "sim/wheels.hh"
 
 namespace halsim::core {
 
@@ -121,21 +118,6 @@ struct ServerConfig
     /** SLO monitoring (off by default; independent of `obs` so the
      *  RunResult SLO fields exist even with stats/tracing disabled). */
     obs::SloConfig slo;
-
-    /**
-     * Time-parallel single-run execution (DESIGN.md §13). 0 keeps the
-     * classic monolithic event loop. Nonzero asks for the partitioned
-     * engine — client/SNIC/host event wheels windowed by the minimum
-     * cross-wheel latency — with 1 running every wheel on the calling
-     * thread and >=2 running one thread per wheel. The request is
-     * honored only for configurations the partition supports
-     * (Mode::Hal, stateless function, no faults/watchdog/obs);
-     * anything else deterministically falls back to the monolithic
-     * engine — check ServerSystem::partitioned(). run-threads 1 and N
-     * are bit-identical by construction (test_determinism enforces
-     * it).
-     */
-    unsigned run_threads = 0;
 
     // --- named presets ------------------------------------------------
     // The paper's four standard operating points, so benches and
@@ -246,8 +228,8 @@ struct RunResult
     std::uint64_t gov_max_active_cores = 0; //!< sum of per-proc maxima
 
     /**
-     * Schedule-into-past clamps across every event queue in the run
-     * (release builds clamp instead of asserting; see
+     * Schedule-into-past clamps on the run's event queue (release
+     * builds clamp instead of asserting; see
      * EventQueue::pastClamps). Nonzero means a component computed a
      * delivery tick before now — a causality bug that debug builds
      * would have caught — so benches and tests gate on zero.
@@ -344,40 +326,6 @@ class ServerSystem
     net::Ipv4Addr snicIp() const { return snicIp_; }
     net::Ipv4Addr hostIp() const { return hostIp_; }
 
-    /**
-     * True when this system runs on the partitioned (time-parallel)
-     * engine; false when cfg.run_threads was 0 or the configuration
-     * was coerced back to the monolithic loop.
-     */
-    bool partitioned() const { return partitioned_; }
-
-    /** Events executed so far across the engine's queue(s) — the
-     *  monolithic queue, or the sum over the three wheels. */
-    std::uint64_t
-    eventsExecuted() const
-    {
-        if (!partitioned_)
-            return eq_.executed();
-        std::uint64_t n = 0;
-        for (const auto &q : wheelEq_)
-            n += q->executed();
-        return n;
-    }
-
-    /** Schedule-into-past clamps across the engine's queue(s); any
-     *  nonzero value is a latent causality bug (RunResult carries it
-     *  as past_clamps and tests gate on zero). */
-    std::uint64_t
-    pastClamps() const
-    {
-        if (!partitioned_)
-            return eq_.pastClamps();
-        std::uint64_t n = eq_.pastClamps();
-        for (const auto &q : wheelEq_)
-            n += q->pastClamps();
-        return n;
-    }
-
   private:
     double totalDynamicW() const;
     std::uint64_t totalDrops() const;
@@ -389,20 +337,6 @@ class ServerSystem
     /** Instantiate the configured function (or pipeline). */
     static funcs::FunctionPtr makeFn(const ServerConfig &cfg);
 
-    /** Whether cfg + function support the partitioned engine. */
-    static bool supportsPartition(const ServerConfig &cfg,
-                                  const funcs::NetworkFunction &fn);
-
-    // Wheel selectors: the external queue in monolithic mode, the
-    // owning wheel's queue in partitioned mode. Usable from the ctor
-    // init list once partitioned_/wheelEq_ are initialized.
-    EventQueue &clientEq() { return partitioned_ ? *wheelEq_[0] : eq_; }
-    EventQueue &snicEq() { return partitioned_ ? *wheelEq_[1] : eq_; }
-    EventQueue &hostEq() { return partitioned_ ? *wheelEq_[2] : eq_; }
-
-    /** Wire the four cross-wheel edges and build the runner. */
-    void buildPartition();
-
     EventQueue &eq_;
     ServerConfig cfg_;
     Rng rng_;
@@ -411,16 +345,6 @@ class ServerSystem
     net::Ipv4Addr clientIp_, snicIp_, hostIp_;
 
     funcs::FunctionPtr fn_;
-    /** Partitioned mode: per-wheel function instances so the SNIC and
-     *  host threads never share one object (the monolithic engine
-     *  keeps the single shared fn_). */
-    funcs::FunctionPtr fnSnic_, fnHost_;
-
-    bool partitioned_;
-    /** Wheel queues ([0] client, [1] snic, [2] host), banded 1..3;
-     *  null in monolithic mode. Declared before every component so
-     *  the channels bound to them deschedule before the queues die. */
-    std::array<std::unique_ptr<EventQueue>, 3> wheelEq_;
 
     net::Client client_;
     std::unique_ptr<coherence::CoherenceDomain> domain_;
@@ -464,16 +388,6 @@ class ServerSystem
     std::unique_ptr<obs::Observability> obs_;
 
     net::PacketSink *ingress_ = nullptr;
-
-    // --- time-parallel plumbing (null in monolithic mode) -------------
-    // Declared last: the runner joins its workers before the edges
-    // die, and the edges deschedule from the wheel queues before any
-    // component they reference goes away.
-    std::unique_ptr<net::WheelEdge> edgeClientToSnic_;
-    std::unique_ptr<net::WheelEdge> edgeSnicToClient_;
-    std::unique_ptr<net::WheelEdge> edgeSnicToHost_;
-    std::unique_ptr<net::WheelEdge> edgeHostToSnic_;
-    std::unique_ptr<WheelRunner> runner_;
 };
 
 } // namespace halsim::core

@@ -304,14 +304,12 @@ registerSweepFlags(ArgRegistrar &reg, SweepOptions &opts)
     reg.value("--slo-p99", "US",
               "arm the SLO monitor at this p99 target (microseconds)",
               [&opts](const std::string &v) -> std::string {
-                  char *end = nullptr;
-                  const double us = std::strtod(v.c_str(), &end);
-                  if (end == nullptr || *end != '\0' || !(us > 0.0)) {
+                  const auto t = parseNumberArg<Tick>(v, kUs);
+                  if (!t || *t == 0)
                       return "needs a positive microsecond target, "
                              "got '" +
                              v + "'";
-                  }
-                  opts.slo_p99_us = us;
+                  opts.slo_p99_us = ticksToUs(*t);
                   return {};
               });
     registerPowerFlags(reg, opts);
@@ -334,14 +332,12 @@ registerPowerFlags(ArgRegistrar &reg, SweepOptions &opts)
     reg.value("--gov-epoch", "US",
               "governor epoch in microseconds (implies nothing else)",
               [&opts](const std::string &v) -> std::string {
-                  char *end = nullptr;
-                  const double us = std::strtod(v.c_str(), &end);
-                  if (end == nullptr || *end != '\0' || !(us > 0.0)) {
+                  const auto t = parseNumberArg<Tick>(v, kUs);
+                  if (!t || *t == 0)
                       return "needs a positive microsecond epoch, "
                              "got '" +
                              v + "'";
-                  }
-                  opts.gov_epoch_us = us;
+                  opts.gov_epoch = *t;
                   return {};
               });
 }
@@ -351,10 +347,8 @@ applyPowerFlags(const SweepOptions &opts, ServerConfig &cfg)
 {
     if (opts.governor)
         cfg.power.governor.enabled = *opts.governor;
-    if (opts.gov_epoch_us) {
-        cfg.power.governor.epoch = static_cast<Tick>(
-            *opts.gov_epoch_us * static_cast<double>(kUs));
-    }
+    if (opts.gov_epoch)
+        cfg.power.governor.epoch = *opts.gov_epoch;
 }
 
 SweepOptions

@@ -15,12 +15,17 @@
 #ifndef HALSIM_CORE_SWEEP_HH
 #define HALSIM_CORE_SWEEP_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/server.hh"
@@ -78,8 +83,8 @@ struct SweepOptions
     /** `--governor on|off`: force the core-scaling governor on (or
      *  off) for every point; unset leaves each point's config alone. */
     std::optional<bool> governor;
-    /** `--gov-epoch US`: governor epoch override, microseconds. */
-    std::optional<double> gov_epoch_us;
+    /** `--gov-epoch US`: governor epoch override. */
+    std::optional<Tick> gov_epoch;
     /** Bench name recorded in the artifact. */
     std::string bench_name = "sweep";
 };
@@ -133,6 +138,56 @@ class ArgRegistrar
     std::string description_;
     std::vector<Opt> opts_;
 };
+
+/**
+ * Strict numeric operand for ArgRegistrar callbacks. The whole of
+ * @p text must be one number; empty text, trailing junk, NaN and
+ * ±inf are rejected (std::nullopt), so callers never cast a value
+ * that does not fit.
+ *
+ *  - Integral T with the default @p unit of 1 reads an exact decimal
+ *    integer: fractions ("1.5") and values outside T ("-1" for an
+ *    unsigned T, "4294967296" for a 32-bit one) are rejected.
+ *  - Integral T with a larger @p unit reads a decimal quantity in
+ *    units of @p unit (milliseconds as kMs ticks, say), rounds it to
+ *    the nearest whole T, and rejects results outside T.
+ *  - Floating T reads any finite value, scaled by @p unit.
+ */
+template <typename T>
+std::optional<T>
+parseNumberArg(std::string_view text, T unit = 1)
+{
+    const char *const first = text.data();
+    const char *const last = first + text.size();
+    if constexpr (std::is_integral_v<T>) {
+        if (unit == 1) {
+            T v{};
+            const auto [end, ec] = std::from_chars(first, last, v);
+            if (ec != std::errc() || end != last)
+                return std::nullopt;
+            return v;
+        }
+    }
+    double q = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, q);
+    if (ec != std::errc() || end != last)
+        return std::nullopt;
+    const double v = q * static_cast<double>(unit);
+    if (!std::isfinite(v))
+        return std::nullopt;
+    if constexpr (std::is_integral_v<T>) {
+        // double(max) rounds up to 2^64 / 2^63 for 64-bit T, so the
+        // half-open bound below is exact for every integral T.
+        const double r = std::nearbyint(v);
+        if (!(r >= static_cast<double>(std::numeric_limits<T>::min()) &&
+              r < static_cast<double>(std::numeric_limits<T>::max()) +
+                      1.0))
+            return std::nullopt;
+        return static_cast<T>(r);
+    } else {
+        return static_cast<T>(v);
+    }
+}
 
 /**
  * Register the shared sweep/CLI flag set against @p opts:

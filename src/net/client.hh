@@ -59,7 +59,6 @@ struct RetryPolicy
  * timestamp carried in packet metadata. Statistics can be reset at a
  * warmup boundary so measurements exclude cold-start transients.
  */
-// halint: band(client) client wheel owns latency/throughput tallies
 class Client : public PacketSink
 {
   public:

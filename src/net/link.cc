@@ -12,17 +12,6 @@ void
 Link::send(PacketPtr pkt)
 {
     const Tick now = eq_.now();
-    if (edge_ != nullptr) {
-        // Cross-wheel egress: deliveries happen on the far wheel, so
-        // reap every slot whose delivery tick has passed before the
-        // tail-drop decision below — queued_ is then exactly what the
-        // local delivery path would report at this tick.
-        while (!pendingDeliver_.empty() &&
-               pendingDeliver_.front() <= now) {
-            pendingDeliver_.pop_front();
-            --queued_;
-        }
-    }
     if (faultRng_ != nullptr) {
         // Injected impairment: the frame enters the wire but never
         // reaches the far end (burst loss) or arrives mangled and is
@@ -58,14 +47,6 @@ Link::send(PacketPtr pkt)
     ++deliveredFrames_;
     obs::tracePacket(trace_, now, pkt->id, tracePoint_, traceLane_);
 
-    // Hand ownership to the delivery channel (or, in time-parallel
-    // mode, to the cross-wheel edge).
-    if (edge_ != nullptr) {
-        // halint: allow(HAL-W004) cross-wheel mode only; deque chunk
-        pendingDeliver_.push_back(deliver); // allocs amortize away
-        edge_->send(deliver, std::move(pkt));
-        return;
-    }
     chan_.push(deliver, std::move(pkt));
 }
 

@@ -12,11 +12,9 @@
 #define HALSIM_NET_LINK_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "net/packet.hh"
-#include "net/packet_batch.hh"
 #include "net/timed_channel.hh"
 #include "obs/hooks.hh"
 #include "sim/event_queue.hh"
@@ -55,16 +53,6 @@ class Link : public PacketSink, private TimedChannel::Receiver
 
     /** PacketSink interface: same as send(). */
     void accept(PacketPtr pkt) override { send(std::move(pkt)); }
-
-    /** Burst transmit: per-frame serialization/drop logic in a
-     *  devirtualized loop (one dispatch per burst, not per frame). */
-    // halint: hotpath
-    void
-    acceptBatch(PacketBatch &&batch) override
-    {
-        while (!batch.empty())
-            send(batch.takeFront());
-    }
 
     /** Packets dropped at the Tx FIFO. */
     std::uint64_t drops() const { return drops_; }
@@ -110,15 +98,6 @@ class Link : public PacketSink, private TimedChannel::Receiver
     const Config &config() const { return cfg_; }
 
     /**
-     * Time-parallel mode: route deliveries to @p edge (the sink lives
-     * on another event wheel). Tx-FIFO occupancy is then accounted on
-     * the sender by reaping past delivery ticks at each send — exact
-     * at every tail-drop decision point. Pass nullptr to restore
-     * local delivery.
-     */
-    void setEgressEdge(DeliveryEdge *edge) { edge_ = edge; }
-
-    /**
      * Attach the packet tracer. @p point is what a successful
      * traversal records (Ingress for the client link, Egress for the
      * return link); losses record TracePoint::Drop on the same lane.
@@ -145,10 +124,6 @@ class Link : public PacketSink, private TimedChannel::Receiver
     Config cfg_;
     PacketSink &sink_;
     TimedChannel chan_;
-    DeliveryEdge *edge_ = nullptr;
-    /** Cross-wheel mode: delivery ticks not yet reaped (sender-side
-     *  stand-in for the in-flight count channelDeliver maintains). */
-    std::deque<Tick> pendingDeliver_;
     Tick busyUntil_ = 0;
     std::uint32_t queued_ = 0;
     std::uint64_t drops_ = 0;

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "net/packet_batch.hh"
 #include "net/packet_pool.hh"
 
 namespace halsim::net {
@@ -80,13 +79,6 @@ makeUdpPacket(const MacAddr &src_mac, const MacAddr &dst_mac,
     udp.setChecksum(0);   // optional in IPv4; the paper's NAT skips it too
 
     return pkt;
-}
-
-void
-PacketSink::acceptBatch(PacketBatch &&batch)
-{
-    while (!batch.empty())
-        accept(batch.takeFront());
 }
 
 } // namespace halsim::net

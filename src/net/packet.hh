@@ -277,8 +277,6 @@ PacketPtr makeUdpPacket(const MacAddr &src_mac, const MacAddr &dst_mac,
                         std::span<const std::uint8_t> payload,
                         std::size_t frame_bytes = 0);
 
-class PacketBatch;
-
 /**
  * One-stop receiver interface: anything that can accept a packet at
  * the current simulated time (switch ports, queues, sinks).
@@ -290,16 +288,6 @@ class PacketSink
 
     /** Deliver @p pkt; implementations may drop (and count) it. */
     virtual void accept(PacketPtr pkt) = 0;
-
-    /**
-     * Deliver a burst. The default forwards front-to-back through
-     * accept(), so every sink handles batches; hot stages override it
-     * to run their per-packet logic in a devirtualized loop. Any
-     * override must be observably identical to the per-packet path —
-     * batching amortizes dispatch, it never reorders or merges
-     * side effects (see DESIGN.md §13).
-     */
-    virtual void acceptBatch(PacketBatch &&batch);
 };
 
 } // namespace halsim::net

@@ -13,10 +13,6 @@
  * at the call site, so every entry occupies the same slot in the
  * (tick, key) total order it would have had as an individual
  * schedule() — results are bit-identical to the per-event engine.
- * When batching is enabled the channel additionally drains successor
- * entries in place while they provably precede the earliest heap
- * entry (EventQueue::canRunInline re-checked after every delivery),
- * skipping their heap round-trips entirely.
  */
 
 #ifndef HALSIM_NET_TIMED_CHANNEL_HH
@@ -30,20 +26,6 @@
 #include "sim/event_queue.hh"
 
 namespace halsim::net {
-
-/**
- * Egress interface for the time-parallel mode: a pipeline stage whose
- * successor lives on another event wheel hands (delivery tick, packet)
- * to an edge instead of its local channel. Implemented by WheelEdge.
- */
-class DeliveryEdge
-{
-  public:
-    virtual ~DeliveryEdge() = default;
-
-    /** Queue @p pkt for delivery at @p when on the far wheel. */
-    virtual void send(Tick when, PacketPtr pkt) = 0;
-};
 
 class TimedChannel : public Event
 {
@@ -77,19 +59,11 @@ class TimedChannel : public Event
     void
     push(Tick when, PacketPtr pkt)
     {
-        pushKeyed(when, eq_.reserveKey(), std::move(pkt));
-    }
-
-    /** Append a delivery under an externally reserved key (cross-
-     *  wheel ingest keeps the sender's reservation). */
-    // halint: hotpath
-    void
-    pushKeyed(Tick when, std::uint64_t key, PacketPtr pkt)
-    {
         assert(when >= eq_.now() && "channel delivery in the past");
         assert((count_ == 0 || back().when <= when) &&
                "channel pushes must be time-ordered");
-        const bool arm = count_ == 0 && !draining_;
+        const std::uint64_t key = eq_.reserveKey();
+        const bool arm = count_ == 0;
         append(Slot{when, key, pkt.release()});
         if (arm)
             eq_.scheduleKeyed(this, when, key);
@@ -102,27 +76,14 @@ class TimedChannel : public Event
     void
     execute() override
     {
-        // The popped head executes under the heap's clock; successors
-        // run inline only while (when, key) provably precedes every
-        // heap entry, re-checked after each delivery because a
-        // delivery may schedule new events.
-        draining_ = true;
-        Slot s = popFront();
-        for (;;) {
-            rx_.channelDeliver(PacketPtr(s.pkt));
-            if (count_ == 0) {
-                draining_ = false;
-                return;
-            }
-            const Slot next = front();
-            if (!eq_.canRunInline(next.when, next.key))
-                break;
-            eq_.advanceInline(next.when);
-            s = popFront();
-        }
-        draining_ = false;
-        const Slot head = front();
-        eq_.scheduleKeyed(this, head.when, head.key);
+        // Re-arm for the successor before delivering: its key was
+        // reserved at push time, so arming now or later lands in the
+        // same (tick, key) slot, and a push made from inside the
+        // delivery sees a non-empty channel and does not arm twice.
+        const Slot s = popFront();
+        if (count_ != 0)
+            eq_.scheduleKeyed(this, front().when, front().key);
+        rx_.channelDeliver(PacketPtr(s.pkt));
     }
 
   private:
@@ -176,7 +137,6 @@ class TimedChannel : public Event
     std::vector<Slot> ring_;   //!< power-of-two circular buffer
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    bool draining_ = false;
 };
 
 } // namespace halsim::net

@@ -155,7 +155,6 @@ std::unique_ptr<RateProcess> makeTrace(TraceKind kind,
  * Within an epoch packets are evenly spaced (the burstiness comes
  * from rate modulation across epochs, as in the paper's traces).
  */
-// halint: band(client) generator state advances on the client wheel
 class TrafficGenerator
 {
   public:

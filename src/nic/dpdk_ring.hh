@@ -1,7 +1,7 @@
 /**
  * @file
  * DPDK-style receive descriptor ring. Bounded FIFO of packets with
- * the two APIs the paper's LBP algorithm uses: burst dequeue
+ * the two APIs the paper's LBP algorithm uses: dequeue
  * (rte_eth_rx_burst) and occupancy query (rte_eth_rx_queue_count).
  * Enqueue beyond the descriptor count tail-drops, which is exactly
  * how a NIC behaves when software cannot keep up — the source of the
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "net/packet_batch.hh"
 #include "obs/hooks.hh"
 #include "sim/event_queue.hh"
 
@@ -78,17 +77,6 @@ class DpdkRing : public net::PacketSink
             notify_();
     }
 
-    /** Burst enqueue (rte_eth_tx_burst): identical per-packet
-     *  semantics — tail-drop per frame, the empty->nonempty notify
-     *  fires at most once — without a virtual dispatch per frame. */
-    // halint: hotpath
-    void
-    acceptBatch(net::PacketBatch &&batch) override
-    {
-        while (!batch.empty())
-            DpdkRing::accept(batch.takeFront());
-    }
-
     /** rte_eth_rx_burst(1): take the head packet, or null. */
     net::PacketPtr
     dequeue()
@@ -99,22 +87,6 @@ class DpdkRing : public net::PacketSink
         head_ = next(head_);
         --count_;
         return pkt;
-    }
-
-    /**
-     * rte_eth_rx_burst(n): drain up to @p max head packets into a
-     * batch, preserving FIFO order.
-     */
-    net::PacketBatch
-    dequeueBurst(std::size_t max = net::PacketBatch::kCapacity)
-    {
-        net::PacketBatch b;
-        while (count_ > 0 && b.size() < max && !b.full()) {
-            b.append(std::move(slots_[head_]));
-            head_ = next(head_);
-            --count_;
-        }
-        return b;
     }
 
     /** rte_eth_rx_queue_count analog. */

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "net/packet_batch.hh"
 #include "net/timed_channel.hh"
 #include "obs/hooks.hh"
 #include "sim/event_queue.hh"
@@ -109,16 +108,6 @@ class ESwitch : public net::PacketSink
                          pkt->id, obs::TracePoint::Drop, traceLane_);
     }
 
-    /** Burst classification: the per-packet verdict logic in a
-     *  devirtualized loop (one dispatch per burst, not per frame). */
-    // halint: hotpath
-    void
-    acceptBatch(net::PacketBatch &&batch) override
-    {
-        while (!batch.empty())
-            ESwitch::accept(batch.takeFront());
-    }
-
     std::uint64_t matched() const { return matched_; }
     std::uint64_t unrouted() const { return unrouted_; }
 
@@ -164,19 +153,8 @@ class FixedDelay : public net::PacketSink,
     void
     accept(net::PacketPtr pkt) override
     {
-        const Tick when = eq_.now() + delay_;
-        if (edge_ != nullptr) {
-            edge_->send(when, std::move(pkt));
-            return;
-        }
-        chan_.push(when, std::move(pkt));
+        chan_.push(eq_.now() + delay_, std::move(pkt));
     }
-
-    Tick delay() const { return delay_; }
-
-    /** Time-parallel mode: @p next lives on another wheel; hand the
-     *  delayed packet to the cross-wheel edge instead. */
-    void setEgressEdge(net::DeliveryEdge *edge) { edge_ = edge; }
 
   private:
     void
@@ -189,7 +167,6 @@ class FixedDelay : public net::PacketSink,
     Tick delay_;
     net::PacketSink &next_;
     net::TimedChannel chan_;
-    net::DeliveryEdge *edge_ = nullptr;
 };
 
 /**

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "net/packet_batch.hh"
 #include "nic/dpdk_ring.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
@@ -92,14 +91,6 @@ class FlowGroupTable : public net::PacketSink
         const std::uint32_t g = groupOf(pkt->flowHash);
         ++groupPackets_[g];
         queues_[groupCore_[g]]->accept(std::move(pkt));
-    }
-
-    // halint: hotpath
-    void
-    acceptBatch(net::PacketBatch &&batch) override
-    {
-        while (!batch.empty())
-            FlowGroupTable::accept(batch.takeFront());
     }
 
     /** splitmix64 finalizer over the flow hash, mod the group count. */
@@ -193,9 +184,9 @@ planRebalance(const GovernorPolicy &cfg, const std::vector<double> &load,
 
 /**
  * The epoch-driven governor attached to one Processor's poll cores.
- * Runs on the owning processor's event queue (its wheel in
- * partitioned runs), so governor-armed runs stay bit-identical
- * across engine thread counts.
+ * Runs on the owning processor's event queue like any other
+ * component, so governor-armed runs stay bit-identical across sweep
+ * thread counts.
  */
 class CoreGovernor
 {

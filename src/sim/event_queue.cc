@@ -32,7 +32,8 @@ class EventQueue::OneShot : public Event
         // nested scheduleFn can reuse it immediately; the callable
         // itself is already safe on the stack.
         UniqueFn fn = std::move(fn_);
-        q_.releaseOneShot(this);
+        // halint: allow(HAL-W004) freelist push reuses retained
+        q_.pool_.push_back(this); // capacity after warmup (DESIGN.md §8)
         fn();
     }
 
@@ -41,63 +42,19 @@ class EventQueue::OneShot : public Event
     UniqueFn fn_;
 };
 
-/**
- * Coalesced same-tick batch for scheduleBatch(). One heap entry
- * carries up to kBatchCapacity callables that run back-to-back in
- * submission order, amortizing the heap round-trip; each callable
- * still counts as one executed event.
- */
-class EventQueue::Batch : public Event
-{
-  public:
-    explicit Batch(EventQueue &q) : Event("batch"), q_(q) {}
-
-    bool full() const { return n_ == kBatchCapacity; }
-
-    void add(UniqueFn fn) { fns_[n_++] = std::move(fn); }
-
-    void
-    execute() override
-    {
-        // Close the coalescing window first: a nested scheduleBatch
-        // at the same tick must open a fresh batch (which then sorts
-        // after every already-scheduled same-tick event, exactly as a
-        // fresh schedule() would).
-        if (q_.openBatch_ == this)
-            q_.openBatch_ = nullptr;
-        const std::size_t n = n_;
-        q_.executed_ += n - 1;   // step() already counted one
-        for (std::size_t i = 0; i < n; ++i) {
-            UniqueFn fn = std::move(fns_[i]);
-            fn();
-        }
-        n_ = 0;
-        q_.releaseBatch(this);
-    }
-
-  private:
-    EventQueue &q_;
-    UniqueFn fns_[kBatchCapacity];
-    std::size_t n_ = 0;
-};
-
 EventQueue::~EventQueue()
 {
     // Drop tombstones and orphan any still-scheduled events so their
-    // destructors don't assert; delete owned one-shot and batch
-    // wrappers.
+    // destructors don't assert; delete owned one-shot wrappers.
     for (Entry &e : heap_) {
         if (e.ev != nullptr) {
             e.ev->scheduled_ = false;
-            if (dynamic_cast<OneShot *>(e.ev) != nullptr ||
-                dynamic_cast<Batch *>(e.ev) != nullptr)
+            if (dynamic_cast<OneShot *>(e.ev) != nullptr)
                 delete e.ev;
         }
     }
     for (OneShot *os : pool_)
         delete os;
-    for (Batch *b : batchPool_)
-        delete b;
 }
 
 // halint: hotpath
@@ -115,7 +72,7 @@ EventQueue::schedule(Event *ev, Tick when)
     }
 
     ev->when_ = when;
-    ev->seq_ = bandBits_ | ++seq_;
+    ev->seq_ = ++seq_;
     ev->scheduled_ = true;
     heapPush(Entry{when, ev->seq_, ev});
     ++live_;
@@ -181,31 +138,6 @@ EventQueue::maybeCompact()
     dead_ = 0;
 }
 
-void
-EventQueue::setPoolingEnabled(bool on)
-{
-    pooling_ = on;
-    if (!pooling_) {
-        for (OneShot *os : pool_)
-            delete os;
-        pool_.clear();
-        for (Batch *b : batchPool_)
-            delete b;
-        batchPool_.clear();
-    }
-}
-
-// halint: hotpath
-void
-EventQueue::releaseOneShot(OneShot *os)
-{
-    if (pooling_)
-        // halint: allow(HAL-W004) freelist push reuses retained
-        pool_.push_back(os); // capacity after warmup (DESIGN.md §8)
-    else
-        delete os;
-}
-
 // halint: hotpath
 void
 EventQueue::scheduleFn(UniqueFn fn, Tick when)
@@ -220,61 +152,6 @@ EventQueue::scheduleFn(UniqueFn fn, Tick when)
     }
     os->arm(std::move(fn));
     schedule(os, when);
-}
-
-// halint: hotpath
-void
-EventQueue::releaseBatch(Batch *b)
-{
-    if (pooling_)
-        // halint: allow(HAL-W004) freelist push reuses retained
-        batchPool_.push_back(b); // capacity after warmup
-    else
-        delete b;
-}
-
-// halint: hotpath
-void
-EventQueue::scheduleBatch(UniqueFn fn, Tick when)
-{
-    if (!batching_) {
-        scheduleFn(std::move(fn), when);
-        return;
-    }
-    if (openBatch_ != nullptr && openBatchWhen_ == when &&
-        !openBatch_->full()) {
-        openBatch_->add(std::move(fn));
-        return;
-    }
-    Batch *b;
-    if (!batchPool_.empty()) {
-        b = batchPool_.back();
-        batchPool_.pop_back();
-    } else {
-        // halint: allow(HAL-W004) pool-miss cold path; steady state
-        b = new Batch(*this); // is served from the freelist
-    }
-    b->add(std::move(fn));
-    schedule(b, when);
-    openBatch_ = b;
-    openBatchWhen_ = when;
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    if (live_ == 0)
-        return kTickNever;
-    // Fast path: the heap root is live and therefore the minimum.
-    if (!heap_.empty() && heap_.front().ev != nullptr)
-        return heap_.front().when;
-    // The root is a tombstone; the heap property only partially
-    // orders the rest, so scan live entries for the true minimum.
-    Tick best = kTickNever;
-    for (const Entry &e : heap_)
-        if (e.ev != nullptr && e.when < best)
-            best = e.when;
-    return best;
 }
 
 // halint: hotpath
@@ -302,10 +179,6 @@ EventQueue::step()
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
-    // Bound inline drains to this call's window (restored on exit so
-    // nested runUntil calls compose).
-    const Tick prev_limit = limit_;
-    limit_ = until;
     const std::uint64_t before = executed_;
     while (!heap_.empty()) {
         // Peek past tombstones.
@@ -318,14 +191,12 @@ EventQueue::runUntil(Tick until)
         if (heap_.front().when > until) {
             if (until != kTickNever)
                 now_ = until;
-            limit_ = prev_limit;
             return executed_ - before;
         }
         step();
     }
     if (until != kTickNever && until > now_)
         now_ = until;
-    limit_ = prev_limit;
     return executed_ - before;
 }
 

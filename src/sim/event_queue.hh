@@ -6,7 +6,6 @@
 #ifndef HALSIM_SIM_EVENT_QUEUE_HH
 #define HALSIM_SIM_EVENT_QUEUE_HH
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -187,9 +186,7 @@ class UniqueFn
  * attached later (scheduleKeyed): a component holding a FIFO of
  * timed work keeps only its head in the heap yet preserves exactly
  * the order it would have had with one heap entry per item — the
- * contract TimedChannel builds on. The top byte of every key is the
- * queue's band (setBand), so entries merged across queues in the
- * time-parallel mode still have a fixed same-tick order.
+ * contract TimedChannel builds on.
  */
 class EventQueue
 {
@@ -215,13 +212,9 @@ class EventQueue
      * event then executes exactly where a schedule() issued at the
      * reservation point would have.
      */
-    std::uint64_t reserveKey() { return bandBits_ | ++seq_; }
+    std::uint64_t reserveKey() { return ++seq_; }
 
-    /**
-     * Schedule @p ev at @p when under a previously reserved @p key
-     * (or one carried over from another queue's reservation in the
-     * time-parallel mode).
-     */
+    /** Schedule @p ev at @p when under a previously reserved @p key. */
     void scheduleKeyed(Event *ev, Tick when, std::uint64_t key);
 
     /** Schedule @p ev @p delta ticks from now. */
@@ -257,37 +250,11 @@ class EventQueue
         scheduleFn(std::move(fn), now_ + delta);
     }
 
-    /**
-     * Schedule a one-shot callable at @p when, coalescing it with the
-     * most recently opened same-tick batch: up to kBatchCapacity
-     * callables scheduled back-to-back for the same tick share one
-     * heap entry and run in submission order when it fires. Relative
-     * order against *other* events at the same tick follows the
-     * batch's key (reserved when the batch opened), so callers must
-     * treat intra-tick interleaving as unspecified — the price of the
-     * amortization. With batching disabled this is exactly
-     * scheduleFn().
-     */
-    void scheduleBatch(UniqueFn fn, Tick when);
-
-    /** scheduleBatch() @p delta ticks from now. */
-    void
-    scheduleBatchIn(UniqueFn fn, Tick delta)
-    {
-        scheduleBatch(std::move(fn), now_ + delta);
-    }
-
-    /** Callables one coalesced batch can hold. */
-    static constexpr std::size_t kBatchCapacity = 64;
-
     /** True when no executable events remain. */
     bool empty() const { return live_ == 0; }
 
     /** Number of live (scheduled) events. */
     std::size_t size() const { return live_; }
-
-    /** Tick of the next live event, or kTickNever when empty. */
-    Tick nextTick() const;
 
     /**
      * Execute the single next event, advancing time to it.
@@ -310,81 +277,13 @@ class EventQueue
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
-    // --- batched same-tick drains (TimedChannel fast path) -----------
-
-    /**
-     * True when an event at (when, key) may run right now, in place,
-     * without a heap round-trip: batching is on, @p when does not
-     * pass the enclosing runUntil() bound, and (when, key) precedes
-     * the earliest heap entry. A tombstoned heap root answers false
-     * (conservative: the true minimum is unknown without a scan).
-     */
-    bool
-    canRunInline(Tick when, std::uint64_t key) const
-    {
-        if (!batching_ || when > limit_)
-            return false;
-        if (heap_.empty())
-            return true;
-        const Entry &top = heap_.front();
-        if (top.ev == nullptr)
-            return false;
-        return when < top.when || (when == top.when && key < top.seq);
-    }
-
-    /** Advance time to an inline-executed event (see canRunInline). */
-    void
-    advanceInline(Tick when)
-    {
-        assert(when >= now_ && "inline drain moved time backwards");
-        now_ = when;
-        ++executed_;
-    }
-
-    /**
-     * Toggle same-tick drains and scheduleBatch coalescing. Disabled,
-     * every item takes its own heap round-trip; results must be
-     * bit-identical either way (see test_determinism).
-     */
-    void setBatchingEnabled(bool on) { batching_ = on; }
-
-    bool batchingEnabled() const { return batching_; }
-
     /**
      * Events clamped to now() by the release-mode guard in
      * schedule(); nonzero means a component computed a past tick.
      */
     std::uint64_t pastClamps() const { return pastClamps_; }
 
-    // --- time-parallel mode (WheelRunner) ----------------------------
-
-    /**
-     * Tag this queue's reserved keys with a wheel band (top byte), so
-     * same-tick entries merged across wheels keep one global order:
-     * (tick, band, seq).
-     */
-    void
-    setBand(std::uint8_t band)
-    {
-        bandBits_ = static_cast<std::uint64_t>(band) << kBandShift;
-    }
-
-    std::uint8_t
-    band() const
-    {
-        return static_cast<std::uint8_t>(bandBits_ >> kBandShift);
-    }
-
-    // --- pooling / compaction controls (perf + A/B testing) ----------
-
-    /**
-     * Toggle recycling of one-shot wrapper events. Disabling reverts
-     * scheduleFn to plain new/delete; simulation results must be
-     * identical either way (see test_determinism).
-     */
-    void setPoolingEnabled(bool on);
-
-    bool poolingEnabled() const { return pooling_; }
+    // --- introspection (tests + perfbench) ---------------------------
 
     /** Idle one-shot wrappers currently held for reuse. */
     std::size_t poolSize() const { return pool_.size(); }
@@ -410,10 +309,6 @@ class EventQueue
     class OneShot;
     friend class OneShot;
 
-    /** Coalesced same-tick batch for scheduleBatch(). */
-    class Batch;
-    friend class Batch;
-
     void heapPush(Entry e);
     Entry heapPop();
     void siftUp(std::size_t i);
@@ -427,14 +322,6 @@ class EventQueue
             heap_[i].ev->heapIndex_ = i;
     }
 
-    /** Return a fired wrapper to the pool (or free it). */
-    void releaseOneShot(OneShot *os);
-
-    /** Return a fired batch to the pool (or free it). */
-    void releaseBatch(Batch *b);
-
-    static constexpr unsigned kBandShift = 56;
-
     /**
      * Rebuild the heap without tombstones once dead entries outnumber
      * live ones; amortized O(1) per deschedule, and it bounds heap
@@ -446,20 +333,11 @@ class EventQueue
     std::vector<Entry> heap_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
-    std::uint64_t bandBits_ = 0;
     std::size_t live_ = 0;
     std::size_t dead_ = 0;   //!< tombstones still in heap_
     std::uint64_t executed_ = 0;
     std::uint64_t pastClamps_ = 0;
-    /** Bound of the innermost runUntil(); inline drains stop here. */
-    Tick limit_ = kTickNever;
-    bool pooling_ = true;
-    bool batching_ = true;
     std::vector<OneShot *> pool_;
-    std::vector<Batch *> batchPool_;
-    /** Most recently opened coalescing batch (null once it fires). */
-    Batch *openBatch_ = nullptr;
-    Tick openBatchWhen_ = 0;
 };
 
 } // namespace halsim

@@ -33,7 +33,7 @@ parallelFor(std::size_t n, unsigned threads,
     }
 
     // The sweep harness owns its threads; points are disjoint
-    // simulations, not wheels of one run.
+    // simulations, each with its own event queue.
     // halint: allow(HAL-W007) sweep pool, not the DES core
     std::atomic<std::size_t> next{0};
     std::exception_ptr first_error;

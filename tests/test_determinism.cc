@@ -5,7 +5,7 @@
  * (every field, including latency quantiles and fault counters)
  * regardless of
  *
- *  - event/packet pooling on vs. off (pure recycling optimisations
+ *  - packet-buffer pooling on vs. off (a pure recycling optimisation
  *    must be observationally invisible),
  *  - sweep worker count 1 vs. N (each point owns a private
  *    EventQueue, so parallelism must not perturb anything), and
@@ -151,7 +151,6 @@ runOnce(const ServerConfig &cfg, double rate_gbps, bool pooling)
     net::PacketPool::local().setEnabled(pooling);
     net::PacketPool::local().clear();
     EventQueue eq;
-    eq.setPoolingEnabled(pooling);
     ServerSystem sys(eq, cfg);
     RunResult r =
         sys.run(std::make_unique<net::ConstantRate>(rate_gbps), 5 * kMs,
@@ -162,32 +161,6 @@ runOnce(const ServerConfig &cfg, double rate_gbps, bool pooling)
     EXPECT_EQ(r.past_clamps, 0u);
     net::PacketPool::local().setEnabled(true);
     return r;
-}
-
-/** A HAL point eligible for the partitioned (time-parallel) engine:
- *  stateless function, no faults, watchdog off, obs off. */
-ServerConfig
-partitionableHalConfig(unsigned run_threads)
-{
-    ServerConfig cfg;
-    cfg.mode = Mode::Hal;
-    cfg.function = funcs::FunctionId::DpdkFwd;
-    cfg.watchdog.enabled = false;
-    cfg.slo.target_p99_us = 200.0;
-    cfg.run_threads = run_threads;
-    return cfg;
-}
-
-RunResult
-runPartitioned(const ServerConfig &cfg, double rate_gbps,
-               bool expect_partitioned, bool batching = true)
-{
-    EventQueue eq;
-    eq.setBatchingEnabled(batching);
-    ServerSystem sys(eq, cfg);
-    EXPECT_EQ(sys.partitioned(), expect_partitioned);
-    return sys.run(std::make_unique<net::ConstantRate>(rate_gbps),
-                   5 * kMs, 30 * kMs);
 }
 
 } // namespace
@@ -411,143 +384,11 @@ TEST(Determinism, SpanArtifactsIdenticalAcrossSweepThreads)
     EXPECT_EQ(as[1], ap[1]); // flight-recorder dumps
 }
 
-TEST(Determinism, SpanArtifactsIdenticalAcrossRunThreads)
-{
-    // Enabling spans/flight recorder makes a point obs-enabled, which
-    // disqualifies it from the partitioned single-run engine — a
-    // run_threads 3 request must fall back to the monolithic engine
-    // and reproduce the run_threads 0 artifacts byte for byte.
-    std::vector<SweepPoint> points;
-    for (unsigned run_threads : {0u, 3u}) {
-        SweepPoint p;
-        p.cfg = faultedHalConfig();
-        p.cfg.run_threads = run_threads;
-        // Server-side spans come from the packet-stage bridge, so the
-        // packet tracer must be live too.
-        p.cfg.obs.trace = true;
-        p.rate_gbps = 60.0;
-        p.warmup = 5 * kMs;
-        p.measure = 20 * kMs;
-        p.label = "rt"; // same label: rows must serialize identically
-        points.push_back(std::move(p));
-    }
-
-    auto artifacts = [&points](std::size_t which) {
-        const std::string base = ::testing::TempDir() + "det_span_rt" +
-                                 std::to_string(which);
-        SweepOptions opts;
-        opts.threads = 1;
-        opts.span_path = base + "_spans.json";
-        opts.flightrec_path = base + "_fr.json";
-        std::vector<SweepPoint> one{points[which]};
-        const auto results = runSweep(one, opts);
-        auto slurp = [](const std::string &path) {
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream os;
-            os << in.rdbuf();
-            return os.str();
-        };
-        return std::make_pair(
-            results[0],
-            std::vector<std::string>{slurp(opts.span_path),
-                                     slurp(opts.flightrec_path)});
-    };
-
-    const auto [r0, a0] = artifacts(0);
-    const auto [r3, a3] = artifacts(1);
-    ASSERT_GT(r0.trace_spans, 0u);
-    ASSERT_GT(r0.fr_trigger_fault, 0u);
-    expectIdentical(r0, r3);
-    ASSERT_FALSE(a0[0].empty());
-    ASSERT_FALSE(a0[1].empty());
-    EXPECT_EQ(a0[0], a3[0]); // span trace
-    EXPECT_EQ(a0[1], a3[1]); // flight-recorder dumps
-}
-
-TEST(Determinism, BatchOnVsOffIdentical)
-{
-    // Event batching (burst coalescing + channel inline drains) is a
-    // pure dispatch optimisation; turning it off must be
-    // observationally invisible — RunResult, serialized form, and the
-    // full stats tree, faults and all.
-    ServerConfig cfg = faultedHalConfig();
-    cfg.obs.stats = true;
-    net::PacketPool::local().clear();
-    EventQueue eqOn, eqOff;
-    eqOff.setBatchingEnabled(false);
-    ServerSystem sysOn(eqOn, cfg);
-    const RunResult on = sysOn.run(
-        std::make_unique<net::ConstantRate>(60.0), 5 * kMs, 30 * kMs);
-    std::ostringstream statsOn;
-    ASSERT_NE(sysOn.obs(), nullptr);
-    sysOn.obs()->writeStatsJson(statsOn);
-    ServerSystem sysOff(eqOff, cfg);
-    const RunResult off = sysOff.run(
-        std::make_unique<net::ConstantRate>(60.0), 5 * kMs, 30 * kMs);
-    std::ostringstream statsOff;
-    ASSERT_NE(sysOff.obs(), nullptr);
-    sysOff.obs()->writeStatsJson(statsOff);
-    ASSERT_GT(on.faults_injected, 0u);
-    expectIdentical(on, off);
-    std::ostringstream ja, jb;
-    on.toJson(ja);
-    off.toJson(jb);
-    EXPECT_EQ(ja.str(), jb.str());
-    ASSERT_FALSE(statsOn.str().empty());
-    EXPECT_EQ(statsOn.str(), statsOff.str());
-}
-
-TEST(Determinism, RunThreadsPartitionedIdentical)
-{
-    // The time-parallel engine must be bit-identical across its own
-    // thread counts (same window sequence, (tick, band, seq) merge
-    // order) AND against the monolithic single-queue run.
-    const RunResult mono =
-        runPartitioned(partitionableHalConfig(0), 60.0, false);
-    const RunResult part1 =
-        runPartitioned(partitionableHalConfig(1), 60.0, true);
-    const RunResult part3 =
-        runPartitioned(partitionableHalConfig(3), 60.0, true);
-    ASSERT_GT(part1.responses, 0u);
-    ASSERT_GT(part1.slo_epochs, 0u);
-    expectIdentical(part1, part3);
-    expectIdentical(mono, part1);
-}
-
-TEST(Determinism, PartitionedIdenticalWithBatchingOff)
-{
-    // Orthogonality: wheels x batching. Same answer in every cell.
-    const RunResult a =
-        runPartitioned(partitionableHalConfig(3), 80.0, true, true);
-    const RunResult b =
-        runPartitioned(partitionableHalConfig(3), 80.0, true, false);
-    ASSERT_GT(a.responses, 0u);
-    expectIdentical(a, b);
-}
-
-TEST(Determinism, UnsupportedConfigFallsBackToMonolithic)
-{
-    // run_threads on a config the partitioned engine cannot take
-    // (faults armed, watchdog on) must coerce to the monolithic loop
-    // and change nothing.
-    ServerConfig threaded = faultedHalConfig();
-    threaded.run_threads = 3;
-    net::PacketPool::local().clear();
-    EventQueue eqA, eqB;
-    ServerSystem sysA(eqA, threaded);
-    EXPECT_FALSE(sysA.partitioned());
-    const RunResult a = sysA.run(
-        std::make_unique<net::ConstantRate>(60.0), 5 * kMs, 30 * kMs);
-    const RunResult b = runOnce(faultedHalConfig(), 60.0, true);
-    ASSERT_GT(a.faults_injected, 0u);
-    expectIdentical(a, b);
-}
-
 TEST(Determinism, GovernorSweepThreads1VsNIdentical)
 {
     // Governor-armed points: the epoch tick, flow-group migrations,
-    // and park/unpark decisions all live on the owning processor's
-    // wheel, so sweep-level parallelism must stay bit-invisible.
+    // and park/unpark decisions all live on the point's own event
+    // queue, so sweep-level parallelism must stay bit-invisible.
     std::vector<SweepPoint> points;
     for (double rate : {4.0, 30.0, 70.0}) {
         SweepPoint p;
@@ -574,26 +415,6 @@ TEST(Determinism, GovernorSweepThreads1VsNIdentical)
         SCOPED_TRACE(i);
         expectIdentical(rs[i], rp[i]);
     }
-}
-
-TEST(Determinism, GovernorPartitionedIdentical)
-{
-    // The governor does not leave the owning processor's wheel, so a
-    // governor-armed config keeps its partitioned-engine eligibility
-    // and the time-parallel run stays bit-identical to the monolithic
-    // one across engine thread counts.
-    auto governed = [](unsigned run_threads) {
-        ServerConfig cfg = partitionableHalConfig(run_threads);
-        cfg.power.governor.enabled = true;
-        return cfg;
-    };
-    const RunResult mono = runPartitioned(governed(0), 20.0, false);
-    const RunResult part1 = runPartitioned(governed(1), 20.0, true);
-    const RunResult part3 = runPartitioned(governed(3), 20.0, true);
-    ASSERT_GT(part1.responses, 0u);
-    ASSERT_GT(part1.gov_epochs, 0u);
-    expectIdentical(part1, part3);
-    expectIdentical(mono, part1);
 }
 
 TEST(Determinism, SweepThreads1VsNIdentical)

@@ -253,22 +253,21 @@ TEST(HalintW007, ThreadPrimitiveInDesCoreFlagged)
                         "    std::mutex mu;\n"
                         "    std::atomic<int> n{0};\n"
                         "}\n");
-    EXPECT_EQ(linesOf(d, halint::kRuleCrossWheel),
+    EXPECT_EQ(linesOf(d, halint::kRuleThreadPrimitive),
               (std::vector<int>{2, 3}));
 }
 
-TEST(HalintW007, MailboxBlockCoversPrimitives)
+TEST(HalintW007, PrimitiveMembersFlaggedInHeaders)
 {
+    // No block of the DES core is exempt: a synchronized member in a
+    // class body is flagged like a local in a function body.
     const auto d = lint("src/sim/box.hh",
                         "#pragma once\n"
-                        "// halint: mailbox SPSC ring, DESIGN.md §13\n"
                         "class Box {\n"
                         "    std::atomic<std::size_t> head_{0};\n"
-                        "    std::atomic<std::size_t> tail_{0};\n"
-                        "};\n"
-                        "std::mutex outside;\n");
-    EXPECT_EQ(linesOf(d, halint::kRuleCrossWheel),
-              (std::vector<int>{7}));
+                        "};\n");
+    EXPECT_EQ(linesOf(d, halint::kRuleThreadPrimitive),
+              (std::vector<int>{3}));
 }
 
 TEST(HalintW007, OutsideDesCoreNotFlagged)
@@ -276,15 +275,6 @@ TEST(HalintW007, OutsideDesCoreNotFlagged)
     EXPECT_TRUE(
         lint("src/core/pool.cc", "std::mutex mu;\n").empty());
     EXPECT_TRUE(lint("bench/b.cc", "std::thread t;\n").empty());
-}
-
-TEST(HalintW007, MailboxWithNoBlockIsMalformed)
-{
-    const auto d = lint("src/sim/a.cc",
-                        "// halint: mailbox dangling\n"
-                        "int x;\n");
-    EXPECT_EQ(linesOf(d, halint::kRuleDirective),
-              (std::vector<int>{1}));
 }
 
 TEST(HalintW007, AllowSuppresses)
@@ -350,6 +340,15 @@ TEST(HalintSuppress, ReasonIsMandatory)
               (std::vector<int>{1}));
     // The reason-less allow() must not suppress either.
     EXPECT_EQ(linesOf(d, halint::kRuleRng), (std::vector<int>{2}));
+}
+
+TEST(HalintSuppress, RetiredRuleIdIsMalformed)
+{
+    // HAL-W009 (wheel-partition escapes) went with the partitioned
+    // engine; naming it in allow() is now an unknown rule id.
+    EXPECT_EQ(linesOf(lint("src/a.cc", "// halint: allow(HAL-W009) x\n"),
+                      halint::kRuleDirective),
+              (std::vector<int>{1}));
 }
 
 TEST(HalintSuppress, MalformedDirectivesDiagnosed)
@@ -530,119 +529,6 @@ TEST(HalintW008, HotpathCalleeOwnsItsSubtree)
     });
     EXPECT_EQ(diagsOf(d, halint::kRuleHotpathAlloc).size(), 1u);
     EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
-}
-
-// ---- HAL-W009: wheel-partition escape analysis ---------------------
-
-namespace {
-
-/** A band(snic) class with one mutable field, as one TU. */
-const char *kSnicOwner =
-    "#pragma once\n"
-    "// halint: band(snic) eswitch depth model\n"
-    "class Ring {\n"
-    "  public:\n"
-    "    int depth_ = 0;\n"
-    "};\n";
-
-} // namespace
-
-TEST(HalintW009, BareCrossBandWriteFlagged)
-{
-    const auto d = analyzeSources({
-        {"src/net/ring.hh", kSnicOwner},
-        {"src/net/client.cc",
-         "// halint: band(client) generator side\n"
-         "class Gen {\n"
-         "  public:\n"
-         "    void poke(Ring *r) { r->depth_ = 3; }\n"
-         "};\n"},
-    });
-    const auto w = diagsOf(d, halint::kRuleBandEscape);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_EQ(w[0].file, "src/net/client.cc");
-    EXPECT_EQ(w[0].line, 4);
-    EXPECT_NE(w[0].message.find("write"), std::string::npos);
-    EXPECT_NE(w[0].message.find("band(snic)"), std::string::npos);
-    EXPECT_NE(w[0].message.find("band(client)"), std::string::npos);
-}
-
-TEST(HalintW009, CrossBandReadFlaggedAsRead)
-{
-    const auto d = analyzeSources({
-        {"src/net/ring.hh", kSnicOwner},
-        {"src/net/client.cc",
-         "// halint: band(client) generator side\n"
-         "class Gen {\n"
-         "  public:\n"
-         "    int peek(Ring *r) { return r->depth_; }\n"
-         "};\n"},
-    });
-    const auto w = diagsOf(d, halint::kRuleBandEscape);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_NE(w[0].message.find("read of"), std::string::npos);
-}
-
-TEST(HalintW009, MailboxSectionExemptsAccess)
-{
-    const auto d = analyzeSources({
-        {"src/net/ring.hh", kSnicOwner},
-        {"src/net/client.cc",
-         "// halint: band(client) generator side\n"
-         "class Gen {\n"
-         "  public:\n"
-         "    // halint: mailbox drained at the window barrier\n"
-         "    void poke(Ring *r) { r->depth_ = 3; }\n"
-         "};\n"},
-    });
-    EXPECT_TRUE(diagsOf(d, halint::kRuleBandEscape).empty());
-}
-
-TEST(HalintW009, SameBandAndUnbandedAccessFine)
-{
-    const auto d = analyzeSources({
-        {"src/net/ring.hh", kSnicOwner},
-        {"src/net/snic.cc",
-         "// halint: band(snic) same side\n"
-         "class Pump {\n"
-         "  public:\n"
-         "    void poke(Ring *r) { r->depth_ = 3; }\n"
-         "};\n"},
-        // Unbanded code has no owner to attribute: out of scope.
-        {"src/net/tools.cc",
-         "void reset(Ring *r) { r->depth_ = 0; }\n"},
-    });
-    EXPECT_TRUE(diagsOf(d, halint::kRuleBandEscape).empty());
-}
-
-TEST(HalintW009, MethodCallsAreNotFieldEscapes)
-{
-    const auto d = analyzeSources({
-        {"src/net/ring.hh",
-         "#pragma once\n"
-         "// halint: band(snic) eswitch depth model\n"
-         "class Ring {\n"
-         "  public:\n"
-         "    int depth_ = 0;\n"
-         "    int depth() const { return depth_; }\n"
-         "};\n"},
-        {"src/net/client.cc",
-         "// halint: band(client) generator side\n"
-         "class Gen {\n"
-         "  public:\n"
-         "    int peek(Ring *r) { return r->depth(); }\n"
-         "};\n"},
-    });
-    EXPECT_TRUE(diagsOf(d, halint::kRuleBandEscape).empty());
-}
-
-TEST(HalintW009, UnknownBandNameIsMalformed)
-{
-    const auto d = lint("src/net/a.cc",
-                        "// halint: band(gpu) no such wheel\n"
-                        "class X {};\n");
-    EXPECT_EQ(linesOf(d, halint::kRuleDirective),
-              (std::vector<int>{1}));
 }
 
 // ---- HAL-W010: stats/results/schema drift --------------------------

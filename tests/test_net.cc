@@ -1,13 +1,15 @@
 /**
  * @file
  * Network substrate: checksums (full vs incremental), frame codecs,
- * the address-rewrite datapaths HAL relies on, link timing, and the
- * traffic generators' statistical properties (Fig. 8 anchors).
+ * the address-rewrite datapaths HAL relies on, link timing, timed
+ * channel ordering, and the traffic generators' statistical
+ * properties (Fig. 8 anchors).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "net/addr.hh"
@@ -15,6 +17,8 @@
 #include "net/client.hh"
 #include "net/link.hh"
 #include "net/packet.hh"
+#include "net/packet_pool.hh"
+#include "net/timed_channel.hh"
 #include "net/traffic.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -238,6 +242,105 @@ TEST(Link, TailDropsWhenSaturated)
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 4u);
     EXPECT_EQ(link.drops(), 6u);
+}
+
+// ---- TimedChannel ---------------------------------------------------
+
+namespace {
+
+/** Frame tagged through its request id, so deliveries can be logged. */
+PacketPtr
+taggedFrame(std::uint64_t tag)
+{
+    PacketPtr pkt = testFrame(64);
+    pkt->id = tag;
+    return pkt;
+}
+
+/** Logs each delivery's tag and tick; an optional hook runs after. */
+struct ChannelLog : TimedChannel::Receiver
+{
+    explicit ChannelLog(EventQueue &eq) : eq(eq) {}
+
+    void
+    channelDeliver(PacketPtr pkt) override
+    {
+        order.push_back(static_cast<int>(pkt->id));
+        ticks.push_back(eq.now());
+        if (onDeliver)
+            onDeliver(*pkt);
+    }
+
+    EventQueue &eq;
+    std::vector<int> order;
+    std::vector<Tick> ticks;
+    std::function<void(const Packet &)> onDeliver;
+};
+
+} // namespace
+
+TEST(TimedChannel, SameTickEntriesFollowReservationOrder)
+{
+    // Each push reserves its key at the call site, so channel entries
+    // interleave with one-shots scheduled for the same tick exactly
+    // as individually scheduled events would.
+    EventQueue eq;
+    ChannelLog log(eq);
+    TimedChannel chan(eq, log);
+    eq.scheduleFn([&log] { log.order.push_back(100); }, 50);
+    chan.push(50, taggedFrame(1));
+    eq.scheduleFn([&log] { log.order.push_back(101); }, 50);
+    chan.push(50, taggedFrame(2));
+    eq.scheduleFn([&log] { log.order.push_back(102); }, 50);
+    eq.run();
+    EXPECT_EQ(log.order, (std::vector<int>{100, 1, 101, 2, 102}));
+    EXPECT_EQ(eq.now(), Tick{50});
+}
+
+TEST(TimedChannel, PushFromDeliveryArmsOnceAndKeepsFifo)
+{
+    // Deliveries push more work into their own channel: into a
+    // non-empty channel (behind an entry at the same tick) and into
+    // an empty one. Every entry must cost exactly one executed event
+    // — a double arm would fire the head twice.
+    EventQueue eq;
+    ChannelLog log(eq);
+    TimedChannel chan(eq, log);
+    log.onDeliver = [&](const Packet &pkt) {
+        if (pkt.id == 1)
+            chan.push(20, taggedFrame(3)); // behind pending entry 2
+        else if (pkt.id == 3)
+            chan.push(30, taggedFrame(4)); // channel is empty now
+    };
+    chan.push(10, taggedFrame(1));
+    chan.push(20, taggedFrame(2));
+    eq.run();
+    EXPECT_EQ(log.order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(log.ticks, (std::vector<Tick>{10, 20, 20, 30}));
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_EQ(chan.pending(), 0u);
+    EXPECT_FALSE(chan.scheduled());
+}
+
+TEST(TimedChannel, DestructorFreesPendingPackets)
+{
+    EventQueue eq;
+    ChannelLog log(eq);
+    PacketPool &pool = PacketPool::local();
+    pool.clear();
+    {
+        TimedChannel chan(eq, log);
+        for (std::uint64_t i = 0; i < 3; ++i)
+            chan.push(100 + i, taggedFrame(i));
+        EXPECT_EQ(chan.pending(), 3u);
+        EXPECT_EQ(pool.pooled(), 0u);
+    }
+    // Each frame buffer went back to the pool, and the armed head
+    // left the queue with the channel.
+    EXPECT_EQ(pool.pooled(), 3u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.run(), 0u);
+    EXPECT_TRUE(log.order.empty());
 }
 
 TEST(Traffic, ConstantRateSpacing)

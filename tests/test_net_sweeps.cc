@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/config.hh"
@@ -245,12 +247,18 @@ TEST(ParseSweepArgs, WellFormedFlagsParse)
     char tv[] = "3";
     char j[] = "--json";
     char jv[] = "/tmp/out.json";
-    char *argv[] = {prog, t, tv, j, jv, nullptr};
+    char g[] = "--gov-epoch";
+    char gv[] = "250";
+    char l[] = "--slo-p99";
+    char lv[] = "300";
+    char *argv[] = {prog, t, tv, j, jv, g, gv, l, lv, nullptr};
     const core::SweepOptions opts =
-        core::parseSweepArgs(5, argv, "bench_x");
+        core::parseSweepArgs(9, argv, "bench_x");
     EXPECT_EQ(opts.threads, 3u);
     EXPECT_EQ(opts.json_path, "/tmp/out.json");
     EXPECT_EQ(opts.bench_name, "bench_x");
+    EXPECT_EQ(opts.gov_epoch, 250 * kUs);
+    EXPECT_EQ(opts.slo_p99_us, 300.0);
 }
 
 TEST(ParseSweepArgs, ThreadsAllMeansAllHardwareThreads)
@@ -262,4 +270,99 @@ TEST(ParseSweepArgs, ThreadsAllMeansAllHardwareThreads)
     const core::SweepOptions opts =
         core::parseSweepArgs(3, argv, "bench_x");
     EXPECT_EQ(opts.threads, 0u); // runSweep resolves 0 to all cores
+}
+
+// ---- parseNumberArg / ArgRegistrar numeric operands ----------------
+
+TEST(ParseNumberArg, RejectsNonNumbersAndNonFinite)
+{
+    for (const char *bad :
+         {"", "nan", "NaN", "inf", "-inf", "infinity", "1x", "x1", "1 ",
+          " 1", "1e400", "--1"}) {
+        EXPECT_EQ(core::parseNumberArg<double>(bad), std::nullopt)
+            << "double '" << bad << "'";
+        EXPECT_EQ(core::parseNumberArg<unsigned>(bad), std::nullopt)
+            << "unsigned '" << bad << "'";
+        EXPECT_EQ(core::parseNumberArg<Tick>(bad, kMs), std::nullopt)
+            << "duration '" << bad << "'";
+    }
+}
+
+TEST(ParseNumberArg, IntegersRejectFractionsAndOutOfRange)
+{
+    for (const char *bad : {"1.5", "2.0", "1e3", "-1", "4294967296"})
+        EXPECT_EQ(core::parseNumberArg<unsigned>(bad), std::nullopt)
+            << "'" << bad << "'";
+    EXPECT_EQ(core::parseNumberArg<std::uint64_t>("18446744073709551616"),
+              std::nullopt);
+    EXPECT_EQ(core::parseNumberArg<std::size_t>("-64"), std::nullopt);
+}
+
+TEST(ParseNumberArg, DurationsRejectValuesOutsideTick)
+{
+    // 1e300 ms is finite as a double but has no Tick representation;
+    // the old parse-then-cast path was undefined behaviour here.
+    EXPECT_EQ(core::parseNumberArg<Tick>("1e300", kMs), std::nullopt);
+    EXPECT_EQ(core::parseNumberArg<Tick>("2e13", kUs), std::nullopt);
+    EXPECT_EQ(core::parseNumberArg<Tick>("-1", kUs), std::nullopt);
+}
+
+TEST(ParseNumberArg, AcceptsOneValuePerKind)
+{
+    EXPECT_EQ(core::parseNumberArg<double>("42.5"), 42.5);
+    EXPECT_EQ(core::parseNumberArg<unsigned>("4"), 4u);
+    EXPECT_EQ(core::parseNumberArg<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(core::parseNumberArg<Tick>("0.5", kMs), 500 * kUs);
+    EXPECT_EQ(core::parseNumberArg<Tick>("1.1", kMs), 1100 * kUs);
+}
+
+TEST(ArgRegistrarDeathTest, NonFiniteOrHugeDurationsExit2)
+{
+    const char *cases[][2] = {{"--gov-epoch", "inf"},
+                              {"--gov-epoch", "nan"},
+                              {"--gov-epoch", "1e300"},
+                              {"--slo-p99", "inf"},
+                              {"--slo-p99", "nan"},
+                              {"--slo-p99", "0"}};
+    for (const auto &c : cases) {
+        char prog[] = "bench";
+        char flag[16], val[16];
+        std::snprintf(flag, sizeof(flag), "%s", c[0]);
+        std::snprintf(val, sizeof(val), "%s", c[1]);
+        char *argv[] = {prog, flag, val, nullptr};
+        EXPECT_EXIT(core::parseSweepArgs(3, argv, "bench"),
+                    ::testing::ExitedWithCode(2), c[0])
+            << "value '" << c[1] << "'";
+    }
+}
+
+TEST(ArgRegistrarDeathTest, RejectedNumericOperandExits2)
+{
+    // A flag parsed through parseNumberArg reports the flag name and
+    // exits 2, the same contract as every other malformed value.
+    auto parseWith = [](const char *value) {
+        unsigned cores = 0;
+        core::ArgRegistrar reg("cli");
+        reg.value("--cores", "N", "core count",
+                  [&cores](const std::string &v) -> std::string {
+                      const auto x = core::parseNumberArg<unsigned>(v);
+                      if (!x)
+                          return "needs a core count, got '" + v + "'";
+                      cores = *x;
+                      return {};
+                  });
+        char prog[] = "cli";
+        char flag[] = "--cores";
+        char val[32];
+        std::snprintf(val, sizeof(val), "%s", value);
+        char *argv[] = {prog, flag, val, nullptr};
+        reg.parse(3, argv);
+        return cores;
+    };
+    EXPECT_EQ(parseWith("6"), 6u);
+    for (const char *bad : {"1e12", "2.5", "nan"})
+        EXPECT_EXIT(parseWith(bad), ::testing::ExitedWithCode(2),
+                    "--cores")
+            << "value '" << bad << "'";
 }

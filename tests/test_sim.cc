@@ -172,12 +172,6 @@ TEST(EventQueue, OneShotWrappersAreRecycled)
     // simultaneously pending, and they all sit idle in the pool now.
     EXPECT_LE(eq.poolSize(), 10u);
     EXPECT_GE(eq.poolSize(), 1u);
-
-    eq.setPoolingEnabled(false);
-    EXPECT_EQ(eq.poolSize(), 0u);
-    eq.scheduleFnIn([&fired] { ++fired; }, 1);
-    eq.run();
-    EXPECT_EQ(fired, 31);
 }
 
 TEST(EventQueue, HeapCompactionBoundsTombstones)
@@ -252,14 +246,43 @@ TEST(EventQueue, RecurringEventReschedulesItself)
     EXPECT_EQ(eq.now(), 4000u);
 }
 
-TEST(EventQueue, NextTickSeesThroughTombstones)
+TEST(EventQueue, StepSkipsTombstonedRoot)
 {
     EventQueue eq;
     CallbackEvent a([] {});
     eq.schedule(&a, 10);
     eq.scheduleFn([] {}, 20);
     eq.deschedule(&a);
-    EXPECT_EQ(eq.nextTick(), 20u);
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_FALSE(eq.step());
+}
+
+TEST(EventQueue, ReservedKeyKeepsReservationOrder)
+{
+    // A key reserved early but scheduled late must still run where
+    // the reservation point dictates among same-tick events.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t early = eq.reserveKey();
+    eq.scheduleFn([&order] { order.push_back(2); }, 50);
+    CallbackEvent first([&order] { order.push_back(1); });
+    eq.scheduleKeyed(&first, 50, early);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, RunUntilClampsTimeOnDrain)
+{
+    // Time reaches the bound even when the queue runs dry before it,
+    // so back-to-back windows never see the clock lag.
+    EventQueue eq;
+    eq.scheduleFn([] {}, 10);
+    EXPECT_EQ(eq.runUntil(100), 1u);
+    EXPECT_EQ(eq.now(), Tick{100});
+    EXPECT_EQ(eq.runUntil(250), 0u);
+    EXPECT_EQ(eq.now(), Tick{250});
 }
 
 TEST(Accumulator, Moments)

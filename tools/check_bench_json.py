@@ -190,9 +190,8 @@ def check_stats(path, schema):
 
 
 def check_simcore(path, schema):
-    """The bench_sim_core artifact: full metric matrix present and
-    numeric (a --batch/--run-threads-restricted run writes a partial
-    artifact, which must not be committed or gated)."""
+    """The bench_sim_core artifact: every metric and workload field
+    present and numeric."""
     doc = load(path)
     if doc is None:
         return

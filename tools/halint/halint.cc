@@ -2,7 +2,7 @@
  * @file
  * halint engine core: per-file rule scanners (HAL-W001..W007), the
  * suppression/directive machinery, and the analyzeSources()
- * orchestration that adds the cross-TU passes (HAL-W008..W010, see
+ * orchestration that adds the cross-TU passes (HAL-W008/W010, see
  * passes.cc). The lexer lives in lexer.cc, the repo indexer in
  * index.cc, output/baseline in output.cc.
  */
@@ -270,18 +270,17 @@ struct Scanner
         }
     }
 
-    // ---- HAL-W007: cross-wheel state outside mailbox sections -------
+    // ---- HAL-W007: thread primitive in the DES core ------------------
     /**
-     * The time-parallel engine's safety argument (DESIGN.md §13)
-     * rests on wheels sharing state ONLY through SPSC mailboxes
-     * drained at window barriers. Any thread-synchronization
-     * primitive in the DES core (src/sim/, src/net/) is therefore a
-     * protocol extension and must sit inside a block annotated
-     * '// halint: mailbox' (the annotation covers the next
-     * brace-balanced block, e.g. a class or function body).
+     * The event engine and the packet datapath (src/sim/, src/net/)
+     * are single-threaded by design: determinism rests on one event
+     * loop owning all simulation state. Any thread-synchronization
+     * primitive there is a design change and needs an explicit
+     * allow(HAL-W007) with a reason (the sweep harness in
+     * src/sim/parallel.cc is the one sanctioned user).
      */
     void
-    crossWheel()
+    threadPrimitive()
     {
         const bool scoped =
             path.rfind("src/sim/", 0) == 0 ||
@@ -300,55 +299,12 @@ struct Scanner
             "latch",         "counting_semaphore",
             "binary_semaphore",       "promise",
             "async"};
-
-        // Token ranges covered by a mailbox annotation: the next
-        // brace-balanced block after each directive.
-        std::vector<std::pair<std::size_t, std::size_t>> covered;
-        for (const Directive &d : lx.directives) {
-            if (!d.mailbox)
-                continue;
-            std::size_t i = d.tokenIndexAfter;
-            while (i < lx.toks.size() &&
-                   !(lx.toks[i].kind == TokKind::Punct &&
-                     lx.toks[i].text == "{"))
-                ++i;
-            if (i == lx.toks.size()) {
-                add(kRuleDirective, d.line,
-                    "mailbox annotation with no block after it");
-                continue;
-            }
-            const std::size_t start = i;
-            int depth = 0;
-            for (; i < lx.toks.size(); ++i) {
-                const Tok &t = lx.toks[i];
-                if (t.kind != TokKind::Punct)
-                    continue;
-                if (t.text == "{")
-                    ++depth;
-                else if (t.text == "}" && --depth == 0)
-                    break;
-            }
-            covered.emplace_back(start, i);
-        }
-
-        for (std::size_t i = 0; i < lx.toks.size(); ++i) {
-            const Tok &t = lx.toks[i];
-            if (t.kind != TokKind::Ident || kPrims.count(t.text) == 0)
-                continue;
-            bool inside = false;
-            for (const auto &[b, e] : covered)
-                if (i >= b && i <= e) {
-                    inside = true;
-                    break;
-                }
-            if (!inside)
-                add(kRuleCrossWheel, t.line,
+        for (const Tok &t : lx.toks)
+            if (t.kind == TokKind::Ident && kPrims.count(t.text) != 0)
+                add(kRuleThreadPrimitive, t.line,
                     "thread primitive '" + t.text +
-                        "' outside a '// halint: mailbox' section — "
-                        "wheels may share state only through SPSC "
-                        "mailboxes drained at window barriers "
-                        "(DESIGN.md §13)");
-        }
+                        "' in the single-threaded DES core — one event "
+                        "loop owns all simulation state (DESIGN.md §13)");
     }
 
     // ---- HAL-W006: header hygiene -----------------------------------
@@ -397,7 +353,7 @@ runScanners(const std::string &path, const Lexed &lx)
     s.hotpathAlloc();
     s.parallelPurity();
     s.headerHygiene();
-    s.crossWheel();
+    s.threadPrimitive();
     return std::move(s.diags);
 }
 
@@ -493,7 +449,6 @@ analyzeSources(const std::vector<SourceFile> &files)
     }
 
     passTransitiveHotpath(idx, diags);
-    passBandEscape(idx, diags);
     passSchemaDrift(idx, schemaPath, schemaContent, diags);
 
     std::vector<Diagnostic> kept;
@@ -525,12 +480,10 @@ ruleTable()
            "HAL-W004  allocation inside a '// halint: hotpath' function\n"
            "HAL-W005  impure parallelFor/runSweep callback\n"
            "HAL-W006  header hygiene (guard, 'using namespace')\n"
-           "HAL-W007  thread primitive in the DES core outside a "
-           "'// halint: mailbox' section\n"
+           "HAL-W007  thread primitive in the DES core (src/sim, "
+           "src/net)\n"
            "HAL-W008  allocation transitively reachable from a "
            "'// halint: hotpath' root (call-graph pass)\n"
-           "HAL-W009  field of a '// halint: band(...)' class touched "
-           "from another band outside a mailbox section\n"
            "HAL-W010  RunResult kFields / registered stats drifted "
            "from tools/bench_schema.json\n"
            "Suppress with: // halint: allow(HAL-Wnnn) <reason>, or a "

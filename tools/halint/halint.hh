@@ -5,8 +5,8 @@
  * The simulator's headline guarantee — bit-identical RunResult across
  * seeds, pooling modes, and sweep thread counts — depends on coding
  * invariants (no wall clock, no unseeded RNG, no unordered iteration,
- * allocation-free hot paths, pure parallelFor callbacks, mailbox-only
- * cross-wheel state) that a compiler cannot check. halint promotes
+ * allocation-free hot paths, pure parallelFor callbacks, no thread
+ * primitives in the single-threaded engine) that a compiler cannot check. halint promotes
  * them from DESIGN.md prose to named, suppressible diagnostics. See
  * DESIGN.md §9 for the per-file rule table and §14 for the v2
  * multi-pass engine (indexer, call graph, baseline/ratchet).
@@ -15,7 +15,7 @@
  * strips comments/strings/preprocessor lines into a token stream;
  * per-rule scanners pattern-match on it, and a heuristic repo indexer
  * (tools/halint/index.hh) recovers enough structure — functions, call
- * sites, annotated classes — for the cross-TU passes (HAL-W008/9/10).
+ * sites — for the cross-TU passes (HAL-W008/W010).
  * That keeps the tool dependency-free and fast enough to run as a
  * tier-1 ctest on every build (< 5 s over the whole repo).
  */
@@ -46,9 +46,8 @@ inline constexpr const char *kRuleUnordered = "HAL-W003";
 inline constexpr const char *kRuleHotpathAlloc = "HAL-W004";
 inline constexpr const char *kRuleParallelPurity = "HAL-W005";
 inline constexpr const char *kRuleHeaderHygiene = "HAL-W006";
-inline constexpr const char *kRuleCrossWheel = "HAL-W007";
+inline constexpr const char *kRuleThreadPrimitive = "HAL-W007";
 inline constexpr const char *kRuleTransitiveAlloc = "HAL-W008";
-inline constexpr const char *kRuleBandEscape = "HAL-W009";
 inline constexpr const char *kRuleSchemaDrift = "HAL-W010";
 
 /** One input file handed to the engine (path decides rule scope). */
@@ -72,7 +71,7 @@ std::vector<Diagnostic> lintSource(const std::string &path,
 /**
  * Full engine over a set of in-memory sources: per-file rules plus
  * the cross-TU passes (HAL-W008 transitive hotpath allocation,
- * HAL-W009 wheel-partition escape, HAL-W010 schema drift). A file
+ * HAL-W010 schema drift). A file
  * whose path ends in "bench_schema.json" is consumed as the W010
  * schema instead of being linted as C++. Diagnostics come back
  * suppression-filtered and sorted by (file, line, rule).

@@ -36,20 +36,6 @@ struct Ctx
     std::size_t funcIndex = 0; //!< into out.funcs when kind == Func
 };
 
-/** Matching '}' for the '{' at @p open, or toks.size(). */
-std::size_t
-matchBrace(const std::vector<Tok> &toks, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t i = open; i < toks.size(); ++i) {
-        if (isPunct(toks[i], "{"))
-            ++depth;
-        else if (isPunct(toks[i], "}") && --depth == 0)
-            return i;
-    }
-    return toks.size();
-}
-
 /**
  * Statement-buffer classification for a '{': what kind of scope does
  * it open? The buffer holds the token indices since the previous
@@ -158,46 +144,6 @@ classify(const std::vector<Tok> &toks, const std::vector<std::size_t> &buf)
     return out;
 }
 
-/** Member-field recovery from one class-scope statement buffer:
- *  `Type name;` / `Type *name = init;` / `Type name{init};`.
- *  Method declarations (any '('), using/typedef/friend, and
- *  const/constexpr/static members are skipped — the W009 escape
- *  analysis cares about mutable per-instance state. */
-std::string
-fieldNameOf(const std::vector<Tok> &toks,
-            const std::vector<std::size_t> &buf, int &line)
-{
-    if (buf.size() < 2)
-        return "";
-    std::size_t end = buf.size();
-    for (std::size_t bi = 0; bi < buf.size(); ++bi) {
-        const Tok &t = toks[buf[bi]];
-        if (t.kind == TokKind::Punct &&
-            (t.text == "(" || t.text == ")"))
-            return "";
-        if (t.kind == TokKind::Ident &&
-            (t.text == "using" || t.text == "typedef" ||
-             t.text == "friend" || t.text == "static" ||
-             t.text == "const" || t.text == "constexpr" ||
-             t.text == "enum" || t.text == "class" ||
-             t.text == "struct" || t.text == "public" ||
-             t.text == "private" || t.text == "protected"))
-            return "";
-        if (t.kind == TokKind::Punct &&
-            (t.text == "=" || t.text == "{")) {
-            end = bi;
-            break;
-        }
-    }
-    if (end < 2)
-        return "";
-    const Tok &last = toks[buf[end - 1]];
-    if (last.kind != TokKind::Ident)
-        return "";
-    line = last.line;
-    return last.text;
-}
-
 } // namespace
 
 std::vector<AllocSite>
@@ -237,15 +183,6 @@ findAllocations(const Lexed &lx, std::size_t begin, std::size_t end)
     return out;
 }
 
-bool
-inMailbox(const Unit &u, std::size_t tok)
-{
-    for (const auto &[b, e] : u.mailbox)
-        if (tok >= b && tok <= e)
-            return true;
-    return false;
-}
-
 RepoIndex
 buildIndex(const std::vector<SourceFile> &files)
 {
@@ -255,28 +192,12 @@ buildIndex(const std::vector<SourceFile> &files)
         Unit u;
         u.path = f.path;
         u.lx = lex(f.content);
-        for (const Directive &d : u.lx.directives) {
-            if (!d.mailbox)
-                continue;
-            std::size_t i = d.tokenIndexAfter;
-            while (i < u.lx.toks.size() && !isPunct(u.lx.toks[i], "{"))
-                ++i;
-            if (i < u.lx.toks.size())
-                u.mailbox.emplace_back(i, matchBrace(u.lx.toks, i));
-        }
         idx.units.push_back(std::move(u));
     }
 
     for (std::size_t ui = 0; ui < idx.units.size(); ++ui) {
         Unit &u = idx.units[ui];
         const std::vector<Tok> &toks = u.lx.toks;
-
-        // Pending band directives: attached to the next class pushed.
-        std::vector<const Directive *> bands;
-        for (const Directive &d : u.lx.directives)
-            if (!d.band.empty() && !d.malformed)
-                bands.push_back(&d);
-        std::size_t nextBand = 0;
 
         std::vector<Ctx> ctx;
         std::vector<std::size_t> buf; //!< token indices of the stmt
@@ -288,17 +209,6 @@ buildIndex(const std::vector<SourceFile> &files)
             if (t.kind == TokKind::PP)
                 continue;
             if (isPunct(t, ";")) {
-                if (innermost() == CtxKind::Class) {
-                    int line = 0;
-                    const std::string fname =
-                        fieldNameOf(toks, buf, line);
-                    const std::string &klass = ctx.back().name;
-                    if (!fname.empty() &&
-                        idx.classBand.count(klass) != 0)
-                        idx.bandFields.push_back(
-                            {fname, klass, idx.classBand[klass], ui,
-                             line});
-                }
                 buf.clear();
                 continue;
             }
@@ -334,14 +244,6 @@ buildIndex(const std::vector<SourceFile> &files)
                 ctx.push_back({CtxKind::Namespace, si.name});
             } else if (si.isClass) {
                 ctx.push_back({CtxKind::Class, si.name});
-                if (nextBand < bands.size() &&
-                    bands[nextBand]->tokenIndexAfter <= i) {
-                    idx.classBand[si.name] = bands[nextBand]->band;
-                    idx.bandClasses.push_back(
-                        {si.name, bands[nextBand]->band, ui,
-                         si.nameLine});
-                    ++nextBand;
-                }
             } else if (si.isFunc) {
                 FuncDef fd;
                 fd.unit = ui;
@@ -362,20 +264,7 @@ buildIndex(const std::vector<SourceFile> &files)
                 idx.funcs.push_back(std::move(fd));
             } else {
                 // Brace init, enum body, lambda at odd scope, or a
-                // block inside a function: neutral nesting. A member
-                // with brace-init (`std::array<...> x_{};`) surfaces
-                // here, not at the ';' — recover the field now.
-                if (inner == CtxKind::Class) {
-                    int line = 0;
-                    const std::string fname =
-                        fieldNameOf(toks, buf, line);
-                    const std::string &klass = ctx.back().name;
-                    if (!fname.empty() &&
-                        idx.classBand.count(klass) != 0)
-                        idx.bandFields.push_back(
-                            {fname, klass, idx.classBand[klass], ui,
-                             line});
-                }
+                // block inside a function: neutral nesting.
                 ctx.push_back({CtxKind::Other, ""});
             }
             buf.clear();
@@ -446,8 +335,6 @@ buildIndex(const std::vector<SourceFile> &files)
 
     for (std::size_t fi = 0; fi < idx.funcs.size(); ++fi)
         idx.byName[idx.funcs[fi].name].push_back(fi);
-    for (std::size_t bi = 0; bi < idx.bandFields.size(); ++bi)
-        idx.fieldsByName[idx.bandFields[bi].name].push_back(bi);
     return idx;
 }
 

@@ -5,11 +5,9 @@
  * §14). Same philosophy as the per-file scanners — no libClang, no
  * template instantiation, no overload resolution — just enough
  * structure recovery (namespaces, classes, function bodies, call
- * sites, member fields) for the cross-TU passes:
+ * sites) for the cross-TU passes:
  *
  *  - HAL-W008 propagates `// halint: hotpath` over call edges;
- *  - HAL-W009 classifies annotated types by wheel band and follows
- *    member-field accesses across band boundaries;
  *  - HAL-W010 harvests the string literals that name stats paths and
  *    RunResult fields.
  *
@@ -57,47 +55,19 @@ struct FuncDef
     std::vector<CallSite> calls;
 };
 
-/** A member field of a band-annotated class. */
-struct BandField
-{
-    std::string name;
-    std::string klass;
-    std::string band;
-    std::size_t unit = 0;
-    int line = 0;
-};
-
-/** A class carrying a `// halint: band(<b>)` annotation. */
-struct BandClass
-{
-    std::string name;
-    std::string band;
-    std::size_t unit = 0;
-    int line = 0;
-};
-
-/** One lexed translation unit plus its mailbox-covered token ranges. */
+/** One lexed translation unit. */
 struct Unit
 {
     std::string path;
     Lexed lx;
-    /** Token ranges covered by a `// halint: mailbox` annotation
-     *  (the next brace-balanced block after each directive). */
-    std::vector<std::pair<std::size_t, std::size_t>> mailbox;
 };
 
 struct RepoIndex
 {
     std::vector<Unit> units;
     std::vector<FuncDef> funcs;
-    std::vector<BandClass> bandClasses;
-    std::vector<BandField> bandFields;
     /** name -> indices into funcs, for call resolution. */
     std::map<std::string, std::vector<std::size_t>> byName;
-    /** field name -> indices into bandFields. */
-    std::map<std::string, std::vector<std::size_t>> fieldsByName;
-    /** class name -> band (only annotated classes). */
-    std::map<std::string, std::string> classBand;
 };
 
 /** Member-call resolution gives up beyond this many same-named
@@ -127,9 +97,6 @@ struct AllocSite
 std::vector<AllocSite> findAllocations(const Lexed &lx,
                                        std::size_t begin,
                                        std::size_t end);
-
-/** True when @p tok lies inside a mailbox-covered range of @p u. */
-bool inMailbox(const Unit &u, std::size_t tok);
 
 } // namespace halint
 

@@ -22,8 +22,6 @@ identChar(char c)
  * merely mention the tag are ignored):
  *
  *   halint: hotpath [note]
- *   halint: mailbox [note]
- *   halint: band(client|snic|host) [note]
  *   halint: allow(HAL-Wnnn[, HAL-Wnnn...]) <reason>
  *
  * The reason after allow(...) is mandatory: a suppression that does
@@ -43,24 +41,6 @@ parseDirective(std::string_view text, int line, std::size_t tokenIndex,
     std::string rest = trim(lead.substr(kTag.size()));
     if (rest.rfind("hotpath", 0) == 0) {
         d.hotpath = true;
-    } else if (rest.rfind("mailbox", 0) == 0) {
-        d.mailbox = true;
-    } else if (rest.rfind("band", 0) == 0) {
-        const std::size_t open = rest.find('(');
-        const std::size_t close = rest.find(')');
-        if (open == std::string::npos || close == std::string::npos ||
-            close < open) {
-            d.malformed = true;
-            d.error = "band directive needs (client|snic|host): '" +
-                      rest + "'";
-        } else {
-            d.band = trim(rest.substr(open + 1, close - open - 1));
-            if (!validBandName(d.band)) {
-                d.malformed = true;
-                d.error = "unknown wheel band '" + d.band +
-                          "' (registry: src/sim/wheels.hh)";
-            }
-        }
     } else if (rest.rfind("allow", 0) == 0) {
         const std::size_t open = rest.find('(');
         const std::size_t close = rest.find(')');
@@ -117,15 +97,9 @@ validRuleId(const std::string &r)
     static const std::set<std::string> kKnown{
         kRuleDirective,      kRuleWallClock,     kRuleRng,
         kRuleUnordered,      kRuleHotpathAlloc,
-        kRuleParallelPurity, kRuleHeaderHygiene, kRuleCrossWheel,
-        kRuleTransitiveAlloc, kRuleBandEscape,   kRuleSchemaDrift};
+        kRuleParallelPurity, kRuleHeaderHygiene, kRuleThreadPrimitive,
+        kRuleTransitiveAlloc, kRuleSchemaDrift};
     return kKnown.count(r) != 0;
-}
-
-bool
-validBandName(const std::string &b)
-{
-    return b == "client" || b == "snic" || b == "host";
 }
 
 Lexed

@@ -9,8 +9,8 @@
  * names they carry.
  *
  * The lexer also parses `// halint: ...` control comments into
- * Directive records (hotpath/mailbox/band/allow), which the engine
- * attaches to the following function, block, or class.
+ * Directive records (hotpath/allow), which the engine attaches to
+ * the following function or line.
  */
 
 #ifndef HALSIM_TOOLS_HALINT_LEXER_HH
@@ -37,8 +37,6 @@ struct Directive
 {
     int line = 0;
     bool hotpath = false;
-    bool mailbox = false;
-    std::string band;               //!< band(<name>): wheel band tag
     std::vector<std::string> allow; //!< rule ids for allow(...)
     bool malformed = false;
     std::string error;
@@ -57,10 +55,6 @@ Lexed lex(std::string_view src);
 
 /** True when @p r is a known HAL-Wnnn rule id (directive grammar). */
 bool validRuleId(const std::string &r);
-
-/** True when @p b names a wheel band from the registry in
- *  src/sim/wheels.hh (client/snic/host). */
-bool validBandName(const std::string &b);
 
 /** Whitespace-trimmed copy. */
 std::string trim(std::string_view s);

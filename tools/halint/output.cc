@@ -175,11 +175,9 @@ formatSarif(const std::vector<Diagnostic> &diags)
         {"HAL-W004", "allocation inside a hotpath-annotated body"},
         {"HAL-W005", "impure parallelFor callback"},
         {"HAL-W006", "header hygiene (using namespace, etc.)"},
-        {"HAL-W007", "cross-wheel state outside a mailbox"},
+        {"HAL-W007", "thread primitive in the single-threaded DES core"},
         {"HAL-W008",
          "allocation transitively reachable from a hotpath root"},
-        {"HAL-W009",
-         "cross-band field access outside a mailbox section"},
         {"HAL-W010",
          "kFields/stats registration drifted from bench_schema.json"},
     };

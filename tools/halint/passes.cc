@@ -140,115 +140,6 @@ passTransitiveHotpath(const RepoIndex &idx,
 }
 
 // --------------------------------------------------------------------
-// HAL-W009: wheel-partition escape analysis
-// --------------------------------------------------------------------
-
-namespace {
-
-bool
-inWheelScope(const std::string &p)
-{
-    auto under = [&](const char *pre) {
-        return p.rfind(pre, 0) == 0 ||
-               p.find(std::string("/") + pre) != std::string::npos;
-    };
-    return under("src/sim/") || under("src/net/");
-}
-
-/** Does a write follow the field name at @p i? The lexer emits
- *  single-char punct (only :: and -> are fused), so `+=` is "+" "="
- *  and `++` is "+" "+". */
-bool
-writeFollows(const std::vector<Tok> &toks, std::size_t i)
-{
-    if (i + 1 >= toks.size() || toks[i + 1].kind != TokKind::Punct)
-        return false;
-    const std::string &a = toks[i + 1].text;
-    const std::string b =
-        (i + 2 < toks.size() && toks[i + 2].kind == TokKind::Punct)
-            ? toks[i + 2].text
-            : std::string();
-    if (a == "=")
-        return b != "="; // `f = x` yes, `f == x` no
-    static const std::string kCompound = "+-*/%&|^";
-    if (a.size() == 1 && kCompound.find(a[0]) != std::string::npos) {
-        if (b == "=")
-            return true; // f += x
-        if ((a == "+" || a == "-") && b == a)
-            return true; // f++ / f--
-    }
-    return false;
-}
-
-} // namespace
-
-void
-passBandEscape(const RepoIndex &idx, std::vector<Diagnostic> &diags)
-{
-    if (idx.bandFields.empty())
-        return;
-    for (const FuncDef &f : idx.funcs) {
-        const Unit &u = idx.units[f.unit];
-        if (!inWheelScope(u.path))
-            continue;
-        const auto bandIt = idx.classBand.find(f.klass);
-        if (bandIt == idx.classBand.end())
-            continue; // unbanded code: no owner to attribute
-        const std::string &myBand = bandIt->second;
-        const std::vector<Tok> &toks = u.lx.toks;
-        const std::size_t hi =
-            std::min(f.bodyEnd,
-                     toks.empty() ? std::size_t{0} : toks.size() - 1);
-        for (std::size_t i = f.bodyBegin; i <= hi && i < toks.size();
-             ++i) {
-            const Tok &t = toks[i];
-            if (t.kind != TokKind::Ident || i == 0)
-                continue;
-            const Tok &prev = toks[i - 1];
-            const bool memberAccess =
-                (prev.kind == TokKind::Punct &&
-                 (prev.text == "." || prev.text == "->"));
-            if (!memberAccess)
-                continue;
-            // Method calls are walked by W008; W009 is about state.
-            if (i + 1 < toks.size() &&
-                toks[i + 1].kind == TokKind::Punct &&
-                toks[i + 1].text == "(")
-                continue;
-            const auto fit = idx.fieldsByName.find(t.text);
-            if (fit == idx.fieldsByName.end())
-                continue;
-            // A name claimed by classes in different bands is
-            // ambiguous at lexer level; skip rather than guess.
-            std::set<std::string> bands;
-            for (std::size_t bfi : fit->second)
-                bands.insert(idx.bandFields[bfi].band);
-            if (bands.size() != 1)
-                continue;
-            const BandField &bf = idx.bandFields[fit->second.front()];
-            if (bf.band == myBand)
-                continue;
-            if (inMailbox(u, i))
-                continue;
-            const bool write = writeFollows(toks, i);
-            diags.push_back(
-                {u.path, t.line, kRuleBandEscape,
-                 std::string(write ? "write to" : "read of") +
-                     " field '" + t.text + "' of band(" + bf.band +
-                     ") class '" + bf.klass + "' (" +
-                     idx.units[bf.unit].path + ":" +
-                     std::to_string(bf.line) + ") from band(" +
-                     myBand + ") function '" +
-                     (!f.qual.empty() ? f.qual : f.name) +
-                     "' outside a '// halint: mailbox' section — "
-                     "wheels may share state only through SPSC "
-                     "mailboxes drained at window barriers "
-                     "(DESIGN.md §13, §14)"});
-        }
-    }
-}
-
-// --------------------------------------------------------------------
 // HAL-W010: stats/results/schema drift
 // --------------------------------------------------------------------
 

@@ -7,9 +7,6 @@
  *  - HAL-W008: transitive hotpath allocation — walk the call graph
  *    from every `// halint: hotpath` root and flag allocations in
  *    reachable callees, with the call chain in the diagnostic.
- *  - HAL-W009: wheel-partition escape analysis — member fields of
- *    `// halint: band(...)` classes touched from another band's
- *    methods outside a `// halint: mailbox` section.
  *  - HAL-W010: stats/results/schema drift — RunResult kFields and
  *    registered stats paths cross-checked against
  *    tools/bench_schema.json in both directions.
@@ -28,9 +25,6 @@ namespace halint {
 
 void passTransitiveHotpath(const RepoIndex &idx,
                            std::vector<Diagnostic> &diags);
-
-void passBandEscape(const RepoIndex &idx,
-                    std::vector<Diagnostic> &diags);
 
 /**
  * @p schemaPath / @p schemaContent carry tools/bench_schema.json;
