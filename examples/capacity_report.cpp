@@ -1,8 +1,9 @@
 /**
  * @file
  * Scenario: produce a machine-readable capacity report — sweep the
- * offered rate across all four deployments and emit CSV (stdout) via
- * the ReportTable API, ready for a spreadsheet or plotting pipeline.
+ * offered rate across all four deployments and emit CSV (stdout):
+ * mode and function label columns, then every RunResult field, ready
+ * for a spreadsheet or plotting pipeline.
  *
  *   ./capacity_report > capacity.csv
  */
@@ -11,7 +12,6 @@
 #include <memory>
 
 #include "core/server.hh"
-#include "sim/report.hh"
 
 using namespace halsim;
 using namespace halsim::core;
@@ -19,10 +19,9 @@ using namespace halsim::core;
 int
 main()
 {
-    ReportTable table({"mode", "function", "offered_gbps",
-                       "delivered_gbps", "p99_us", "mean_us",
-                       "system_w", "energy_gbps_per_w", "loss_pct",
-                       "snic_frames", "host_frames"});
+    std::cout << "mode,function,";
+    RunResult::csvHeader(std::cout);
+    std::cout << "\n";
 
     for (funcs::FunctionId fn :
          {funcs::FunctionId::Nat, funcs::FunctionId::Rem}) {
@@ -37,22 +36,12 @@ main()
                 const RunResult r = sys.run(
                     std::make_unique<net::ConstantRate>(rate), 15 * kMs,
                     60 * kMs);
-                table.row()
-                    .add(modeName(mode))
-                    .add(funcs::functionName(fn))
-                    .add(rate)
-                    .add(r.delivered_gbps)
-                    .add(r.p99_us)
-                    .add(r.mean_us)
-                    .add(r.system_power_w)
-                    .add(r.energy_eff)
-                    .add(100.0 * r.lossFraction())
-                    .add(r.snic_frames)
-                    .add(r.host_frames);
+                std::cout << modeName(mode) << ","
+                          << funcs::functionName(fn) << ",";
+                r.toCsvRow(std::cout);
+                std::cout << "\n";
             }
         }
     }
-
-    table.writeCsv(std::cout);
     return 0;
 }

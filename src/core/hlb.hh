@@ -201,10 +201,10 @@ class TrafficMerger : public net::PacketSink
         : cfg_(cfg), out_(out)
     {}
 
-    /** Attach the packet tracer (@p eq supplies timestamps): every
+    /** Attach the trace ring (@p eq supplies timestamps): every
      *  host-sourced rewrite records TracePoint::Merge. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              const EventQueue *eq)
     {
         trace_ = t;
@@ -238,7 +238,7 @@ class TrafficMerger : public net::PacketSink
     std::uint64_t total_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     const EventQueue *traceEq_ = nullptr;
 };

@@ -78,32 +78,11 @@ ServerConfig::validate() const
     if (slo.epoch <= 0)
         fail("slo.epoch must be > 0");
 
-    if (obs.enabled()) {
-        if (obs.stats && obs.sample_epoch == 0)
-            fail("obs.sample_epoch must be > 0 when obs.stats is on");
-        if (obs.trace && obs.trace_capacity == 0)
-            fail("obs.trace_capacity must be > 0 when obs.trace is on");
-        if (obs.trace && obs.trace_sample_every == 0)
-            fail("obs.trace_sample_every must be > 0 when obs.trace "
-                 "is on");
-        if (obs.spans && obs.span_capacity == 0)
-            fail("obs.span_capacity must be > 0 when obs.spans is on");
-        if (obs.spans && obs.span_sample_every == 0)
-            fail("obs.span_sample_every must be > 0 when obs.spans "
-                 "is on");
-        if (obs.flightrec && obs.fr_capacity == 0)
-            fail("obs.fr_capacity must be > 0 when obs.flightrec "
-                 "is on");
-        if (obs.flightrec && obs.fr_max_dumps == 0)
-            fail("obs.fr_max_dumps must be > 0 when obs.flightrec "
-                 "is on");
-    }
-
-    // The power-policy sub-struct validates itself (same
-    // every-violation-in-one-pass contract); splice its messages in.
-    std::vector<std::string> power_errors = power.validate();
-    for (std::string &e : power_errors)
-        errors.push_back(std::move(e));
+    // The obs and power-policy sub-structs validate themselves (same
+    // every-violation-in-one-pass contract); splice their messages in.
+    for (const std::vector<std::string> &sub :
+         {obs.validate(), power.validate()})
+        errors.insert(errors.end(), sub.begin(), sub.end());
 
     return errors;
 }
@@ -493,19 +472,9 @@ ServerSystem::buildObs()
         return;
     obs_ = std::make_unique<obs::Observability>(eq_, cfg_.obs);
 
-    obs::PacketTracer *tr = obs_->tracer();
+    using obs::Lane;
+    obs::SpanTracer *tr = obs_->tracer();
     if (tr != nullptr) {
-        using obs::Lane;
-        tr->setLaneName(obs::laneId(Lane::ClientLink), "client_link");
-        tr->setLaneName(obs::laneId(Lane::Eswitch), "eswitch");
-        tr->setLaneName(obs::laneId(Lane::SnicRing), "snic_ring");
-        tr->setLaneName(obs::laneId(Lane::SnicCore), "snic_core");
-        tr->setLaneName(obs::laneId(Lane::HostRing), "host_ring");
-        tr->setLaneName(obs::laneId(Lane::HostCore), "host_core");
-        tr->setLaneName(obs::laneId(Lane::Merger), "merger");
-        tr->setLaneName(obs::laneId(Lane::ReturnLink), "return_link");
-        tr->setLaneName(obs::laneId(Lane::Slb), "slb");
-
         clientLink_->setTrace(tr, obs::laneId(Lane::ClientLink),
                               obs::TracePoint::Ingress);
         returnLink_->setTrace(tr, obs::laneId(Lane::ReturnLink),
@@ -516,21 +485,12 @@ ServerSystem::buildObs()
             merger_->setTrace(tr, obs::laneId(Lane::Merger), &eq_);
     }
 
+    // Governor epochs land in the same ring as the packet stages, so
+    // one document shows a decision next to the packets around it.
     obs::SpanTracer *sp = obs_->spans();
     obs::FlightRecorder *fr = obs_->flightRecorder();
     if (sp != nullptr || fr != nullptr) {
-        const std::uint8_t govLane =
-            obs::spanLaneId(obs::SpanLane::Governor);
-        const std::uint8_t srvLane =
-            obs::spanLaneId(obs::SpanLane::Server);
-        if (sp != nullptr) {
-            sp->setLaneName(govLane, "governor");
-            sp->setLaneName(srvLane, "server");
-        }
-        if (fr != nullptr) {
-            fr->setLaneName(govLane, "governor");
-            fr->setLaneName(srvLane, "server");
-        }
+        const std::uint8_t govLane = obs::laneId(Lane::Governor);
         if (snic_ != nullptr && snic_->coreGovernor() != nullptr)
             snic_->coreGovernor()->attachSpans(sp, fr, govLane);
         if (host_ != nullptr && host_->coreGovernor() != nullptr)
@@ -547,15 +507,13 @@ ServerSystem::buildObs()
 
     if (snic_ != nullptr) {
         snic_->attachObs(reg, tr, "server.snic",
-                         obs::laneId(obs::Lane::SnicRing),
-                         obs::laneId(obs::Lane::SnicCore),
-                         cfg_.obs.series);
+                         obs::laneId(Lane::SnicRing),
+                         obs::laneId(Lane::SnicCore), cfg_.obs.series);
     }
     if (host_ != nullptr) {
         host_->attachObs(reg, tr, "server.host",
-                         obs::laneId(obs::Lane::HostRing),
-                         obs::laneId(obs::Lane::HostCore),
-                         cfg_.obs.series);
+                         obs::laneId(Lane::HostRing),
+                         obs::laneId(Lane::HostCore), cfg_.obs.series);
     }
 
     if (reg == nullptr)
@@ -616,39 +574,9 @@ ServerSystem::buildObs()
         return static_cast<double>(n);
     });
 
-    // Flight-recorder health — unconditional and null-safe like the
-    // governor block above, so the paths the bench schema requires
-    // exist in every server-rooted stats artifact (zero when off).
-    const auto frCount =
-        [this](std::uint64_t (obs::FlightRecorder::*read)() const) {
-            const obs::FlightRecorder *f = obs_->flightRecorder();
-            return f != nullptr ? (f->*read)() : 0;
-        };
-    reg->fnCounter("server.flightrec.recorded", [frCount] {
-        return frCount(&obs::FlightRecorder::recorded);
-    });
-    reg->fnCounter("server.flightrec.dumps", [frCount] {
-        return frCount(&obs::FlightRecorder::dumps);
-    });
-    reg->fnCounter("server.flightrec.dumps_dropped", [frCount] {
-        return frCount(&obs::FlightRecorder::dumpsDropped);
-    });
-    const auto frTriggers = [this](obs::FrTrigger t) {
-        const obs::FlightRecorder *f = obs_->flightRecorder();
-        return f != nullptr ? f->triggers(t) : 0;
-    };
-    reg->fnCounter("server.flightrec.triggers_fault", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Fault);
-    });
-    reg->fnCounter("server.flightrec.triggers_slo", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Slo);
-    });
-    reg->fnCounter("server.flightrec.triggers_shed", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Shed);
-    });
-    reg->fnCounter("server.flightrec.triggers_gov", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Gov);
-    });
+    // Flight-recorder health: unconditional like the governor block
+    // above (zero when off).
+    obs_->registerFlightRecStats("server.flightrec");
 
     if (eswitch_ != nullptr) {
         reg->fnCounter("server.eswitch.matched",
@@ -729,15 +657,16 @@ ServerSystem::buildObs()
         reg->fnGauge("server.slo.worst_epoch_p99_us",
                      [this] { return slo_->worstEpochP99Us(); });
 
-        obs::PacketTracer *tracer = obs_->tracer();
-        if (tracer != nullptr) {
-            // Tail attribution recomputes from the tracer ring at
-            // serialization time; deterministic for a given ring, and
-            // stats-tree-only (RunResult must not depend on tracing).
+        const obs::SpanTracer *ring = obs_->tracer();
+        if (ring != nullptr) {
+            // Tail attribution recomputes from the ring's Stage records
+            // at serialization time; deterministic for a given ring,
+            // and stats-tree-only (RunResult must not depend on
+            // tracing).
             const Tick target = static_cast<Tick>(
                 cfg_.slo.target_p99_us * static_cast<double>(kUs));
-            auto tail = [tracer, target] {
-                return obs::attributeTail(*tracer, target);
+            auto tail = [ring, target] {
+                return obs::attributeTail(*ring, target);
             };
             reg->fnCounter("server.slo.tail_dispatch",
                            [tail] { return tail().dispatch; });
@@ -774,6 +703,25 @@ ServerSystem::totalDrops() const
            (slb_ != nullptr ? slb_->drops() : 0) +
            clientLink_->drops() + clientLink_->faultDrops() +
            returnLink_->faultDrops();
+}
+
+void
+RunResult::takeObsCounts(obs::Observability *obs, Tick now)
+{
+    if (obs == nullptr)
+        return;
+    if (const obs::SpanTracer *sp = obs->spans(); sp != nullptr)
+        trace_spans = sp->recorded();
+    if (obs::FlightRecorder *f = obs->flightRecorder(); f != nullptr) {
+        // The drain already ran every scheduled flush; this only
+        // closes dumps whose post window outlived the run.
+        f->finalizePending(now);
+        fr_dumps = f->dumps();
+        fr_trigger_fault = f->triggers(obs::FrTrigger::Fault);
+        fr_trigger_slo = f->triggers(obs::FrTrigger::Slo);
+        fr_trigger_shed = f->triggers(obs::FrTrigger::Shed);
+        fr_trigger_gov = f->triggers(obs::FrTrigger::Gov);
+    }
 }
 
 RunResult
@@ -873,16 +821,8 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     // Observability covers the measurement window only: discard
     // warmup samples/records and start the probe sampler. All of it
     // is read-only, so results are identical with obs off.
-    if (obs_ != nullptr) {
-        obs_->registry().resetAll();
-        if (obs_->tracer() != nullptr)
-            obs_->tracer()->clear();
-        if (obs_->spans() != nullptr)
-            obs_->spans()->clear();
-        if (obs_->flightRecorder() != nullptr)
-            obs_->flightRecorder()->clear();
-        obs_->startSampling(end);
-    }
+    if (obs_ != nullptr)
+        obs_->beginWindow(end);
 
     // Windowed throughput sampler for the "Max" columns of Table V.
     // The window tracks the rate-modulation epoch so bursts are not
@@ -988,31 +928,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     r.past_clamps = eq_.pastClamps();
 
     // --- distributed tracing / flight recorder (zero when off) -------
-    if (obs_ != nullptr) {
-        if (obs::SpanTracer *sp = obs_->spans(); sp != nullptr) {
-            // Re-emit the packet-stage records as Server-lane span
-            // instants so one Chrome document shows a sampled
-            // request's governor decisions next to its pipeline
-            // stages.
-            if (obs_->tracer() != nullptr) {
-                sp->bridgeStages(
-                    *obs_->tracer(),
-                    obs::spanLaneId(obs::SpanLane::Server));
-            }
-            r.trace_spans = sp->recorded();
-        }
-        if (obs::FlightRecorder *f = obs_->flightRecorder();
-            f != nullptr) {
-            // The drain already ran any scheduled flush; this only
-            // closes dumps whose post window outlived the run.
-            f->finalizePending(eq_.now());
-            r.fr_dumps = f->dumps();
-            r.fr_trigger_fault = f->triggers(obs::FrTrigger::Fault);
-            r.fr_trigger_slo = f->triggers(obs::FrTrigger::Slo);
-            r.fr_trigger_shed = f->triggers(obs::FrTrigger::Shed);
-            r.fr_trigger_gov = f->triggers(obs::FrTrigger::Gov);
-        }
-    }
+    r.takeObsCounts(obs_.get(), eq_.now());
 
     // --- core-scaling governor (zero when unarmed) -------------------
     r.gov_epochs = (snic_ != nullptr ? snic_->governorEpochs() : 0) +

@@ -277,6 +277,11 @@ struct RunResult
 
     /** The CSV header row for toCsvRow() (no trailing newline). */
     static void csvHeader(std::ostream &os);
+
+    /** Close the flight recorder's pending dumps at @p now and fill
+     *  the trace/flight-recorder fields from @p obs (null = obs off,
+     *  fields stay zero). Shared by the server and fleet systems. */
+    void takeObsCounts(obs::Observability *obs, Tick now);
 };
 
 /**
@@ -384,7 +389,8 @@ class ServerSystem
     /** SLO violation-window monitor (null unless cfg.slo enabled). */
     std::unique_ptr<obs::SloMonitor> slo_;
 
-    /** Stats registry + packet tracer (null when disabled). */
+    /** Stats registry + trace ring + flight recorder (null when
+     *  disabled). */
     std::unique_ptr<obs::Observability> obs_;
 
     net::PacketSink *ingress_ = nullptr;

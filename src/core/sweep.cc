@@ -31,33 +31,11 @@ sweepRowJson(const SweepPoint &point, const RunResult &r)
 std::vector<RunResult>
 runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
 {
-    const bool want_stats = !opts.stats_path.empty();
-    const bool want_trace = !opts.trace_path.empty();
-    const bool want_spans = !opts.span_path.empty();
-    const bool want_fr = !opts.flightrec_path.empty();
-
     std::vector<RunResult> results(points.size());
-    std::vector<std::string> stats(points.size());
-    std::vector<std::string> traces(points.size());
-    std::vector<std::string> spans(points.size());
-    std::vector<std::string> frs(points.size());
+    SweepArtifacts artifacts(opts, points.size());
     parallelFor(points.size(), opts.threads, [&](std::size_t i) {
         SweepPoint p = points[i];
-        p.cfg.obs.stats = p.cfg.obs.stats || want_stats;
-        // Server-side span content is the bridged packet-stage
-        // records, so --trace-spans needs the packet tracer live too.
-        p.cfg.obs.trace = p.cfg.obs.trace || want_trace || want_spans;
-        p.cfg.obs.spans = p.cfg.obs.spans || want_spans;
-        if (want_fr) {
-            p.cfg.obs.flightrec = true;
-            if (opts.fr_armed != 0)
-                p.cfg.obs.fr_armed = opts.fr_armed;
-            else if (p.cfg.obs.fr_armed == 0)
-                p.cfg.obs.fr_armed =
-                    (1u << obs::kFrTriggerKinds) - 1;
-        }
-        if (opts.slo_p99_us > 0.0 && !p.cfg.slo.enabled())
-            p.cfg.slo.target_p99_us = opts.slo_p99_us;
+        applyObsFlags(opts, p.cfg.obs, p.cfg.slo);
         applyPowerFlags(opts, p.cfg);
         EventQueue eq;
         ServerSystem sys(eq, p.cfg);
@@ -70,73 +48,95 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
             rate = std::make_unique<net::ConstantRate>(p.rate_gbps);
         results[i] =
             sys.run(std::move(rate), p.warmup, p.measure, p.resample);
-        if (want_stats && sys.obs() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->writeStatsJson(os);
-            stats[i] = os.str();
-        }
-        if (want_trace && sys.obs() != nullptr &&
-            sys.obs()->tracer() != nullptr) {
-            std::ostringstream os;
-            bool first = true;
-            sys.obs()->tracer()->writeChromeEvents(
-                os, static_cast<int>(i), first);
-            traces[i] = os.str();
-        }
-        if (want_spans && sys.obs() != nullptr &&
-            sys.obs()->spans() != nullptr) {
-            std::ostringstream os;
-            bool first = true;
-            sys.obs()->spans()->writeChromeEvents(
-                os, static_cast<int>(i), first);
-            spans[i] = os.str();
-        }
-        if (want_fr && sys.obs() != nullptr &&
-            sys.obs()->flightRecorder() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->flightRecorder()->writeJson(os);
-            frs[i] = os.str();
-        }
+        artifacts.capture(i, p.label, sys.obs());
     });
 
     if (!opts.json_path.empty())
         writeSweepJson(opts.json_path, opts.bench_name, points, results,
                        opts.threads);
-    if (want_stats || want_trace || want_spans || want_fr) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        if (!points.empty()) {
-            rep.setTraceMetadata(modeName(points[0].cfg.mode),
-                                 points[0].cfg.seed);
-        }
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (want_stats)
-                rep.addStats(points[i].label, stats[i]);
-            if (want_trace)
-                rep.addTraceEvents(traces[i]);
-            if (want_fr)
-                rep.addFlightRec(points[i].label, frs[i]);
-        }
-        if (want_stats)
-            rep.saveStatsJson(opts.stats_path);
-        if (want_trace)
-            rep.saveTraceJson(opts.trace_path);
-        if (want_fr)
-            rep.saveFlightRecJson(opts.flightrec_path);
-        if (want_spans) {
-            // Span events live in their own document: span rows use
-            // the same pid space as the packet-stage rows, so merging
-            // them into the --trace artifact would collide tids.
-            obs::SweepReport spanRep(opts.bench_name, opts.threads);
-            if (!points.empty()) {
-                spanRep.setTraceMetadata(
-                    modeName(points[0].cfg.mode), points[0].cfg.seed);
-            }
-            for (std::size_t i = 0; i < points.size(); ++i)
-                spanRep.addTraceEvents(spans[i]);
-            spanRep.saveTraceJson(opts.span_path);
-        }
-    }
+    artifacts.save(points.empty() ? "" : modeName(points[0].cfg.mode),
+                   points.empty() ? 0 : points[0].cfg.seed);
     return results;
+}
+
+void
+applyObsFlags(const SweepOptions &opts, obs::ObsConfig &obs,
+              obs::SloConfig &slo)
+{
+    obs.stats = obs.stats || !opts.stats_path.empty();
+    if (!opts.trace_path.empty()) {
+        obs.trace = true;
+        obs.spans = true;
+    }
+    if (!opts.flightrec_path.empty()) {
+        obs.flightrec = true;
+        if (opts.fr_armed != 0)
+            obs.fr_armed = opts.fr_armed;
+        else if (obs.fr_armed == 0)
+            obs.fr_armed = (1u << obs::kFrTriggerKinds) - 1;
+    }
+    if (opts.slo_p99_us > 0.0 && !slo.enabled())
+        slo.target_p99_us = opts.slo_p99_us;
+}
+
+SweepArtifacts::SweepArtifacts(const SweepOptions &opts,
+                               std::size_t points)
+    : opts_(opts), labels_(points), stats_(points), traces_(points),
+      frs_(points)
+{
+}
+
+void
+SweepArtifacts::capture(std::size_t i, std::string label,
+                        const obs::Observability *obs)
+{
+    labels_[i] = std::move(label);
+    if (obs == nullptr)
+        return;
+    if (!opts_.stats_path.empty()) {
+        std::ostringstream os;
+        obs->writeStatsJson(os);
+        stats_[i] = os.str();
+    }
+    if (!opts_.trace_path.empty() && obs->tracer() != nullptr) {
+        std::ostringstream os;
+        bool first = true;
+        obs->tracer()->writeChromeEvents(os, static_cast<int>(i), first);
+        traces_[i] = os.str();
+    }
+    if (!opts_.flightrec_path.empty() &&
+        obs->flightRecorder() != nullptr) {
+        std::ostringstream os;
+        obs->flightRecorder()->writeJson(os);
+        frs_[i] = os.str();
+    }
+}
+
+void
+SweepArtifacts::save(const std::string &preset, std::uint64_t seed) const
+{
+    const bool want_stats = !opts_.stats_path.empty();
+    const bool want_trace = !opts_.trace_path.empty();
+    const bool want_fr = !opts_.flightrec_path.empty();
+    if (!(want_stats || want_trace || want_fr))
+        return;
+    obs::SweepReport rep(opts_.bench_name, opts_.threads);
+    if (!labels_.empty())
+        rep.setTraceMetadata(preset, seed);
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
+        if (want_stats)
+            rep.addStats(labels_[i], stats_[i]);
+        if (want_trace)
+            rep.addChromeEvents(traces_[i]);
+        if (want_fr)
+            rep.addFlightRec(labels_[i], frs_[i]);
+    }
+    if (want_stats)
+        rep.saveStatsJson(opts_.stats_path);
+    if (want_trace)
+        rep.saveTraceJson(opts_.trace_path);
+    if (want_fr)
+        rep.saveFlightRecJson(opts_.flightrec_path);
 }
 
 void
@@ -251,15 +251,11 @@ registerSweepFlags(ArgRegistrar &reg, SweepOptions &opts)
                   opts.stats_path = v;
                   return {};
               });
-    reg.value("--trace", "PATH", "write a Chrome trace_event JSON here",
+    reg.value("--trace", "PATH",
+              "trace packet stages and request spans; write the Chrome "
+              "trace_event JSON here",
               [&opts](const std::string &v) -> std::string {
                   opts.trace_path = v;
-                  return {};
-              });
-    reg.value("--trace-spans", "PATH",
-              "write the request-span Chrome trace_event JSON here",
-              [&opts](const std::string &v) -> std::string {
-                  opts.span_path = v;
                   return {};
               });
     reg.value("--flightrec", "PATH",

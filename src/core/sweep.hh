@@ -63,12 +63,10 @@ struct SweepOptions
     /** When non-empty, enable stats and write the per-point stats
      *  trees here ({"bench","points":[{"label","stats":{...}}]}). */
     std::string stats_path;
-    /** When non-empty, enable tracing and write a Chrome
-     *  trace_event JSON here (one pid per sweep point). */
+    /** When non-empty, enable packet-stage and request-span tracing
+     *  and write the trace ring as one Chrome trace_event JSON here
+     *  (one pid per sweep point). */
     std::string trace_path;
-    /** When non-empty, enable request-span tracing and write the
-     *  merged Chrome span document here (one pid per point). */
-    std::string span_path;
     /** When non-empty, enable the flight recorder and write its
      *  dump artifact here ({"bench","points":[{"label",
      *  "flightrec":{...}}]}). */
@@ -192,7 +190,7 @@ parseNumberArg(std::string_view text, T unit = 1)
 /**
  * Register the shared sweep/CLI flag set against @p opts:
  * `--threads N|all`, `--json PATH`, `--stats-out PATH`,
- * `--trace PATH`, `--trace-spans PATH`, `--flightrec PATH`,
+ * `--trace PATH`, `--flightrec PATH`,
  * `--fr-trigger LIST`, `--slo-p99 US`, `--governor on|off`, and
  * `--gov-epoch US`.
  */
@@ -210,11 +208,50 @@ void registerPowerFlags(ArgRegistrar &reg, SweepOptions &opts);
 void applyPowerFlags(const SweepOptions &opts, ServerConfig &cfg);
 
 /**
+ * Force on the observability each requested artifact needs
+ * (`--stats-out` → stats, `--trace` → trace + spans, `--flightrec` →
+ * flight recorder with the `--fr-trigger` mask, or every trigger when
+ * none is given and the point arms none) and arm `--slo-p99` on a
+ * point without its own target. Shared by the server and fleet
+ * sweeps.
+ */
+void applyObsFlags(const SweepOptions &opts, obs::ObsConfig &obs,
+                   obs::SloConfig &slo);
+
+/**
+ * The per-point obs documents a sweep writes (stats trees, the trace
+ * ring, flight-recorder dumps), captured after each point's run and
+ * saved in input order, so artifacts are byte-identical for any
+ * worker count. capture() for distinct points may run concurrently.
+ */
+class SweepArtifacts
+{
+  public:
+    SweepArtifacts(const SweepOptions &opts, std::size_t points);
+
+    /** Serialize point @p i's requested documents from @p obs (null
+     *  when the point ran with obs off). */
+    void capture(std::size_t i, std::string label,
+                 const obs::Observability *obs);
+
+    /** Write every requested document; the trace document's
+     *  run_metadata carries @p preset and @p seed. */
+    void save(const std::string &preset, std::uint64_t seed) const;
+
+  private:
+    const SweepOptions &opts_;
+    std::vector<std::string> labels_;
+    std::vector<std::string> stats_;
+    std::vector<std::string> traces_;
+    std::vector<std::string> frs_;
+};
+
+/**
  * Run every point (possibly in parallel) and return results in input
  * order. Writes the JSON artifacts named by opts.json_path /
- * opts.stats_path / opts.trace_path / opts.span_path /
- * opts.flightrec_path; all but the first force the corresponding
- * ObsConfig flag on for every point. Artifacts are byte-deterministic
+ * opts.stats_path / opts.trace_path / opts.flightrec_path; all but
+ * the first force the observability they need on for every point
+ * (applyObsFlags). Artifacts are byte-deterministic
  * for a given point list (no wall-clock content).
  */
 std::vector<RunResult> runSweep(const std::vector<SweepPoint> &points,

@@ -85,26 +85,8 @@ FleetConfig::validate() const
     if (slo.epoch <= 0)
         fail("slo.epoch must be > 0");
 
-    if (obs.enabled()) {
-        if (obs.stats && obs.sample_epoch == 0)
-            fail("obs.sample_epoch must be > 0 when obs.stats is on");
-        if (obs.trace && obs.trace_capacity == 0)
-            fail("obs.trace_capacity must be > 0 when obs.trace is on");
-        if (obs.trace && obs.trace_sample_every == 0)
-            fail("obs.trace_sample_every must be > 0 when obs.trace "
-                 "is on");
-        if (obs.spans && obs.span_capacity == 0)
-            fail("obs.span_capacity must be > 0 when obs.spans is on");
-        if (obs.spans && obs.span_sample_every == 0)
-            fail("obs.span_sample_every must be > 0 when obs.spans "
-                 "is on");
-        if (obs.flightrec && obs.fr_capacity == 0)
-            fail("obs.fr_capacity must be > 0 when obs.flightrec "
-                 "is on");
-        if (obs.flightrec && obs.fr_max_dumps == 0)
-            fail("obs.fr_max_dumps must be > 0 when obs.flightrec "
-                 "is on");
-    }
+    const std::vector<std::string> obs_errors = obs.validate();
+    errors.insert(errors.end(), obs_errors.begin(), obs_errors.end());
 
     return errors;
 }
@@ -218,27 +200,12 @@ FleetSystem::buildObs()
     obs::SpanTracer *sp = obs_->spans();
     obs::FlightRecorder *fr = obs_->flightRecorder();
     if (sp != nullptr || fr != nullptr) {
-        const auto nameLane = [sp, fr](obs::SpanLane l,
-                                       const char *name) {
-            if (sp != nullptr)
-                sp->setLaneName(obs::spanLaneId(l), name);
-            if (fr != nullptr)
-                fr->setLaneName(obs::spanLaneId(l), name);
-        };
-        nameLane(obs::SpanLane::Client, "client");
-        nameLane(obs::SpanLane::Frontend, "frontend");
-        nameLane(obs::SpanLane::Backend, "backend");
-        nameLane(obs::SpanLane::Health, "health");
-        client_->attachSpans(sp, fr,
-                             obs::spanLaneId(obs::SpanLane::Client));
-        frontend_->attachSpans(
-            sp, fr, obs::spanLaneId(obs::SpanLane::Frontend));
-        for (auto &b : backends_) {
-            b->attachSpans(sp, fr,
-                           obs::spanLaneId(obs::SpanLane::Backend));
-        }
-        health_->attachSpans(sp, fr,
-                             obs::spanLaneId(obs::SpanLane::Health));
+        using obs::Lane;
+        client_->attachSpans(sp, fr, obs::laneId(Lane::Client));
+        frontend_->attachSpans(sp, fr, obs::laneId(Lane::Frontend));
+        for (auto &b : backends_)
+            b->attachSpans(sp, fr, obs::laneId(Lane::Backend));
+        health_->attachSpans(sp, fr, obs::laneId(Lane::Health));
     }
     if (fr != nullptr && slo_ != nullptr) {
         slo_->setOnViolation([this, fr](Tick, double p99_us) {
@@ -292,36 +259,7 @@ FleetSystem::buildObs()
                    ? static_cast<std::uint64_t>(t->size())
                    : 0;
     });
-    const auto frCount =
-        [this](std::uint64_t (obs::FlightRecorder::*read)() const) {
-            const obs::FlightRecorder *f = obs_->flightRecorder();
-            return f != nullptr ? (f->*read)() : 0;
-        };
-    reg->fnCounter("fleet.flightrec.recorded", [frCount] {
-        return frCount(&obs::FlightRecorder::recorded);
-    });
-    reg->fnCounter("fleet.flightrec.dumps", [frCount] {
-        return frCount(&obs::FlightRecorder::dumps);
-    });
-    reg->fnCounter("fleet.flightrec.dumps_dropped", [frCount] {
-        return frCount(&obs::FlightRecorder::dumpsDropped);
-    });
-    const auto frTriggers = [this](obs::FrTrigger t) {
-        const obs::FlightRecorder *f = obs_->flightRecorder();
-        return f != nullptr ? f->triggers(t) : 0;
-    };
-    reg->fnCounter("fleet.flightrec.triggers_fault", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Fault);
-    });
-    reg->fnCounter("fleet.flightrec.triggers_slo", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Slo);
-    });
-    reg->fnCounter("fleet.flightrec.triggers_shed", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Shed);
-    });
-    reg->fnCounter("fleet.flightrec.triggers_gov", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Gov);
-    });
+    obs_->registerFlightRecStats("fleet.flightrec");
 
     reg->fnCounter("fleet.frontend.dispatched",
                    [this] { return frontend_->dispatched(); });
@@ -490,16 +428,8 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     energy_.beginWindow(eq_.now());
     if (slo_ != nullptr)
         slo_->beginWindow(measure_start, end);
-    if (obs_ != nullptr) {
-        obs_->registry().resetAll();
-        if (obs_->tracer() != nullptr)
-            obs_->tracer()->clear();
-        if (obs_->spans() != nullptr)
-            obs_->spans()->clear();
-        if (obs_->flightRecorder() != nullptr)
-            obs_->flightRecorder()->clear();
-        obs_->startSampling(end);
-    }
+    if (obs_ != nullptr)
+        obs_->beginWindow(end);
 
     // Windowed delivered-throughput sampler (same contract as the
     // single-server run: the window tracks the resample epoch).
@@ -592,21 +522,7 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     r.fleet_backend_served_max = smax;
     r.past_clamps = eq_.pastClamps();
 
-    if (obs_ != nullptr) {
-        if (const obs::SpanTracer *t = obs_->spans(); t != nullptr)
-            r.trace_spans = t->recorded();
-        if (obs::FlightRecorder *f = obs_->flightRecorder();
-            f != nullptr) {
-            // The drain ran every scheduled flush; this only closes
-            // dumps whose post window outlived the whole run.
-            f->finalizePending(eq_.now());
-            r.fr_dumps = f->dumps();
-            r.fr_trigger_fault = f->triggers(obs::FrTrigger::Fault);
-            r.fr_trigger_slo = f->triggers(obs::FrTrigger::Slo);
-            r.fr_trigger_shed = f->triggers(obs::FrTrigger::Shed);
-            r.fr_trigger_gov = f->triggers(obs::FrTrigger::Gov);
-        }
-    }
+    r.takeObsCounts(obs_.get(), eq_.now());
 
     if (injector_ != nullptr) {
         r.faults_injected = injector_->injected();
@@ -662,52 +578,17 @@ std::vector<core::RunResult>
 runFleetSweep(const std::vector<FleetSweepPoint> &points,
               const core::SweepOptions &opts)
 {
-    const bool want_stats = !opts.stats_path.empty();
-    const bool want_spans = !opts.span_path.empty();
-    const bool want_fr = !opts.flightrec_path.empty();
-
     std::vector<core::RunResult> results(points.size());
-    std::vector<std::string> stats(points.size());
-    std::vector<std::string> spans(points.size());
-    std::vector<std::string> frs(points.size());
+    core::SweepArtifacts artifacts(opts, points.size());
     parallelFor(points.size(), opts.threads, [&](std::size_t i) {
         FleetSweepPoint p = points[i];
-        p.cfg.obs.stats = p.cfg.obs.stats || want_stats;
-        p.cfg.obs.spans = p.cfg.obs.spans || want_spans;
-        if (want_fr) {
-            p.cfg.obs.flightrec = true;
-            if (opts.fr_armed != 0)
-                p.cfg.obs.fr_armed = opts.fr_armed;
-            else if (p.cfg.obs.fr_armed == 0)
-                p.cfg.obs.fr_armed =
-                    (1u << obs::kFrTriggerKinds) - 1;
-        }
-        if (opts.slo_p99_us > 0.0 && !p.cfg.slo.enabled())
-            p.cfg.slo.target_p99_us = opts.slo_p99_us;
+        core::applyObsFlags(opts, p.cfg.obs, p.cfg.slo);
         EventQueue eq;
         FleetSystem sys(eq, p.cfg);
         auto rate = std::make_unique<net::ConstantRate>(p.rate_gbps);
         results[i] =
             sys.run(std::move(rate), p.warmup, p.measure, p.resample);
-        if (want_stats && sys.obs() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->writeStatsJson(os);
-            stats[i] = os.str();
-        }
-        if (want_spans && sys.obs() != nullptr &&
-            sys.obs()->spans() != nullptr) {
-            std::ostringstream os;
-            bool first = true;
-            sys.obs()->spans()->writeChromeEvents(
-                os, static_cast<int>(i), first);
-            spans[i] = os.str();
-        }
-        if (want_fr && sys.obs() != nullptr &&
-            sys.obs()->flightRecorder() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->flightRecorder()->writeJson(os);
-            frs[i] = os.str();
-        }
+        artifacts.capture(i, p.label, sys.obs());
     });
 
     if (!opts.json_path.empty()) {
@@ -716,26 +597,7 @@ runFleetSweep(const std::vector<FleetSweepPoint> &points,
             rep.addRow(fleetRowJson(points[i], results[i]));
         rep.saveResultsJson(opts.json_path);
     }
-    if (want_stats) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addStats(points[i].label, stats[i]);
-        rep.saveStatsJson(opts.stats_path);
-    }
-    if (want_spans) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        if (!points.empty())
-            rep.setTraceMetadata("fleet", points[0].cfg.seed);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addTraceEvents(spans[i]);
-        rep.saveTraceJson(opts.span_path);
-    }
-    if (want_fr) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addFlightRec(points[i].label, frs[i]);
-        rep.saveFlightRecJson(opts.flightrec_path);
-    }
+    artifacts.save("fleet", points.empty() ? 0 : points[0].cfg.seed);
     return results;
 }
 

@@ -98,12 +98,12 @@ class Link : public PacketSink, private TimedChannel::Receiver
     const Config &config() const { return cfg_; }
 
     /**
-     * Attach the packet tracer. @p point is what a successful
+     * Attach the trace ring. @p point is what a successful
      * traversal records (Ingress for the client link, Egress for the
      * return link); losses record TracePoint::Drop on the same lane.
      */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              obs::TracePoint point)
     {
         trace_ = t;
@@ -138,7 +138,7 @@ class Link : public PacketSink, private TimedChannel::Receiver
     std::uint64_t corrupted_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     obs::TracePoint tracePoint_ = obs::TracePoint::Ingress;
 };

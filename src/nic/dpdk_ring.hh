@@ -41,11 +41,11 @@ class DpdkRing : public net::PacketSink
     /** Hook invoked after a successful enqueue into an empty ring. */
     void setNotify(std::function<void()> fn) { notify_ = std::move(fn); }
 
-    /** Attach the packet tracer (@p eq supplies timestamps):
+    /** Attach the trace ring (@p eq supplies timestamps):
      *  enqueues record RingEnqueue with the post-enqueue occupancy
      *  as arg, tail-drops record Drop. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              const EventQueue *eq)
     {
         trace_ = t;
@@ -136,7 +136,7 @@ class DpdkRing : public net::PacketSink
     bool disabled_ = false;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     const EventQueue *traceEq_ = nullptr;
 };

@@ -60,11 +60,11 @@ class ESwitch : public net::PacketSink
         }
     }
 
-    /** Attach the packet tracer (@p eq supplies timestamps): matches
+    /** Attach the trace ring (@p eq supplies timestamps): matches
      *  record EswitchVerdict with the rule index as arg; blackholed
      *  and unrouted frames record Drop. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              const EventQueue *eq)
     {
         trace_ = t;
@@ -130,7 +130,7 @@ class ESwitch : public net::PacketSink
     std::uint64_t blackholed_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     const EventQueue *traceEq_ = nullptr;
 };

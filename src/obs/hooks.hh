@@ -2,9 +2,11 @@
  * @file
  * Zero-cost-when-disabled instrumentation hooks.
  *
- * Instrumented components hold a raw `PacketTracer *` that is null
- * unless tracing was requested; tracePacket() then costs one
- * perfectly-predicted branch. When enabled, the sampling test is one
+ * Instrumented components hold a raw `SpanTracer *` (and, for span
+ * sites, a `FlightRecorder *`) that is null unless that feature was
+ * requested; each hook then costs one perfectly-predicted branch per
+ * sink. Packet stages and request spans write into the same ring, so
+ * its records stay in tick order. When enabled, the sampling test is one
  * modulo and the record is one indexed POD store — no allocation, so
  * call sites inside `// halint: hotpath` functions stay HAL-W004
  * clean.
@@ -14,21 +16,20 @@
 #define HALSIM_OBS_HOOKS_HH
 
 #include "obs/span.hh"
-#include "obs/trace.hh"
 
 namespace halsim::obs {
 
-/** Record a lifecycle point for @p pkt_id if tracing is enabled and
- *  the packet is in the sampled subset. */
+/** Record a lifecycle point for @p pkt_id as a Stage instant if
+ *  tracing is enabled and the packet is in the sampled subset. */
 inline void
-tracePacket(PacketTracer *t, Tick now, std::uint64_t pkt_id,
+tracePacket(SpanTracer *t, Tick now, std::uint64_t pkt_id,
             TracePoint p, std::uint8_t lane, std::uint32_t arg = 0)
 {
     if (t != nullptr && t->wants(pkt_id))
         t->record(now, pkt_id, p, lane, arg);
 }
 
-/** Record a request-scoped span event: into the span ring if span
+/** Record a request-scoped span event: into the trace ring if span
  *  tracing is enabled and the trace id is in the sampled subset, and
  *  into the always-on flight-recorder ring if that is armed. Both
  *  pointers are null when the corresponding feature is off, so the
@@ -65,28 +66,6 @@ frTrigger(FlightRecorder *fr, Tick now, FrTrigger t,
 {
     if (fr != nullptr)
         fr->trigger(now, t, arg);
-}
-
-/** Canonical lane numbering used by ServerSystem's instrumentation;
- *  components are free to use others, but sharing one table keeps
- *  the Chrome view consistent across benches. */
-enum class Lane : std::uint8_t
-{
-    ClientLink = 0,
-    Eswitch = 1,
-    SnicRing = 2,
-    SnicCore = 3,
-    HostRing = 4,
-    HostCore = 5,
-    Merger = 6,
-    ReturnLink = 7,
-    Slb = 8,
-};
-
-inline std::uint8_t
-laneId(Lane l)
-{
-    return static_cast<std::uint8_t>(l);
 }
 
 } // namespace halsim::obs

@@ -1,12 +1,13 @@
 /**
  * @file
  * Observability facade: one object bundling the stats registry, the
- * packet tracer, and the periodic probe sampler, owned by
- * ServerSystem when `ServerConfig::obs` enables it.
+ * trace ring, the flight recorder, and the periodic probe sampler,
+ * owned by ServerSystem / FleetSystem when their `obs` config
+ * enables it.
  *
  * Determinism contract: turning observability on must not change
  * simulation results. The sampler is a read-only CallbackEvent (no
- * RNG draws, no packet mutation), tracer records are read-only
+ * RNG draws, no packet mutation), trace records are read-only
  * observations, and all registry reads happen either lazily at
  * serialization time or inside the sampler — so RunResult stays
  * byte-identical with obs on or off (proved by test_determinism).
@@ -18,6 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "obs/registry.hh"
 #include "obs/span.hh"
@@ -27,7 +30,8 @@
 
 namespace halsim::obs {
 
-/** Per-run observability knobs (part of ServerConfig). */
+/** Per-run observability knobs (part of ServerConfig and
+ *  FleetConfig). */
 struct ObsConfig
 {
     /** Register + periodically sample the component stats tree. */
@@ -36,26 +40,22 @@ struct ObsConfig
     /** Record sampled packet lifecycles into the trace ring. */
     bool trace = false;
 
+    /** Record sampled request-scoped spans and fleet marks into the
+     *  same trace ring. */
+    bool spans = false;
+
     /** Probe sampling period. */
     Tick sample_epoch = 1 * kMs;
 
     /** Keep full (tick, value) series for probes, not just summaries. */
     bool series = false;
 
-    /** Trace ring capacity in records. */
+    /** Trace ring capacity in records (trace or spans on). */
     std::uint32_t trace_capacity = 1u << 16;
 
-    /** Trace packets whose id is a multiple of this (1 = all). */
+    /** Trace packets and requests whose id is a multiple of this
+     *  (1 = all). */
     std::uint64_t trace_sample_every = 64;
-
-    /** Record sampled request-scoped spans into the span ring. */
-    bool spans = false;
-
-    /** Span ring capacity in records. */
-    std::uint32_t span_capacity = 1u << 16;
-
-    /** Trace requests whose id is a multiple of this (1 = all). */
-    std::uint64_t span_sample_every = 16;
 
     /** Run the always-on flight recorder (black-box capture). */
     bool flightrec = false;
@@ -80,6 +80,10 @@ struct ObsConfig
     {
         return stats || trace || spans || flightrec;
     }
+
+    /** Every violation, each naming its `obs.*` field; empty when
+     *  valid. Fields of a feature that is off are not checked. */
+    std::vector<std::string> validate() const;
 };
 
 class Observability
@@ -96,13 +100,20 @@ class Observability
     StatsRegistry &registry() { return reg_; }
     const StatsRegistry &registry() const { return reg_; }
 
-    /** Null unless cfg.trace. */
-    PacketTracer *tracer() { return tracer_.get(); }
-    const PacketTracer *tracer() const { return tracer_.get(); }
+    /** The trace ring for packet stages; null unless cfg.trace. */
+    SpanTracer *tracer() { return cfg_.trace ? ring_.get() : nullptr; }
+    const SpanTracer *tracer() const
+    {
+        return cfg_.trace ? ring_.get() : nullptr;
+    }
 
-    /** Null unless cfg.spans. */
-    SpanTracer *spans() { return spans_.get(); }
-    const SpanTracer *spans() const { return spans_.get(); }
+    /** The same ring for request spans and fleet marks; null unless
+     *  cfg.spans. */
+    SpanTracer *spans() { return cfg_.spans ? ring_.get() : nullptr; }
+    const SpanTracer *spans() const
+    {
+        return cfg_.spans ? ring_.get() : nullptr;
+    }
 
     /** Null unless cfg.flightrec. */
     FlightRecorder *flightRecorder() { return flightRec_.get(); }
@@ -121,6 +132,21 @@ class Observability
     /** Cancel any pending sample. */
     void stopSampling();
 
+    /**
+     * Open the measurement window: zero the registry, drop warmup
+     * records from the trace ring and flight recorder, and start the
+     * probe sampler until @p until.
+     */
+    void beginWindow(Tick until);
+
+    /**
+     * Register the flight recorder's health counters under
+     * @p prefix (e.g. "server.flightrec"; no-op unless cfg.stats).
+     * Null-safe reads, so the paths exist and read zero while the
+     * recorder is off.
+     */
+    void registerFlightRecStats(const std::string &prefix);
+
     void writeStatsJson(std::ostream &os) const { reg_.writeJson(os); }
     void writeStatsText(std::ostream &os) const { reg_.writeText(os); }
 
@@ -130,8 +156,7 @@ class Observability
     EventQueue &eq_;
     ObsConfig cfg_;
     StatsRegistry reg_;
-    std::unique_ptr<PacketTracer> tracer_;
-    std::unique_ptr<SpanTracer> spans_;
+    std::unique_ptr<SpanTracer> ring_;
     std::unique_ptr<FlightRecorder> flightRec_;
     CallbackEvent sampleEvent_;
     Tick until_ = 0;

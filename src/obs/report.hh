@@ -56,7 +56,7 @@ class SweepReport
 
     /** Attach a point's Chrome events (comma-joined objects, no
      *  surrounding brackets; may be empty). */
-    void addTraceEvents(std::string chrome_events)
+    void addChromeEvents(std::string chrome_events)
     {
         traces_.push_back(std::move(chrome_events));
     }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/trace.hh"
+#include "obs/span.hh"
 
 namespace halsim::obs {
 
@@ -70,7 +70,7 @@ SloMonitor::finishWindow()
 }
 
 SloAttribution
-attributeTail(const PacketTracer &tracer, Tick target_ticks)
+attributeTail(const SpanTracer &ring, Tick target_ticks)
 {
     // Reconstruct per-packet stage spans from whatever the ring
     // retained. std::map keeps the walk deterministic (halint W003
@@ -84,10 +84,12 @@ attributeTail(const PacketTracer &tracer, Tick target_ticks)
     };
     std::map<std::uint64_t, Span> spans;
 
-    for (std::size_t i = 0; i < tracer.size(); ++i) {
-        const TraceEvent &e = tracer.at(i);
-        Span &s = spans[e.pkt];
-        switch (e.point) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        const SpanEvent &e = ring.at(i);
+        if (e.kind != SpanKind::Stage)
+            continue;
+        Span &s = spans[e.id];
+        switch (static_cast<TracePoint>(e.a)) {
           case TracePoint::Ingress:
             if (!s.has_ingress) {
                 s.ingress = e.tick;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <utility>
-
-#include "obs/registry.hh"
-#include "obs/trace.hh"
 
 namespace halsim::obs {
 
@@ -45,7 +43,43 @@ spanKindName(SpanKind k)
     return "?";
 }
 
+const char *
+tracePointName(TracePoint p)
+{
+    switch (p) {
+      case TracePoint::Ingress:
+        return "ingress";
+      case TracePoint::EswitchVerdict:
+        return "eswitch_verdict";
+      case TracePoint::RingEnqueue:
+        return "ring_enqueue";
+      case TracePoint::ServiceStart:
+        return "service_start";
+      case TracePoint::ServiceEnd:
+        return "service_end";
+      case TracePoint::Merge:
+        return "merge";
+      case TracePoint::Egress:
+        return "egress";
+      case TracePoint::Drop:
+        return "drop";
+    }
+    return "?";
+}
+
 namespace {
+
+/** Row names indexed by Lane. */
+constexpr const char *kLaneNames[] = {
+    "client_link", "eswitch", "snic_ring", "snic_core", "host_ring",
+    "host_core", "merger", "return_link", "slb", "client", "frontend",
+    "backend", "health", "governor",
+};
+
+static_assert(std::size(kLaneNames) == laneId(Lane::Governor) + 1u,
+              "one name per Lane");
+static_assert(laneId(Lane::Governor) < SpanTracer::kMaxLanes,
+              "the lane table must fit the tid range");
 
 const char *
 spanPhaseName(SpanPhase ph)
@@ -77,6 +111,23 @@ writeTs(std::ostream &os, Tick t)
     }
 }
 
+/** Display name of a record: the lifecycle point for Stage records,
+ *  the span kind otherwise. */
+const char *
+recordName(const SpanEvent &e)
+{
+    return e.kind == SpanKind::Stage
+               ? tracePointName(static_cast<TracePoint>(e.a))
+               : spanKindName(e.kind);
+}
+
+/** Viewer row name of @p lane; null for a lane outside the table. */
+const char *
+laneName(std::uint8_t lane)
+{
+    return lane < std::size(kLaneNames) ? kLaneNames[lane] : nullptr;
+}
+
 } // namespace
 
 SpanTracer::SpanTracer(Config cfg)
@@ -94,82 +145,51 @@ SpanTracer::at(std::size_t i) const
 }
 
 void
-SpanTracer::setLaneName(std::uint8_t lane, const std::string &name)
-{
-    assert(lane < kMaxLanes);
-    laneNames_[lane] = name;
-}
-
-const std::string &
-SpanTracer::laneName(std::uint8_t lane) const
-{
-    assert(lane < kMaxLanes);
-    return laneNames_[lane];
-}
-
-void
 SpanTracer::clear()
 {
     recorded_ = 0;
 }
 
 void
-SpanTracer::bridgeStages(const PacketTracer &tracer, std::uint8_t lane)
+SpanTracer::writeRecordLine(std::ostream &os, const SpanEvent &e)
 {
-    const std::size_t n = tracer.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceEvent &e = tracer.at(i);
-        if (!wants(e.pkt))
-            continue;
-        record(e.tick, e.pkt, SpanKind::Stage, SpanPhase::Instant, lane,
-               static_cast<std::uint32_t>(e.point), e.arg);
-    }
+    os << e.tick << " id=" << e.id << " " << recordName(e)
+       << " ph=" << spanPhaseName(e.phase) << " lane=";
+    if (const char *name = laneName(e.lane))
+        os << name;
+    else
+        os << static_cast<unsigned>(e.lane);
+    os << " a=" << e.a << " b=" << e.b << "\n";
 }
 
 void
 SpanTracer::writeText(std::ostream &os) const
 {
     const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const SpanEvent &e = at(i);
-        os << e.tick << " id=" << e.id << " " << spanKindName(e.kind)
-           << " ph=" << spanPhaseName(e.phase) << " lane=";
-        if (!laneNames_[e.lane].empty())
-            os << laneNames_[e.lane];
-        else
-            os << static_cast<unsigned>(e.lane);
-        os << " a=" << e.a << " b=" << e.b << "\n";
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        writeRecordLine(os, at(i));
 }
 
 void
 SpanTracer::writeChromeEvents(std::ostream &os, int pid,
                               bool &first) const
 {
-    // Per-lane thread_name metadata so the viewer labels rows.
-    for (std::size_t lane = 0; lane < kMaxLanes; ++lane) {
-        if (laneNames_[lane].empty())
-            continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":" << lane << ",\"args\":{\"name\":\""
-           << jsonEscape(laneNames_[lane]) << "\"}}";
-    }
-
     const std::size_t n = size();
 
     // Pass 1: (a) an End whose Begin fell off the ring demotes to an
     // instant so every emitted "e" pairs with a "b"; (b) flow events
     // only make sense for trace ids whose root Request Begin is
-    // retained (Chrome requires the flow start first). std::map keeps
-    // both scans deterministic.
+    // retained (Chrome requires the flow start first); (c) collect
+    // the lanes that need a row label. std::map keeps both scans
+    // deterministic.
     std::vector<bool> demote(n, false);
     std::map<std::pair<std::uint64_t, SpanKind>, std::uint64_t> open;
     std::map<std::uint64_t, bool> rootRetained;
+    std::array<bool, kMaxLanes> laneUsed{};
     for (std::size_t i = 0; i < n; ++i) {
         const SpanEvent &e = at(i);
+        if (e.lane < kMaxLanes)
+            laneUsed[e.lane] = true;
         if (e.phase == SpanPhase::Begin) {
             ++open[{e.id, e.kind}];
             if (e.kind == SpanKind::Request)
@@ -183,6 +203,21 @@ SpanTracer::writeChromeEvents(std::ostream &os, int pid,
         }
     }
 
+    // Per-lane thread_name metadata so the viewer labels rows.
+    for (std::size_t lane = 0; lane < kMaxLanes; ++lane) {
+        const char *name =
+            laneUsed[lane] ? laneName(static_cast<std::uint8_t>(lane))
+                           : nullptr;
+        if (name == nullptr)
+            continue;
+        if (!first)
+            os << ",";
+        first = false;
+        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
+           << ",\"tid\":" << lane << ",\"args\":{\"name\":\"" << name
+           << "\"}}";
+    }
+
     // Pass 2: emit records in ring order, weaving flow events off the
     // root span.
     for (std::size_t i = 0; i < n; ++i) {
@@ -193,7 +228,7 @@ SpanTracer::writeChromeEvents(std::ostream &os, int pid,
             os << ",";
         first = false;
         if (asInstant) {
-            os << "{\"name\":\"" << spanKindName(e.kind)
+            os << "{\"name\":\"" << recordName(e)
                << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
             writeTs(os, e.tick);
             os << ",\"pid\":" << pid
@@ -201,7 +236,7 @@ SpanTracer::writeChromeEvents(std::ostream &os, int pid,
                << ",\"args\":{\"id\":" << e.id << ",\"a\":" << e.a
                << ",\"b\":" << e.b << "}}";
         } else {
-            os << "{\"name\":\"" << spanKindName(e.kind)
+            os << "{\"name\":\"" << recordName(e)
                << "\",\"cat\":\"span\",\"ph\":\""
                << (e.phase == SpanPhase::Begin ? "b" : "e")
                << "\",\"id\":" << e.id << ",\"ts\":";
@@ -267,9 +302,8 @@ frTriggerName(FrTrigger t)
 }
 
 FlightRecorder::FlightRecorder(EventQueue &eq, Config cfg)
-    : eq_(eq), cfg_(cfg)
+    : eq_(eq), cfg_(cfg), ring_(SpanTracer::Config{cfg.capacity, 1})
 {
-    ring_.resize(std::max<std::uint32_t>(cfg_.capacity, 1));
     // Dump slots are pre-constructed so trigger() never allocates.
     dumps_.resize(std::max<std::uint32_t>(cfg_.max_dumps, 1));
     flushEvent_.setCallback([this] { onFlush(); });
@@ -297,16 +331,9 @@ FlightRecorder::triggersTotal() const
 }
 
 void
-FlightRecorder::setLaneName(std::uint8_t lane, const std::string &name)
-{
-    assert(lane < kMaxLanes);
-    laneNames_[lane] = name;
-}
-
-void
 FlightRecorder::clear()
 {
-    recorded_ = 0;
+    ring_.clear();
     ndumps_ = 0;
     dumpsDropped_ = 0;
     triggerCounts_.fill(0);
@@ -381,21 +408,17 @@ FlightRecorder::snapshot(Dump &d, Tick end)
     d.window_end = end;
     d.truncated = false;
     d.events.clear();
-    const std::size_t n =
-        recorded_ < ring_.size() ? static_cast<std::size_t>(recorded_)
-                                 : ring_.size();
-    const std::uint64_t oldest =
-        recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
+    const std::size_t n = ring_.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const SpanEvent &e = ring_[(oldest + i) % ring_.size()];
+        const SpanEvent &e = ring_.at(i);
         if (e.tick < d.window_begin || e.tick > d.window_end)
             continue;
         d.events.push_back(e);
     }
     // The window's head was already overwritten if the oldest
     // retained record postdates it.
-    if (oldest > 0 && n > 0 &&
-        ring_[oldest % ring_.size()].tick > d.window_begin)
+    if (ring_.overwritten() > 0 && n > 0 &&
+        ring_.at(0).tick > d.window_begin)
         d.truncated = true;
     d.finalized = true;
 }
@@ -412,14 +435,8 @@ FlightRecorder::writeText(std::ostream &os) const
            << d.window_begin << "," << d.window_end
            << "] truncated=" << (d.truncated ? 1 : 0) << "\n";
         for (const SpanEvent &e : d.events) {
-            os << "  " << e.tick << " id=" << e.id << " "
-               << spanKindName(e.kind) << " ph=" << spanPhaseName(e.phase)
-               << " lane=";
-            if (!laneNames_[e.lane].empty())
-                os << laneNames_[e.lane];
-            else
-                os << static_cast<unsigned>(e.lane);
-            os << " a=" << e.a << " b=" << e.b << "\n";
+            os << "  ";
+            SpanTracer::writeRecordLine(os, e);
         }
     }
 }
@@ -447,11 +464,11 @@ FlightRecorder::writeJson(std::ostream &os) const
                 os << ",";
             firstEv = false;
             os << "{\"tick\":" << e.tick << ",\"id\":" << e.id
-               << ",\"kind\":\"" << spanKindName(e.kind)
+               << ",\"kind\":\"" << recordName(e)
                << "\",\"phase\":\"" << spanPhaseName(e.phase)
                << "\",\"lane\":";
-            if (!laneNames_[e.lane].empty())
-                os << "\"" << jsonEscape(laneNames_[e.lane]) << "\"";
+            if (const char *name = laneName(e.lane))
+                os << "\"" << name << "\"";
             else
                 os << static_cast<unsigned>(e.lane);
             os << ",\"a\":" << e.a << ",\"b\":" << e.b << "}";
@@ -465,7 +482,7 @@ FlightRecorder::writeJson(std::ostream &os) const
         os << "\"" << frTriggerName(static_cast<FrTrigger>(k))
            << "\":" << triggerCounts_[k];
     }
-    os << "},\"recorded\":" << recorded_
+    os << "},\"recorded\":" << ring_.recorded()
        << ",\"dumps_dropped\":" << dumpsDropped_ << "}";
 }
 

@@ -1,33 +1,39 @@
 /**
  * @file
- * Fleet-wide distributed request tracing and the triggered flight
- * recorder.
+ * The one trace ring and the triggered flight recorder.
  *
- * SpanTracer is the request-scoped sibling of PacketTracer: a
- * fixed-capacity ring of (tick, trace id, span kind, phase, lane,
- * args) POD records. Each sampled request carries one trace id from
- * the fleet client's first transmission through frontend lookup,
- * every retry attempt, backend queue/service, duplicate-suppressed
- * late responses, and failover migration. The hot-path surface is
- * the same two inline calls as PacketTracer — wants() (one modulo)
- * and record() (one indexed POD store) — so instrumented fleet
- * components stay allocation-free in steady state.
+ * SpanTracer is a fixed-capacity overwrite-oldest ring of SpanEvent
+ * POD records — (tick, id, kind, phase, lane, a, b). Everything the
+ * simulator traces lands in it, in the order it happens:
  *
- * Export is Chrome trace_event JSON: one viewer row (tid) per
- * component lane, async "b"/"e" pairs per span keyed by trace id,
- * instants for point observations, and flow events ("s"/"t"/"f")
- * linking a request's root span to its child spans across lanes.
- * A deterministic line-per-record text form backs the determinism
+ *  - per-server packet lifecycle points (TracePoint) as Stage
+ *    instants keyed by the packet id;
+ *  - fleet request spans: each sampled request carries one trace id
+ *    from the client's first transmission through frontend lookup,
+ *    every retry attempt, backend queue/service, duplicate-suppressed
+ *    late responses, and failover migration;
+ *  - fleet-scope marks (health transitions, governor epochs) with
+ *    id 0.
+ *
+ * The hot-path surface is two inline calls — wants() (one modulo)
+ * and record() (one indexed POD store) — so instrumented components
+ * stay allocation-free and halint HAL-W004 clean.
+ *
+ * Export is Chrome trace_event JSON: one viewer row (tid) per lane
+ * from one static lane table, async "b"/"e" pairs per span keyed by
+ * trace id, instants for point observations (Stage instants named by
+ * their lifecycle point), and flow events ("s"/"t"/"f") linking a
+ * request's root span to its child records across lanes. A
+ * deterministic line-per-record text form backs the determinism
  * tests.
  *
- * FlightRecorder is the always-on black box: a compact
- * overwrite-oldest ring fed by the same instrumentation sites
- * (unsampled), plus a set of armed triggers (injected fault, SLO
- * epoch violation, shed-watermark crossing, governor park/unpark
- * storm). When an armed trigger fires, the recorder captures a
- * deterministic "last pre µs before, post µs after" window around
- * the trigger into a bounded dump slot; dumps serialize to JSON and
- * to the text form used by the determinism tests.
+ * FlightRecorder is the always-on black box: an unsampled SpanTracer
+ * fed by the span instrumentation sites, plus a set of armed
+ * triggers (injected fault, SLO epoch violation, shed-watermark
+ * crossing, governor park/unpark storm). When an armed trigger
+ * fires, the recorder captures a deterministic "last pre µs before,
+ * post µs after" window around the trigger into a bounded dump slot;
+ * dumps serialize to JSON and to the same record lines as the ring.
  */
 
 #ifndef HALSIM_OBS_SPAN_HH
@@ -36,18 +42,16 @@
 #include <array>
 #include <cstdint>
 #include <ostream>
-#include <string>
 #include <vector>
 
+#include "obs/trace.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace halsim::obs {
 
-class PacketTracer;
-
-/** What a span record describes. Begin/End kinds become Chrome async
+/** What a record describes. Begin/End kinds become Chrome async
  *  "b"/"e" pairs; instant kinds become "i" events. */
 enum class SpanKind : std::uint8_t
 {
@@ -68,8 +72,8 @@ enum class SpanKind : std::uint8_t
                      //!< b = active cores)
     Shed,            //!< admission control shed (a = backend)
     Drop,            //!< request lost (a = backend, b = reason)
-    Stage,           //!< bridged per-server PacketTracer stage
-                     //!< (a = TracePoint, b = original arg)
+    Stage,           //!< per-server packet lifecycle point
+                     //!< (id = packet, a = TracePoint, b = its arg)
 };
 
 const char *spanKindName(SpanKind k);
@@ -81,11 +85,11 @@ enum class SpanPhase : std::uint8_t
     Instant,
 };
 
-/** One span record; POD so ring slots recycle with plain stores. */
+/** One trace record; POD so ring slots recycle with plain stores. */
 struct SpanEvent
 {
     Tick tick = 0;
-    std::uint64_t id = 0; //!< trace id; 0 = fleet-scope mark
+    std::uint64_t id = 0; //!< trace/packet id; 0 = fleet-scope mark
     SpanKind kind = SpanKind::Request;
     SpanPhase phase = SpanPhase::Instant;
     std::uint8_t lane = 0;
@@ -93,20 +97,30 @@ struct SpanEvent
     std::uint32_t b = 0;
 };
 
-/** Canonical span lanes (Chrome tids). One viewer row per fleet
- *  component; per-server stage bridges use Server. */
-enum class SpanLane : std::uint8_t
+/** Canonical lanes (Chrome tids): one viewer row per component, named
+ *  from one static table in the writers. The first nine follow a
+ *  packet through one server; the rest are the fleet components and
+ *  the core governor. */
+enum class Lane : std::uint8_t
 {
-    Client = 0,
-    Frontend = 1,
-    Backend = 2,
-    Health = 3,
-    Governor = 4,
-    Server = 5,
+    ClientLink = 0,
+    Eswitch,
+    SnicRing,
+    SnicCore,
+    HostRing,
+    HostCore,
+    Merger,
+    ReturnLink,
+    Slb,
+    Client,
+    Frontend,
+    Backend,
+    Health,
+    Governor,
 };
 
-inline std::uint8_t
-spanLaneId(SpanLane l)
+constexpr std::uint8_t
+laneId(Lane l)
 {
     return static_cast<std::uint8_t>(l);
 }
@@ -120,17 +134,17 @@ class SpanTracer
     {
         /** Ring capacity in records; oldest overwritten when full. */
         std::uint32_t capacity = 1u << 16;
-        /** Sample requests whose id is a multiple of this (1 = all). */
-        std::uint64_t sample_every = 16;
+        /** Sample ids that are a multiple of this (1 = all). */
+        std::uint64_t sample_every = 64;
     };
 
     explicit SpanTracer(Config cfg);
 
-    /** Should this request id be traced? Inline, one modulo. */
+    /** Should this packet/request id be traced? Inline, one modulo. */
     bool
-    wants(std::uint64_t trace_id) const
+    wants(std::uint64_t id) const
     {
-        return trace_id % sampleEvery_ == 0;
+        return id % sampleEvery_ == 0;
     }
 
     // halint: hotpath
@@ -147,6 +161,16 @@ class SpanTracer
         e.a = a;
         e.b = b;
         ++recorded_;
+    }
+
+    /** A packet lifecycle point: a Stage instant keyed by @p pkt. */
+    // halint: hotpath
+    void
+    record(Tick t, std::uint64_t pkt, TracePoint p, std::uint8_t lane,
+           std::uint32_t arg = 0)
+    {
+        record(t, pkt, SpanKind::Stage, SpanPhase::Instant, lane,
+               static_cast<std::uint32_t>(p), arg);
     }
 
     /** Records ever written (including overwritten ones). */
@@ -174,35 +198,25 @@ class SpanTracer
     /** @p i-th oldest retained record (0 = oldest). */
     const SpanEvent &at(std::size_t i) const;
 
-    /** Name a lane for the Chrome thread_name metadata (setup time). */
-    void setLaneName(std::uint8_t lane, const std::string &name);
-    const std::string &laneName(std::uint8_t lane) const;
-
-    /** Drop all records, keeping capacity and lane names. */
+    /** Drop all records, keeping capacity. */
     void clear();
 
-    /**
-     * Re-emit a PacketTracer's retained stage records as Stage span
-     * instants on @p lane, keyed by the packet id (which the fleet
-     * layer aligns with the request's trace id). Lets one Chrome
-     * document show the L4 decision and the intra-server stages of
-     * the same sampled request.
-     */
-    void bridgeStages(const PacketTracer &tracer, std::uint8_t lane);
+    /** One "tick id=… name ph=… lane=… a=… b=…" text line. */
+    static void writeRecordLine(std::ostream &os, const SpanEvent &e);
 
-    /** Deterministic text: one "tick id kind phase lane a b" per
-     *  line in record order. */
+    /** Deterministic text: writeRecordLine() per record in order. */
     void writeText(std::ostream &os) const;
 
     /**
      * Just the event objects (comma-separated, no surrounding
-     * array), for merging several tracers into one document.
-     * Begin/End records become async "b"/"e" pairs (cat "span",
-     * id = trace id); an End whose Begin was overwritten demotes to
-     * an instant so the document always pairs cleanly. Flow events
-     * ("s"/"t"/"f", cat "flow") link each retained root Request span
-     * to its child records. @p first tracks whether a leading comma
-     * is needed across calls.
+     * array), for merging several rings into one document. Lanes
+     * with retained records get thread_name metadata first; then
+     * records follow in ring order. Begin/End records become async
+     * "b"/"e" pairs (cat "span", id = trace id); an End whose Begin
+     * was overwritten demotes to an instant so the document always
+     * pairs cleanly. Flow events ("s"/"t"/"f", cat "flow") link each
+     * retained root Request span to its child records. @p first
+     * tracks whether a leading comma is needed across calls.
      */
     void writeChromeEvents(std::ostream &os, int pid,
                            bool &first) const;
@@ -212,9 +226,8 @@ class SpanTracer
 
   private:
     std::vector<SpanEvent> ring_;
-    std::array<std::string, kMaxLanes> laneNames_;
     std::uint64_t recorded_ = 0;
-    std::uint64_t sampleEvery_ = 16;
+    std::uint64_t sampleEvery_ = 64;
 };
 
 /** Flight-recorder trigger sources; bit positions in the armed
@@ -240,8 +253,6 @@ frTriggerBit(FrTrigger t)
 class FlightRecorder
 {
   public:
-    static constexpr std::size_t kMaxLanes = SpanTracer::kMaxLanes;
-
     struct Config
     {
         /** Ring capacity in records; oldest overwritten when full. */
@@ -270,15 +281,7 @@ class FlightRecorder
     record(Tick t, std::uint64_t id, SpanKind k, SpanPhase ph,
            std::uint8_t lane, std::uint32_t a = 0, std::uint32_t b = 0)
     {
-        SpanEvent &e = ring_[recorded_ % ring_.size()];
-        e.tick = t;
-        e.id = id;
-        e.kind = k;
-        e.phase = ph;
-        e.lane = lane;
-        e.a = a;
-        e.b = b;
-        ++recorded_;
+        ring_.record(t, id, k, ph, lane, a, b);
     }
 
     /**
@@ -292,13 +295,11 @@ class FlightRecorder
     /** Snapshot any still-pending dumps now (end of run). */
     void finalizePending(Tick now);
 
-    std::uint64_t recorded() const { return recorded_; }
+    std::uint64_t recorded() const { return ring_.recorded(); }
     std::uint64_t triggers(FrTrigger t) const;
     std::uint64_t triggersTotal() const;
     std::uint64_t dumps() const { return ndumps_; }
     std::uint64_t dumpsDropped() const { return dumpsDropped_; }
-
-    void setLaneName(std::uint8_t lane, const std::string &name);
 
     /** Reset ring, dumps, and counters (measure-window start). */
     void clear();
@@ -327,9 +328,7 @@ class FlightRecorder
 
     EventQueue &eq_;
     Config cfg_;
-    std::vector<SpanEvent> ring_;
-    std::array<std::string, kMaxLanes> laneNames_;
-    std::uint64_t recorded_ = 0;
+    SpanTracer ring_;
     std::vector<Dump> dumps_;
     std::uint32_t ndumps_ = 0;
     std::uint64_t dumpsDropped_ = 0;

@@ -1,32 +1,16 @@
 /**
  * @file
- * Packet-lifecycle tracer: a fixed-capacity ring buffer of
- * (tick, packet, lifecycle point, lane, arg) records covering
- * ingress → eSwitch verdict → ring enqueue → service → merge →
- * egress for sampled packets.
- *
- * The hot-path surface is two inline calls — wants() (one modulo)
- * and record() (one indexed POD store) — both allocation-free, so
- * instrumented accept()/service paths keep passing halint HAL-W004.
- * The ring overwrites its oldest record on overflow (the tail of a
- * run is what a trace viewer wants); overwritten() reports how many
- * records were lost that way.
- *
- * Export: Chrome `trace_event` JSON (load via chrome://tracing or
- * https://ui.perfetto.dev) and a deterministic line-per-record text
- * form used by the determinism tests.
+ * Packet-lifecycle points: the stations a sampled packet passes
+ * through inside one server (ingress → eSwitch verdict → ring enqueue
+ * → service → merge → egress). Each point is written into the one
+ * trace ring (obs/span.hh) as a SpanKind::Stage instant keyed by the
+ * packet id, with a = the TracePoint and b = the point's argument.
  */
 
 #ifndef HALSIM_OBS_TRACE_HH
 #define HALSIM_OBS_TRACE_HH
 
-#include <array>
 #include <cstdint>
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "sim/types.hh"
 
 namespace halsim::obs {
 
@@ -45,110 +29,11 @@ enum class TracePoint : std::uint8_t
 
 const char *tracePointName(TracePoint p);
 
-/** One trace record; POD so ring slots recycle with plain stores. */
-struct TraceEvent
-{
-    Tick tick = 0;
-    std::uint64_t pkt = 0;
-    TracePoint point = TracePoint::Ingress;
-    std::uint8_t lane = 0;
-    std::uint32_t arg = 0;
-};
+class SpanTracer;
 
-class PacketTracer
-{
-  public:
-    static constexpr std::size_t kMaxLanes = 16;
-
-    struct Config
-    {
-        /** Ring capacity in records; oldest overwritten when full. */
-        std::uint32_t capacity = 1u << 16;
-        /** Sample packets whose id is a multiple of this (1 = all). */
-        std::uint64_t sample_every = 64;
-    };
-
-    explicit PacketTracer(Config cfg);
-
-    /** Should this packet id be traced? Inline, one modulo. */
-    bool
-    wants(std::uint64_t pkt_id) const
-    {
-        return pkt_id % sampleEvery_ == 0;
-    }
-
-    // halint: hotpath
-    void
-    record(Tick t, std::uint64_t pkt, TracePoint p, std::uint8_t lane,
-           std::uint32_t arg = 0)
-    {
-        TraceEvent &e = ring_[recorded_ % ring_.size()];
-        e.tick = t;
-        e.pkt = pkt;
-        e.point = p;
-        e.lane = lane;
-        e.arg = arg;
-        ++recorded_;
-    }
-
-    /** Records ever written (including overwritten ones). */
-    std::uint64_t recorded() const { return recorded_; }
-
-    /** Records lost to ring overflow. */
-    std::uint64_t
-    overwritten() const
-    {
-        return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
-    }
-
-    /** Records currently retained. */
-    std::size_t
-    size() const
-    {
-        return recorded_ < ring_.size()
-                   ? static_cast<std::size_t>(recorded_)
-                   : ring_.size();
-    }
-
-    std::size_t capacity() const { return ring_.size(); }
-    std::uint64_t sampleEvery() const { return sampleEvery_; }
-
-    /** @p i-th oldest retained record (0 = oldest). */
-    const TraceEvent &at(std::size_t i) const;
-
-    /** Name a lane for the Chrome thread_name metadata (setup time). */
-    void setLaneName(std::uint8_t lane, const std::string &name);
-    const std::string &laneName(std::uint8_t lane) const;
-
-    /** Drop all records, keeping capacity and lane names. */
-    void clear();
-
-    /** Deterministic text: one "tick pkt point lane arg" per line in
-     *  record order. */
-    void writeText(std::ostream &os) const;
-
-    /**
-     * Complete Chrome trace_event document:
-     * {"traceEvents":[...]}. Records become instant events (ph "i")
-     * with ts in microseconds; lanes map to tids with thread_name
-     * metadata.
-     */
-    void writeChromeJson(std::ostream &os, int pid = 0) const;
-
-    /**
-     * Just the event objects (comma-separated, no surrounding
-     * array), for merging several tracers into one document.
-     * @p first tracks whether a leading comma is needed across calls.
-     */
-    void writeChromeEvents(std::ostream &os, int pid,
-                           bool &first) const;
-
-  private:
-    std::vector<TraceEvent> ring_;
-    std::array<std::string, kMaxLanes> laneNames_;
-    std::uint64_t recorded_ = 0;
-    std::uint64_t sampleEvery_ = 64;
-};
+/** Former name of the trace ring, kept for perfbench only (perfbench/
+ *  still compiles against it); src/ and tests/ use SpanTracer. */
+using PacketTracer = SpanTracer;
 
 } // namespace halsim::obs
 

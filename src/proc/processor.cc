@@ -757,7 +757,7 @@ Processor::accelDegraded() const
 }
 
 void
-Processor::attachObs(obs::StatsRegistry *reg, obs::PacketTracer *tracer,
+Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                      const std::string &prefix, std::uint8_t ring_lane,
                      std::uint8_t core_lane, bool series)
 {

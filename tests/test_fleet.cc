@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -578,4 +580,35 @@ TEST(FleetDrill, SheddingHoldsTailUnderRetryStorm)
     EXPECT_GT(rn.fleet_requests_failed, rs.fleet_requests_failed);
     EXPECT_GT(rn.fleet_timeouts, rs.fleet_timeouts);
     EXPECT_GT(rn.fleet_duplicates, rs.fleet_duplicates);
+}
+
+TEST(FleetSweep, TracePathWritesRequestSpansAndFlows)
+{
+    // --trace is the one trace flag for fleet sweeps too: it forces
+    // the span ring on and writes it, root request spans and the flow
+    // events that link them to their children included.
+    std::vector<FleetSweepPoint> points(1);
+    points[0].cfg = drillConfig();
+    points[0].rate_gbps = 8.0;
+    points[0].warmup = 2 * kMs;
+    points[0].measure = 10 * kMs;
+    points[0].label = "traced";
+
+    core::SweepOptions opts;
+    opts.trace_path = ::testing::TempDir() + "fleet_sweep_trace.json";
+    std::remove(opts.trace_path.c_str());
+    const auto results = runFleetSweep(points, opts);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_GT(results[0].trace_spans, 0u);
+
+    std::ifstream in(opts.trace_path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << opts.trace_path;
+    std::ostringstream doc;
+    doc << in.rdbuf();
+    const std::string s = doc.str();
+    EXPECT_EQ(s.find("{\"traceEvents\":["), 0u);
+    EXPECT_NE(s.find("{\"name\":\"request\",\"cat\":\"span\",\"ph\":\"b\""),
+              std::string::npos);
+    EXPECT_NE(s.find("\"cat\":\"flow\",\"ph\":\"s\""), std::string::npos);
+    EXPECT_NE(s.find("\"args\":{\"name\":\"client\"}"), std::string::npos);
 }

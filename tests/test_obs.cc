@@ -2,7 +2,8 @@
  * @file
  * Observability subsystem tests: stats-registry naming and lifecycle,
  * probe sampling, histogram quantile accuracy against an exact
- * reference, trace-ring overflow semantics, serialization smoke
+ * reference, trace-ring overflow/export semantics, flight-recorder
+ * dump bookkeeping, obs config validation, serialization smoke
  * checks, and an end-to-end Hal-mode integration run.
  */
 
@@ -17,12 +18,13 @@
 #include <vector>
 
 #include "core/server.hh"
+#include "fleet/fleet.hh"
 #include "net/traffic.hh"
 #include "obs/energy.hh"
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/slo.hh"
-#include "obs/trace.hh"
+#include "obs/span.hh"
 #include "proc/processor.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -249,9 +251,9 @@ TEST(JsonNumber, ShortestRoundTrip)
 
 // --- trace ring ---------------------------------------------------------
 
-TEST(PacketTracer, RingOverflowKeepsNewestRecords)
+TEST(SpanTracer, RingOverflowKeepsNewestRecords)
 {
-    PacketTracer t(PacketTracer::Config{8, 1});
+    SpanTracer t(SpanTracer::Config{8, 1});
     for (std::uint64_t i = 0; i < 20; ++i)
         t.record(static_cast<Tick>(i) * kUs, i, TracePoint::Ingress, 0);
 
@@ -260,25 +262,25 @@ TEST(PacketTracer, RingOverflowKeepsNewestRecords)
     EXPECT_EQ(t.size(), 8u);
     EXPECT_EQ(t.capacity(), 8u);
     // Oldest retained record is #12, newest #19.
-    EXPECT_EQ(t.at(0).pkt, 12u);
-    EXPECT_EQ(t.at(7).pkt, 19u);
+    EXPECT_EQ(t.at(0).id, 12u);
+    EXPECT_EQ(t.at(7).id, 19u);
 }
 
-TEST(PacketTracer, SamplingFiltersByPacketId)
+TEST(SpanTracer, SamplingFiltersById)
 {
-    PacketTracer t(PacketTracer::Config{16, 64});
+    SpanTracer t(SpanTracer::Config{16, 64});
     EXPECT_TRUE(t.wants(0));
     EXPECT_FALSE(t.wants(1));
     EXPECT_TRUE(t.wants(128));
     EXPECT_FALSE(t.wants(129));
 }
 
-TEST(PacketTracer, ChromeJsonSmoke)
+TEST(SpanTracer, ChromeJsonSmoke)
 {
-    PacketTracer t(PacketTracer::Config{16, 1});
-    t.setLaneName(2, "snic_ring");
-    t.record(1500, 64, TracePoint::RingEnqueue, 2, 3);
-    t.record(2 * kUs, 64, TracePoint::ServiceEnd, 3);
+    SpanTracer t(SpanTracer::Config{16, 1});
+    t.record(1500, 64, TracePoint::RingEnqueue, laneId(Lane::SnicRing),
+             3);
+    t.record(2 * kUs, 64, TracePoint::ServiceEnd, laneId(Lane::SnicCore));
 
     std::ostringstream os;
     t.writeChromeJson(os, 7);
@@ -292,17 +294,19 @@ TEST(PacketTracer, ChromeJsonSmoke)
     // per us), and whole-us ticks print without a fraction.
     EXPECT_NE(doc.find("\"ts\":0.001500"), std::string::npos) << doc;
     EXPECT_NE(doc.find("\"ts\":2,"), std::string::npos) << doc;
+    // Only lanes that hold records get a row label.
+    EXPECT_EQ(doc.find("\"return_link\""), std::string::npos) << doc;
 }
 
-TEST(PacketTracer, TextOutputIsDeterministic)
+TEST(SpanTracer, TextOutputIsDeterministic)
 {
-    auto fill = [](PacketTracer &t) {
+    auto fill = [](SpanTracer &t) {
         t.record(10, 0, TracePoint::Ingress, 0);
         t.record(20, 0, TracePoint::RingEnqueue, 2, 5);
         t.record(30, 0, TracePoint::Drop, 4, 1);
     };
-    PacketTracer a(PacketTracer::Config{8, 1});
-    PacketTracer b(PacketTracer::Config{8, 1});
+    SpanTracer a(SpanTracer::Config{8, 1});
+    SpanTracer b(SpanTracer::Config{8, 1});
     fill(a);
     fill(b);
     std::ostringstream oa, ob;
@@ -310,6 +314,207 @@ TEST(PacketTracer, TextOutputIsDeterministic)
     b.writeText(ob);
     EXPECT_EQ(oa.str(), ob.str());
     EXPECT_NE(oa.str().find("ring_enqueue"), std::string::npos);
+}
+
+TEST(SpanTracer, StageRecordsExportUnderLifecyclePointOnTheirLane)
+{
+    SpanTracer t(SpanTracer::Config{8, 1});
+    const std::uint8_t lane = laneId(Lane::ReturnLink);
+    t.record(3 * kUs, 128, TracePoint::Egress, lane, 9);
+
+    const SpanEvent &e = t.at(0);
+    EXPECT_EQ(e.kind, SpanKind::Stage);
+    EXPECT_EQ(e.phase, SpanPhase::Instant);
+    EXPECT_EQ(e.a, static_cast<std::uint32_t>(TracePoint::Egress));
+    EXPECT_EQ(e.b, 9u);
+
+    std::ostringstream json, text;
+    t.writeChromeJson(json, 0);
+    t.writeText(text);
+    const std::string row = "{\"name\":\"egress\",\"ph\":\"i\"";
+    EXPECT_NE(json.str().find(row), std::string::npos) << json.str();
+    EXPECT_NE(json.str().find("\"tid\":" + std::to_string(lane) +
+                              ",\"args\":{\"id\":128,"),
+              std::string::npos)
+        << json.str();
+    EXPECT_NE(json.str().find("\"tid\":" + std::to_string(lane) +
+                              ",\"args\":{\"name\":\"return_link\"}"),
+              std::string::npos)
+        << json.str();
+    EXPECT_EQ(json.str().find("\"stage\""), std::string::npos);
+    EXPECT_EQ(text.str(),
+              "3000000 id=128 egress ph=i lane=return_link a=6 b=9\n");
+}
+
+TEST(SpanTracer, EndWhoseBeginWasOverwrittenDemotesToInstant)
+{
+    SpanTracer t(SpanTracer::Config{4, 1});
+    const std::uint8_t lane = laneId(Lane::Client);
+    // Request 7's Begin falls off the 4-slot ring; request 8 keeps
+    // both halves.
+    t.record(1 * kUs, 7, SpanKind::Request, SpanPhase::Begin, lane);
+    t.record(2 * kUs, 8, SpanKind::Request, SpanPhase::Begin, lane);
+    t.record(3 * kUs, 0, SpanKind::HealthUp, SpanPhase::Instant,
+             laneId(Lane::Health));
+    t.record(4 * kUs, 7, SpanKind::Request, SpanPhase::End, lane);
+    t.record(5 * kUs, 8, SpanKind::Request, SpanPhase::End, lane);
+    ASSERT_EQ(t.overwritten(), 1u);
+
+    std::ostringstream os;
+    t.writeChromeJson(os, 0);
+    const std::string doc = os.str();
+    // The orphaned End is an instant carrying its id in args...
+    EXPECT_NE(doc.find("{\"name\":\"request\",\"ph\":\"i\",\"s\":\"t\","
+                       "\"ts\":4,\"pid\":0,\"tid\":9,\"args\":{\"id\":7,"),
+              std::string::npos)
+        << doc;
+    EXPECT_EQ(doc.find("\"ph\":\"e\",\"id\":7"), std::string::npos) << doc;
+    // ...while the intact pair stays an async span with its flow.
+    EXPECT_NE(doc.find("\"ph\":\"b\",\"id\":8"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"ph\":\"e\",\"id\":8"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"cat\":\"flow\",\"ph\":\"s\",\"id\":8"),
+              std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"cat\":\"flow\",\"ph\":\"f\",\"id\":8"),
+              std::string::npos)
+        << doc;
+    EXPECT_EQ(doc.find("\"cat\":\"flow\",\"ph\":\"s\",\"id\":7"),
+              std::string::npos)
+        << doc;
+}
+
+// --- flight recorder ----------------------------------------------------
+
+TEST(FlightRecorder, TruncatedWhenWindowStartWasOverwritten)
+{
+    // Four slots hold ticks 6..9 us of ten records; a dump at 9 us
+    // looking back 5 us wants 4 us onward, whose head is gone.
+    const auto dumpAt9us = [](Tick pre) {
+        EventQueue eq;
+        FlightRecorder::Config fc;
+        fc.capacity = 4;
+        fc.pre = pre;
+        fc.post = 1 * kUs;
+        fc.armed = frTriggerBit(FrTrigger::Fault);
+        FlightRecorder fr(eq, fc);
+        for (std::uint64_t i = 0; i < 10; ++i) {
+            fr.record(static_cast<Tick>(i) * kUs, i, SpanKind::Attempt,
+                      SpanPhase::Instant, laneId(Lane::Client));
+        }
+        fr.trigger(9 * kUs, FrTrigger::Fault);
+        fr.finalizePending(20 * kUs);
+        std::ostringstream os;
+        fr.writeJson(os);
+        return os.str();
+    };
+    const std::string cut = dumpAt9us(5 * kUs);
+    EXPECT_NE(cut.find("\"truncated\":true"), std::string::npos) << cut;
+    EXPECT_NE(cut.find("\"window_begin\":4000000"), std::string::npos)
+        << cut;
+    // Looking back only 2 us starts inside the retained records.
+    const std::string whole = dumpAt9us(2 * kUs);
+    EXPECT_NE(whole.find("\"truncated\":false"), std::string::npos)
+        << whole;
+}
+
+TEST(FlightRecorder, DumpsBeyondMaxAreCountedAsDropped)
+{
+    EventQueue eq;
+    FlightRecorder::Config fc;
+    fc.max_dumps = 2;
+    fc.armed = frTriggerBit(FrTrigger::Fault);
+    FlightRecorder fr(eq, fc);
+    for (int i = 0; i < 3; ++i)
+        fr.trigger(static_cast<Tick>(i) * kUs, FrTrigger::Fault);
+    // An unarmed source counts but never takes a slot.
+    fr.trigger(4 * kUs, FrTrigger::Slo);
+    fr.finalizePending(10 * kUs);
+
+    EXPECT_EQ(fr.dumps(), 2u);
+    EXPECT_EQ(fr.dumpsDropped(), 1u);
+    EXPECT_EQ(fr.triggers(FrTrigger::Fault), 3u);
+    EXPECT_EQ(fr.triggers(FrTrigger::Slo), 1u);
+    EXPECT_EQ(fr.triggersTotal(), 4u);
+    std::ostringstream os;
+    fr.writeJson(os);
+    EXPECT_NE(os.str().find("\"dumps_dropped\":1"), std::string::npos)
+        << os.str();
+}
+
+// --- obs config validation ----------------------------------------------
+
+TEST(ObsConfigValidation, EachRejectedFieldThrowsFromServerAndFleet)
+{
+    struct Case
+    {
+        const char *field;
+        void (*breakIt)(ObsConfig &);
+    };
+    const Case cases[] = {
+        {"obs.sample_epoch",
+         [](ObsConfig &o) {
+             o.stats = true;
+             o.sample_epoch = 0;
+         }},
+        {"obs.trace_capacity",
+         [](ObsConfig &o) {
+             o.trace = true;
+             o.trace_capacity = 0;
+         }},
+        {"obs.trace_sample_every",
+         [](ObsConfig &o) {
+             o.spans = true;
+             o.trace_sample_every = 0;
+         }},
+        {"obs.fr_capacity",
+         [](ObsConfig &o) {
+             o.flightrec = true;
+             o.fr_capacity = 0;
+         }},
+        {"obs.fr_max_dumps",
+         [](ObsConfig &o) {
+             o.flightrec = true;
+             o.fr_max_dumps = 0;
+         }},
+    };
+    const auto throwsNaming = [](const auto &construct,
+                                 const std::string &field) {
+        try {
+            construct();
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what()).find(field) != std::string::npos;
+        }
+        return false;
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field);
+        ObsConfig bad;
+        c.breakIt(bad);
+        ASSERT_EQ(bad.validate().size(), 1u);
+
+        core::ServerConfig scfg = core::ServerConfig::halDefault();
+        scfg.obs = bad;
+        EXPECT_TRUE(throwsNaming(
+            [&scfg] {
+                EventQueue eq;
+                core::ServerSystem sys(eq, scfg);
+            },
+            c.field));
+
+        fleet::FleetConfig fcfg;
+        fcfg.obs = bad;
+        EXPECT_TRUE(throwsNaming(
+            [&fcfg] {
+                EventQueue eq;
+                fleet::FleetSystem sys(eq, fcfg);
+            },
+            c.field));
+    }
+    // A field of a feature that is off is not checked.
+    ObsConfig off;
+    off.trace_capacity = 0;
+    off.fr_max_dumps = 0;
+    EXPECT_TRUE(off.validate().empty());
 }
 
 // --- end-to-end: Hal mode with obs on ----------------------------------
@@ -544,7 +749,7 @@ TEST(SloMonitor, PartialTrailingEpochIsClosed)
 
 TEST(SloAttribution, PicksSlowestStagePerPacket)
 {
-    PacketTracer t(PacketTracer::Config{64, 1});
+    SpanTracer t(SpanTracer::Config{64, 1});
     const Tick target = 100 * kUs;
 
     // pkt 1: 300 us span dominated by queue wait.
@@ -578,6 +783,42 @@ TEST(SloAttribution, PicksSlowestStagePerPacket)
     EXPECT_EQ(a.service, 1u);
     EXPECT_EQ(a.dispatch, 0u);
     EXPECT_EQ(a.egress, 0u);
+}
+
+TEST(SloAttribution, IgnoresNonStageRecordsInAMixedRing)
+{
+    // Span records share the ring with the packet stages. Their a/b
+    // fields are not lifecycle points: read as such, the early
+    // Attempt (a = Ingress) would stretch pkt 3 over the target and
+    // the late End (a = ServiceEnd) would make pkt 1 service-bound.
+    SpanTracer t(SpanTracer::Config{64, 1});
+    const Tick target = 100 * kUs;
+    const auto pt = [](TracePoint p) {
+        return static_cast<std::uint32_t>(p);
+    };
+    const std::uint8_t client = laneId(Lane::Client);
+
+    t.record(0, 3, SpanKind::Attempt, SpanPhase::Instant, client,
+             pt(TracePoint::Ingress));
+    t.record(0, 1, TracePoint::Ingress, 0);
+    t.record(10 * kUs, 1, TracePoint::RingEnqueue, 1);
+    t.record(50 * kUs, 0, SpanKind::GovernorEpoch, SpanPhase::Instant,
+             laneId(Lane::Governor), pt(TracePoint::Egress));
+    t.record(200 * kUs, 3, TracePoint::Ingress, 0);
+    t.record(201 * kUs, 3, TracePoint::RingEnqueue, 1);
+    t.record(202 * kUs, 3, TracePoint::ServiceStart, 2);
+    t.record(203 * kUs, 3, TracePoint::ServiceEnd, 2);
+    t.record(204 * kUs, 3, TracePoint::Egress, 3);
+    t.record(260 * kUs, 1, TracePoint::ServiceStart, 2);
+    t.record(280 * kUs, 1, TracePoint::ServiceEnd, 2);
+    t.record(300 * kUs, 1, TracePoint::Egress, 3);
+    t.record(900 * kUs, 1, SpanKind::Request, SpanPhase::End, client,
+             pt(TracePoint::ServiceEnd));
+
+    const SloAttribution a = attributeTail(t, target);
+    EXPECT_EQ(a.attributed, 1u);
+    EXPECT_EQ(a.queue_wait, 1u);
+    EXPECT_EQ(a.service, 0u);
 }
 
 // --- end-to-end: energy conservation and SLO accounting -----------------

@@ -1,17 +1,14 @@
 /**
  * @file
- * ReportTable rendering (text/CSV/JSON-lines) and pcap round trips,
- * including a PcapTap on a live simulated edge.
+ * pcap round trips, including a PcapTap on a live simulated edge.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 
 #include "net/pcap.hh"
 #include "net/traffic.hh"
-#include "sim/report.hh"
 
 using namespace halsim;
 using namespace halsim::net;
@@ -25,50 +22,6 @@ tmpPath(const char *name)
 }
 
 } // namespace
-
-TEST(ReportTable, TextAlignsColumns)
-{
-    ReportTable t({"name", "gbps", "count"});
-    t.row().add("nat").add(41.0).add(std::int64_t{7});
-    t.row().add("count").add(58.4).add(std::int64_t{12345});
-    std::ostringstream os;
-    t.writeText(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("name"), std::string::npos);
-    EXPECT_NE(s.find("58.4"), std::string::npos);
-    EXPECT_NE(s.find("12345"), std::string::npos);
-    EXPECT_EQ(t.rows(), 2u);
-    EXPECT_EQ(t.columns(), 3u);
-}
-
-TEST(ReportTable, CsvEscapesSpecials)
-{
-    ReportTable t({"label", "value"});
-    t.row().add("with,comma").add(1.5);
-    t.row().add("with\"quote").add(2.5);
-    std::ostringstream os;
-    t.writeCsv(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("\"with,comma\""), std::string::npos);
-    EXPECT_NE(s.find("\"with\"\"quote\""), std::string::npos);
-    EXPECT_EQ(s.find('\n'), s.find("label,value") + 11);
-}
-
-TEST(ReportTable, JsonLinesParseable)
-{
-    ReportTable t({"mode", "tp"});
-    t.row().add("hal").add(80.0);
-    std::ostringstream os;
-    t.writeJsonLines(os);
-    EXPECT_EQ(os.str(), "{\"mode\":\"hal\",\"tp\":80}\n");
-}
-
-TEST(ReportTable, CellAccessor)
-{
-    ReportTable t({"a"});
-    t.row().add(std::int64_t{42});
-    EXPECT_EQ(std::get<std::int64_t>(t.at(0, 0)), 42);
-}
 
 TEST(Pcap, WriteReadRoundTrip)
 {

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Validate sweep-bench artifacts against the committed schema.
 
-CI runs the fig4 bench with --json/--stats-out/--trace and feeds the
-three artifacts through this script, so a RunResult field added (or
-renamed) in src/core/results.cc without a matching edit to
-tools/bench_schema.json fails the build instead of silently shipping
-a different artifact shape.
+CI's release job feeds every artifact it produces through this
+script: the fig4 sweep's --json/--stats-out/--trace, the fleet
+drill's --json/--stats-out/--trace, the governor sweep's
+--json/--trace, and bench_sim_core's --json (--simcore). A RunResult
+field added (or renamed) in src/core/results.cc without a matching
+edit to tools/bench_schema.json fails the build instead of silently
+shipping a different artifact shape.
 
 Only the Python standard library is used.
 """

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a span-trace artifact (--trace-spans) structurally.
+"""Validate a trace artifact (--trace) structurally.
 
 check_bench_json.py gates the artifact's *shape* against the schema;
 this script checks the *semantics* Chrome/Perfetto rely on to render
@@ -20,10 +20,9 @@ the document:
   * metadata ("M") names restricted to thread_name / process_name /
     run_metadata, with run_metadata carrying the deterministic
     bench/preset/seed/build block.
-
-Global timestamp monotonicity is deliberately NOT checked: bridged
-packet-stage instants are appended after the run and interleave out
-of tick order with the live span records.
+  * ts never decreases within a pid (metadata events excluded): each
+    pid is one sweep point's ring, written in the order its records
+    happened.
 
 Only the Python standard library is used. Exit 0 when every given
 artifact passes, 1 otherwise (one diagnostic per violation).
@@ -70,12 +69,18 @@ def require(ev, keys, where):
     return ok
 
 
-def check_ts(ev, where):
+def check_ts(ev, where, last_ts, index):
     ts = ev.get("ts")
     if not is_num(ts):
         fail("%s: ts is not a number: %r" % (where, ts))
-    elif ts < 0:
+        return
+    if ts < 0:
         fail("%s: negative ts" % where)
+    prev = last_ts.get(ev["pid"])
+    if prev is not None and ts < prev[0]:
+        fail("%s: ts %r runs backwards within pid %r (traceEvents[%d] "
+             "had ts %r)" % (where, ts, ev["pid"], prev[1], prev[0]))
+    last_ts[ev["pid"]] = (ts, index)
 
 
 def check_meta(ev, where):
@@ -113,6 +118,8 @@ def check_artifact(path, require_flows):
 
     # (pid, id, name) -> count of unmatched "b"s.
     open_spans = {}
+    # pid -> (ts, index) of its latest non-metadata event.
+    last_ts = {}
     # (pid, id) -> set of flow phases seen so far.
     flows = {}
     saw_begin = saw_flow_start = False
@@ -132,14 +139,14 @@ def check_artifact(path, require_flows):
 
         if ph == "i":
             if require(ev, ("name", "ph", "ts", "pid", "tid"), where):
-                check_ts(ev, where)
+                check_ts(ev, where, last_ts, i)
             continue
 
         if ph in SPAN_PHASES:
             if not require(ev, ("name", "ph", "ts", "pid", "tid",
                                 "id", "cat"), where):
                 continue
-            check_ts(ev, where)
+            check_ts(ev, where, last_ts, i)
             if ev["cat"] != "span":
                 fail("%s: %r event with cat %r (want \"span\")" %
                      (where, ph, ev["cat"]))
@@ -161,7 +168,7 @@ def check_artifact(path, require_flows):
             if not require(ev, ("name", "ph", "ts", "pid", "tid",
                                 "id", "cat"), where):
                 continue
-            check_ts(ev, where)
+            check_ts(ev, where, last_ts, i)
             if ev["cat"] != "flow":
                 fail("%s: %r event with cat %r (want \"flow\")" %
                      (where, ph, ev["cat"]))
@@ -183,8 +190,8 @@ def check_artifact(path, require_flows):
 
         fail("%s: unexpected phase %r" % (where, ph))
 
-    # A server-mode span artifact legitimately holds only bridged
-    # packet-stage instants (request spans are a fleet concept), so
+    # A server-mode artifact legitimately holds only packet-stage and
+    # governor instants (request spans are a fleet concept), so
     # presence of begins/flows is opt-in for fleet artifacts.
     if require_flows:
         if not saw_begin:
@@ -198,7 +205,7 @@ def check_artifact(path, require_flows):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("traces", nargs="+",
-                    help="span-trace artifacts (--trace-spans output)")
+                    help="trace artifacts (--trace output)")
     ap.add_argument("--require-flows", action="store_true",
                     help="additionally require span begins and flow "
                          "starts (fleet artifacts: request spans "
