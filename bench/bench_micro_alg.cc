@@ -15,7 +15,6 @@
 #include "alg/corpus.hh"
 #include "alg/deflate.hh"
 #include "alg/fixed_map.hh"
-#include "alg/prefilter.hh"
 #include "alg/sha256.hh"
 #include "coherence/domain.hh"
 #include "net/checksum.hh"
@@ -42,31 +41,12 @@ BM_AhoCorasickScan(benchmark::State &state)
 BENCHMARK(BM_AhoCorasickScan)->Arg(100)->Arg(2500);
 
 void
-BM_PrefilterScan(benchmark::State &state)
-{
-    // The host-style (Hyperscan/FDR-like) literal engine, on the
-    // same inputs as BM_AhoCorasickScan for comparison.
-    const auto rules = alg::makeRuleset(alg::RulesetKind::Teakettle,
-                                        static_cast<std::size_t>(
-                                            state.range(0)));
-    alg::PrefilterMatcher pf(rules);
-    const auto text = alg::makeScanStream(1 << 16, rules, 0.05, 3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pf.countMatches(text));
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_PrefilterScan)->Arg(100)->Arg(2500);
-
-void
 BM_DeflateCompress(benchmark::State &state)
 {
     const auto data =
         alg::makeSilesiaLike(static_cast<std::size_t>(state.range(0)), 5);
-    alg::DeflateConfig cfg;
-    cfg.max_chain = 16;
     for (auto _ : state)
-        benchmark::DoNotOptimize(alg::deflateCompress(data, cfg));
+        benchmark::DoNotOptimize(alg::deflateCompress(data, 16));
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));
 }
@@ -77,7 +57,7 @@ BM_DeflateRoundTrip(benchmark::State &state)
 {
     const auto data = alg::makeSilesiaLike(16384, 6);
     for (auto _ : state) {
-        const auto c = alg::deflateCompress(data);
+        const auto c = alg::deflateCompress(data, 16);
         benchmark::DoNotOptimize(alg::deflateDecompress(c));
     }
 }

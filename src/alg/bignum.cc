@@ -496,60 +496,6 @@ BigUint::modexp(const BigUint &e, const BigUint &m) const
     return result;
 }
 
-BigUint
-BigUint::modinv(const BigUint &m) const
-{
-    // Extended Euclid on (a, m) tracking x where a*x = g (mod m).
-    // Signs handled by tracking (value, negative) pairs.
-    BigUint a = *this % m;
-    if (a.isZero())
-        return BigUint();
-    BigUint r0 = m, r1 = a;
-    BigUint s0(0), s1(1);
-    bool neg0 = false, neg1 = false;
-    while (!r1.isZero()) {
-        const BigUintDivMod dm = r0.divmod(r1);
-        // s2 = s0 - q * s1 (signed).
-        const BigUint qs1 = dm.quotient * s1;
-        BigUint s2;
-        bool neg2;
-        if (neg0 == !neg1) {
-            // s0 and q*s1 have the same effective sign after the minus:
-            // s0 - q*s1 where signs differ -> addition.
-            s2 = s0 + qs1;
-            neg2 = neg0;
-        } else if (s0 >= qs1) {
-            s2 = s0 - qs1;
-            neg2 = neg0;
-        } else {
-            s2 = qs1 - s0;
-            neg2 = !neg0;
-        }
-        r0 = r1;
-        r1 = dm.remainder;
-        s0 = s1;
-        neg0 = neg1;
-        s1 = std::move(s2);
-        neg1 = neg2;
-    }
-    if (r0 != BigUint(1))
-        return BigUint();   // not invertible
-    if (neg0)
-        return m - (s0 % m);
-    return s0 % m;
-}
-
-BigUint
-BigUint::gcd(BigUint a, BigUint b)
-{
-    while (!b.isZero()) {
-        BigUint r = a % b;
-        a = std::move(b);
-        b = std::move(r);
-    }
-    return a;
-}
-
 bool
 BigUint::isProbablePrime(halsim::Rng &rng, int rounds) const
 {
@@ -591,17 +537,6 @@ BigUint::isProbablePrime(halsim::Rng &rng, int rounds) const
 }
 
 namespace groups {
-
-BigUint
-oakley768()
-{
-    // RFC 2409 First Oakley Group (768-bit MODP), generator 2.
-    static const BigUint p = BigUint::fromHex(
-        "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-        "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-        "4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF");
-    return p;
-}
 
 BigUint
 prime512()

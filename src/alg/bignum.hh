@@ -1,7 +1,7 @@
 /**
  * @file
  * Arbitrary-precision unsigned integers and modular arithmetic: the
- * public-key cryptography substrate (RSA / Diffie-Hellman / DSA).
+ * public-key cryptography substrate (RSA / DH / DSA-style modexp).
  * The paper's crypto function drives the BF-2 PKA accelerator or the
  * host's QAT through OpenSSL; our functional equivalent computes the
  * same modular exponentiations with a from-scratch bignum.
@@ -82,12 +82,6 @@ class BigUint
     /** (this ^ e) mod m via left-to-right square-and-multiply. */
     BigUint modexp(const BigUint &e, const BigUint &m) const;
 
-    /** Modular inverse via extended Euclid; zero when none exists. */
-    BigUint modinv(const BigUint &m) const;
-
-    /** Greatest common divisor. */
-    static BigUint gcd(BigUint a, BigUint b);
-
     /** Miller-Rabin probable-prime test with @p rounds witnesses. */
     bool isProbablePrime(halsim::Rng &rng, int rounds = 16) const;
 
@@ -117,15 +111,12 @@ BigUint::operator%(const BigUint &d) const
 }
 
 /**
- * Well-known safe prime groups for DH/DSA-style operations, so the
- * crypto function need not generate primes per run.
+ * Fixed prime moduli, so the crypto function need not generate primes
+ * per run.
  */
 namespace groups {
 
-/** RFC 2409 Oakley Group 1: 768-bit MODP prime (generator 2). */
-BigUint oakley768();
-
-/** A fixed 512-bit probable prime for fast unit tests. */
+/** A fixed 512-bit probable prime: the crypto function's modulus. */
 BigUint prime512();
 
 } // namespace groups

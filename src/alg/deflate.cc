@@ -1,10 +1,7 @@
 #include "alg/deflate.hh"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cstring>
-#include <queue>
 #include <stdexcept>
 
 namespace halsim::alg {
@@ -33,9 +30,6 @@ constexpr std::uint8_t kDistExtra[30] = {
 /** Order in which code-length-code lengths are transmitted. */
 constexpr std::uint8_t kClPermutation[19] = {
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
-
-constexpr int kLitLenSymbols = 286;
-constexpr int kDistSymbols = 30;
 
 /** Length (bytes) -> length code index 0..28. */
 int
@@ -104,13 +98,6 @@ class BitWriter
     {
         assert(filled_ == 0);
         out_.push_back(b);
-    }
-
-    /** Total bits emitted so far (for block-type cost comparison). */
-    std::size_t
-    bitCount() const
-    {
-        return out_.size() * 8 + static_cast<std::size_t>(filled_);
     }
 
     std::vector<std::uint8_t>
@@ -187,129 +174,6 @@ fixedLitCode(int sym)
     return {0xc0 + (sym - 280), 8};           // 11000000 ..
 }
 
-// --- Canonical Huffman machinery (dynamic blocks) ---------------------
-
-/**
- * Length-limited Huffman code lengths for the given frequencies.
- * Unused symbols get length 0; a single used symbol gets length 1.
- * Overlong codes are clamped to @p max_len and the Kraft sum repaired
- * by deepening the shallowest remaining codes (both sides only need
- * matching lengths, which are transmitted).
- */
-std::vector<std::uint8_t>
-buildCodeLengths(const std::vector<std::uint64_t> &freq, int max_len)
-{
-    const std::size_t n = freq.size();
-    std::vector<std::uint8_t> lengths(n, 0);
-
-    std::size_t used = 0;
-    std::size_t last_used = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (freq[i] > 0) {
-            ++used;
-            last_used = i;
-        }
-    }
-    if (used == 0)
-        return lengths;
-    if (used == 1) {
-        lengths[last_used] = 1;
-        return lengths;
-    }
-
-    // Standard Huffman tree via a min-heap of (weight, node id).
-    struct Node
-    {
-        std::uint64_t weight;
-        int left = -1, right = -1;
-        int symbol = -1;
-    };
-    std::vector<Node> nodes;
-    using Entry = std::pair<std::uint64_t, int>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (freq[i] > 0) {
-            nodes.push_back({freq[i], -1, -1, static_cast<int>(i)});
-            heap.emplace(freq[i], static_cast<int>(nodes.size()) - 1);
-        }
-    }
-    while (heap.size() > 1) {
-        const auto [wa, a] = heap.top();
-        heap.pop();
-        const auto [wb, b] = heap.top();
-        heap.pop();
-        nodes.push_back({wa + wb, a, b, -1});
-        heap.emplace(wa + wb, static_cast<int>(nodes.size()) - 1);
-    }
-
-    // Depth-first traversal for leaf depths (iterative).
-    std::vector<std::pair<int, int>> stack{{heap.top().second, 0}};
-    while (!stack.empty()) {
-        const auto [id, depth] = stack.back();
-        stack.pop_back();
-        const Node &node = nodes[static_cast<std::size_t>(id)];
-        if (node.symbol >= 0) {
-            lengths[static_cast<std::size_t>(node.symbol)] =
-                static_cast<std::uint8_t>(std::min(depth, max_len));
-            continue;
-        }
-        stack.emplace_back(node.left, depth + 1);
-        stack.emplace_back(node.right, depth + 1);
-    }
-
-    // Repair the Kraft inequality after clamping: deepen the
-    // shallowest codes (cheapest in expected bits) until the code is
-    // feasible again.
-    auto kraft = [&] {
-        std::uint64_t k = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (lengths[i] > 0)
-                k += std::uint64_t{1}
-                     << static_cast<unsigned>(max_len - lengths[i]);
-        return k;
-    };
-    const std::uint64_t cap = std::uint64_t{1}
-                              << static_cast<unsigned>(max_len);
-    while (kraft() > cap) {
-        std::size_t best = n;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (lengths[i] > 0 && lengths[i] < max_len &&
-                (best == n || lengths[i] < lengths[best])) {
-                best = i;
-            }
-        }
-        assert(best < n && "cannot repair Huffman lengths");
-        ++lengths[best];
-    }
-    return lengths;
-}
-
-/** Canonical code values for a set of lengths (RFC 1951 §3.2.2). */
-std::vector<std::uint32_t>
-canonicalCodes(const std::vector<std::uint8_t> &lengths)
-{
-    int max_len = 0;
-    for (std::uint8_t l : lengths)
-        max_len = std::max<int>(max_len, l);
-    std::vector<std::uint32_t> bl_count(
-        static_cast<std::size_t>(max_len) + 1, 0);
-    for (std::uint8_t l : lengths)
-        if (l > 0)
-            ++bl_count[l];
-    std::vector<std::uint32_t> next_code(
-        static_cast<std::size_t>(max_len) + 1, 0);
-    std::uint32_t code = 0;
-    for (int len = 1; len <= max_len; ++len) {
-        code = (code + bl_count[static_cast<std::size_t>(len) - 1]) << 1;
-        next_code[static_cast<std::size_t>(len)] = code;
-    }
-    std::vector<std::uint32_t> codes(lengths.size(), 0);
-    for (std::size_t i = 0; i < lengths.size(); ++i)
-        if (lengths[i] > 0)
-            codes[i] = next_code[lengths[i]]++;
-    return codes;
-}
-
 /**
  * Canonical Huffman decoder: per-length first-code tables plus the
  * symbol list sorted by (length, symbol).
@@ -373,206 +237,34 @@ class CanonicalDecoder
     std::vector<std::uint16_t> symbols_;
 };
 
-// --- LZ77 token stream -------------------------------------------------
-
-/** One LZ77 token: a literal (dist == 0) or a (length, dist) match. */
-struct Token
-{
-    std::uint16_t lit_or_len;
-    std::uint16_t dist;
-};
-
-/** Emit the token stream with the given (possibly fixed) code sets. */
+/** Write literal/length symbol 0..287 with its fixed code. */
 void
-emitTokens(BitWriter &bw, const std::vector<Token> &tokens,
-           const std::vector<std::uint8_t> &lit_len,
-           const std::vector<std::uint32_t> &lit_code,
-           const std::vector<std::uint8_t> &dist_len,
-           const std::vector<std::uint32_t> &dist_code)
+writeFixedLitLen(BitWriter &bw, int sym)
 {
-    for (const Token &t : tokens) {
-        if (t.dist == 0) {
-            bw.writeCode(lit_code[t.lit_or_len], lit_len[t.lit_or_len]);
-            continue;
-        }
-        const int lc = lengthCode(t.lit_or_len);
-        const std::size_t lsym = static_cast<std::size_t>(257 + lc);
-        bw.writeCode(lit_code[lsym], lit_len[lsym]);
-        if (kLengthExtra[lc])
-            bw.writeBits(
-                static_cast<std::uint32_t>(t.lit_or_len - kLengthBase[lc]),
-                kLengthExtra[lc]);
-        const auto dc = static_cast<std::size_t>(distCode(t.dist));
-        bw.writeCode(dist_code[dc], dist_len[dc]);
-        if (kDistExtra[dc])
-            bw.writeBits(
-                static_cast<std::uint32_t>(t.dist - kDistBase[dc]),
-                kDistExtra[dc]);
-    }
-    // End of block.
-    bw.writeCode(lit_code[256], lit_len[256]);
+    const auto [code, bits] = fixedLitCode(sym);
+    bw.writeCode(code, bits);
 }
 
-/** Fixed-Huffman code tables as length/code vectors. */
+/** Write one (length, distance) match with the fixed codes. */
 void
-fixedTables(std::vector<std::uint8_t> &lit_len,
-            std::vector<std::uint32_t> &lit_code,
-            std::vector<std::uint8_t> &dist_len,
-            std::vector<std::uint32_t> &dist_code)
+writeFixedMatch(BitWriter &bw, int len, int dist)
 {
-    lit_len.resize(288);
-    lit_code.resize(288);
-    for (int s = 0; s < 288; ++s) {
-        const auto [code, bits] = fixedLitCode(s);
-        lit_code[static_cast<std::size_t>(s)] = code;
-        lit_len[static_cast<std::size_t>(s)] =
-            static_cast<std::uint8_t>(bits);
-    }
-    dist_len.assign(30, 5);
-    dist_code.resize(30);
-    for (std::uint32_t s = 0; s < 30; ++s)
-        dist_code[s] = s;
-}
-
-/**
- * RLE-encode the concatenated literal+distance length arrays with the
- * 0-18 code-length alphabet (16 = repeat previous 3-6, 17 = zero run
- * 3-10, 18 = zero run 11-138). Returns (symbol, extra) pairs where
- * extra is the repeat count payload (or -1 for plain symbols).
- */
-std::vector<std::pair<int, int>>
-rleCodeLengths(const std::vector<std::uint8_t> &lengths)
-{
-    std::vector<std::pair<int, int>> out;
-    std::size_t i = 0;
-    while (i < lengths.size()) {
-        const std::uint8_t v = lengths[i];
-        std::size_t run = 1;
-        while (i + run < lengths.size() && lengths[i + run] == v)
-            ++run;
-        if (v == 0) {
-            std::size_t left = run;
-            while (left >= 11) {
-                const std::size_t take = std::min<std::size_t>(left, 138);
-                out.emplace_back(18, static_cast<int>(take) - 11);
-                left -= take;
-            }
-            while (left >= 3) {
-                const std::size_t take = std::min<std::size_t>(left, 10);
-                out.emplace_back(17, static_cast<int>(take) - 3);
-                left -= take;
-            }
-            while (left-- > 0)
-                out.emplace_back(0, -1);
-        } else {
-            out.emplace_back(v, -1);
-            std::size_t left = run - 1;
-            while (left >= 3) {
-                const std::size_t take = std::min<std::size_t>(left, 6);
-                out.emplace_back(16, static_cast<int>(take) - 3);
-                left -= take;
-            }
-            while (left-- > 0)
-                out.emplace_back(v, -1);
-        }
-        i += run;
-    }
-    return out;
-}
-
-/** Render one complete dynamic-Huffman block (BFINAL set). */
-void
-emitDynamicBlock(BitWriter &bw, const std::vector<Token> &tokens)
-{
-    // Symbol frequencies.
-    std::vector<std::uint64_t> lit_freq(kLitLenSymbols, 0);
-    std::vector<std::uint64_t> dist_freq(kDistSymbols, 0);
-    for (const Token &t : tokens) {
-        if (t.dist == 0) {
-            ++lit_freq[t.lit_or_len];
-        } else {
-            ++lit_freq[static_cast<std::size_t>(
-                257 + lengthCode(t.lit_or_len))];
-            ++dist_freq[static_cast<std::size_t>(distCode(t.dist))];
-        }
-    }
-    ++lit_freq[256];   // end-of-block always occurs
-
-    std::vector<std::uint8_t> lit_len = buildCodeLengths(lit_freq, 15);
-    std::vector<std::uint8_t> dist_len = buildCodeLengths(dist_freq, 15);
-    // The distance code set may be empty (all-literal data); the spec
-    // still transmits at least one distance code length.
-    bool any_dist = false;
-    for (std::uint8_t l : dist_len)
-        any_dist |= l > 0;
-    if (!any_dist)
-        dist_len[0] = 1;
-
-    const auto lit_code = canonicalCodes(lit_len);
-    const auto dist_code = canonicalCodes(dist_len);
-
-    // Trim trailing unused symbols: HLIT >= 257, HDIST >= 1.
-    std::size_t hlit = kLitLenSymbols;
-    while (hlit > 257 && lit_len[hlit - 1] == 0)
-        --hlit;
-    std::size_t hdist = kDistSymbols;
-    while (hdist > 1 && dist_len[hdist - 1] == 0)
-        --hdist;
-
-    std::vector<std::uint8_t> all(lit_len.begin(),
-                                  lit_len.begin() +
-                                      static_cast<long>(hlit));
-    all.insert(all.end(), dist_len.begin(),
-               dist_len.begin() + static_cast<long>(hdist));
-    const auto rle = rleCodeLengths(all);
-
-    std::vector<std::uint64_t> cl_freq(19, 0);
-    for (const auto &[sym, extra] : rle)
-        ++cl_freq[static_cast<std::size_t>(sym)];
-    std::vector<std::uint8_t> cl_len = buildCodeLengths(cl_freq, 7);
-    const auto cl_code = canonicalCodes(cl_len);
-
-    std::size_t hclen = 19;
-    while (hclen > 4 && cl_len[kClPermutation[hclen - 1]] == 0)
-        --hclen;
-
-    bw.writeBits(1, 1);   // BFINAL
-    bw.writeBits(2, 2);   // BTYPE = 10 dynamic
-    bw.writeBits(static_cast<std::uint32_t>(hlit - 257), 5);
-    bw.writeBits(static_cast<std::uint32_t>(hdist - 1), 5);
-    bw.writeBits(static_cast<std::uint32_t>(hclen - 4), 4);
-    for (std::size_t i = 0; i < hclen; ++i)
-        bw.writeBits(cl_len[kClPermutation[i]], 3);
-    for (const auto &[sym, extra] : rle) {
-        bw.writeCode(cl_code[static_cast<std::size_t>(sym)],
-                     cl_len[static_cast<std::size_t>(sym)]);
-        if (sym == 16)
-            bw.writeBits(static_cast<std::uint32_t>(extra), 2);
-        else if (sym == 17)
-            bw.writeBits(static_cast<std::uint32_t>(extra), 3);
-        else if (sym == 18)
-            bw.writeBits(static_cast<std::uint32_t>(extra), 7);
-    }
-
-    emitTokens(bw, tokens, lit_len, lit_code, dist_len, dist_code);
-}
-
-/** Render one complete fixed-Huffman block (BFINAL set). */
-void
-emitFixedBlock(BitWriter &bw, const std::vector<Token> &tokens)
-{
-    bw.writeBits(1, 1);   // BFINAL
-    bw.writeBits(1, 2);   // BTYPE = 01 fixed
-    std::vector<std::uint8_t> lit_len, dist_len;
-    std::vector<std::uint32_t> lit_code, dist_code;
-    fixedTables(lit_len, lit_code, dist_len, dist_code);
-    emitTokens(bw, tokens, lit_len, lit_code, dist_len, dist_code);
+    const int lc = lengthCode(len);
+    writeFixedLitLen(bw, 257 + lc);
+    if (kLengthExtra[lc])
+        bw.writeBits(static_cast<std::uint32_t>(len - kLengthBase[lc]),
+                     kLengthExtra[lc]);
+    const int dc = distCode(dist);
+    bw.writeCode(static_cast<std::uint32_t>(dc), 5);
+    if (kDistExtra[dc])
+        bw.writeBits(static_cast<std::uint32_t>(dist - kDistBase[dc]),
+                     kDistExtra[dc]);
 }
 
 } // namespace
 
 std::vector<std::uint8_t>
-deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
+deflateCompress(std::span<const std::uint8_t> input, unsigned max_chain)
 {
     const std::uint8_t *in = input.data();
     const std::size_t n = input.size();
@@ -606,7 +298,7 @@ deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
         if (pos + kMinMatch > n)
             return 0;
         std::int32_t cand = head[hash3(pos)];
-        unsigned chain = cfg.max_chain;
+        unsigned chain = max_chain;
         while (cand >= 0 && chain-- > 0) {
             const auto cpos = static_cast<std::size_t>(cand);
             if (pos - cpos > kWindowSize)
@@ -640,14 +332,16 @@ deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
             insert(inserted);
     };
 
-    std::vector<Token> tokens;
-    tokens.reserve(n / 4 + 16);
+    // One fixed-Huffman block (BFINAL set).
+    BitWriter bw;
+    bw.writeBits(1, 1);   // BFINAL
+    bw.writeBits(1, 2);   // BTYPE = 01 fixed
     std::size_t pos = 0;
     while (pos < n) {
         insertThrough(pos);
         int dist = 0;
         int len = findMatch(pos, dist);
-        if (len > 0 && cfg.lazy_match && pos + 1 < n) {
+        if (len > 0 && pos + 1 < n) {
             // One-step lazy evaluation, as zlib does: if the next
             // position has a strictly longer match, emit a literal
             // and take that one instead.
@@ -655,7 +349,7 @@ deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
             int dist2 = 0;
             const int len2 = findMatch(pos + 1, dist2);
             if (len2 > len) {
-                tokens.push_back({in[pos], 0});
+                writeFixedLitLen(bw, in[pos]);
                 ++pos;
                 len = len2;
                 dist = dist2;
@@ -663,30 +357,18 @@ deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
         }
 
         if (len > 0) {
-            tokens.push_back({static_cast<std::uint16_t>(len),
-                              static_cast<std::uint16_t>(dist)});
+            writeFixedMatch(bw, len, dist);
             insertThrough(pos + static_cast<std::size_t>(len));
             pos += static_cast<std::size_t>(len);
         } else {
-            tokens.push_back({in[pos], 0});
+            writeFixedLitLen(bw, in[pos]);
             ++pos;
         }
     }
+    writeFixedLitLen(bw, 256);   // end of block
+    std::vector<std::uint8_t> out = bw.take();
 
-    // Render the cheaper of the fixed and dynamic encodings.
-    BitWriter fixed_bw;
-    emitFixedBlock(fixed_bw, tokens);
-    std::vector<std::uint8_t> out;
-    if (cfg.allow_dynamic) {
-        BitWriter dyn_bw;
-        emitDynamicBlock(dyn_bw, tokens);
-        out = dyn_bw.bitCount() < fixed_bw.bitCount() ? dyn_bw.take()
-                                                      : fixed_bw.take();
-    } else {
-        out = fixed_bw.take();
-    }
-
-    if (cfg.allow_stored && out.size() > n + 5 * (n / 65535 + 1)) {
+    if (out.size() > n + 5 * (n / 65535 + 1)) {
         // Compression expanded the data; fall back to stored blocks.
         BitWriter sw;
         std::size_t off = 0;
@@ -771,11 +453,12 @@ deflateDecompress(std::span<const std::uint8_t> input)
             for (std::uint32_t i = 0; i < len; ++i)
                 out.push_back(br.readByte());
         } else if (btype == 1) {
-            std::vector<std::uint8_t> lit_len, dist_len;
-            std::vector<std::uint32_t> lit_code, dist_code;
-            fixedTables(lit_len, lit_code, dist_len, dist_code);
+            std::vector<std::uint8_t> lit_len(288);
+            for (int sym = 0; sym < 288; ++sym)
+                lit_len[static_cast<std::size_t>(sym)] =
+                    static_cast<std::uint8_t>(fixedLitCode(sym).second);
             const CanonicalDecoder lit(lit_len);
-            const CanonicalDecoder dist(dist_len);
+            const CanonicalDecoder dist(std::vector<std::uint8_t>(30, 5));
             inflateCodedBlock(br, lit, dist, out);
         } else if (btype == 2) {
             const std::size_t hlit = br.readBits(5) + 257;

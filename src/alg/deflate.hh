@@ -2,11 +2,12 @@
  * @file
  * DEFLATE (RFC 1951) compressor and decompressor: the substrate for
  * the paper's (de)compression function, which drives the BF-2 Deflate
- * accelerator or the host's QATzip. We implement LZ77 with a 32 KiB
- * window and hash-chain matching, emitting stored or fixed-Huffman
- * blocks; the inflater decodes both. (Dynamic-Huffman blocks are not
- * produced and are rejected on decode — the accelerator-equivalent
- * fast path in real deployments also prefers static tables.)
+ * accelerator or the host's QATzip. The encoder runs LZ77 over a
+ * 32 KiB window with hash-chain and one-step lazy matching, and emits
+ * a single fixed-Huffman block, or stored blocks when that would
+ * expand the data: static tables, like the hardware engines' per-packet
+ * fast path. The decoder accepts all three block types (stored, fixed
+ * and dynamic Huffman).
  */
 
 #ifndef HALSIM_ALG_DEFLATE_HH
@@ -18,24 +19,13 @@
 
 namespace halsim::alg {
 
-/** Compression effort, mirroring deflate levels. */
-struct DeflateConfig
-{
-    unsigned max_chain = 128;   //!< hash-chain probes per position
-    bool lazy_match = true;     //!< one-step lazy matching
-    /** Emit a stored block when compression would expand the data. */
-    bool allow_stored = true;
-    /** Build a dynamic Huffman block and keep it when it beats the
-     *  fixed encoding (RFC 1951 BTYPE=10). */
-    bool allow_dynamic = true;
-};
-
 /**
- * Compress @p input into a self-contained DEFLATE stream.
+ * Compress @p input into a self-contained DEFLATE stream, probing at
+ * most @p max_chain hash-chain candidates per position (the effort
+ * knob of deflate levels).
  */
 std::vector<std::uint8_t> deflateCompress(
-    std::span<const std::uint8_t> input,
-    const DeflateConfig &cfg = DeflateConfig{});
+    std::span<const std::uint8_t> input, unsigned max_chain);
 
 /**
  * Decompress any conforming DEFLATE stream (stored, fixed, and

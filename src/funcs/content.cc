@@ -124,13 +124,8 @@ void
 CompressFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
     auto p = pkt.payload();
-    alg::DeflateConfig dc;
-    dc.max_chain = cfg_.max_chain;
-    // Per-packet accelerator path: static tables, like the hardware
-    // Deflate engines the paper drives (dynamic-table construction
-    // per 1.5 KB packet costs more than it saves).
-    dc.allow_dynamic = false;
-    const std::vector<std::uint8_t> compressed = deflateCompress(p, dc);
+    const std::vector<std::uint8_t> compressed =
+        alg::deflateCompress(p, cfg_.max_chain);
     bytesIn_ += p.size();
     bytesOut_ += compressed.size();
 

@@ -12,7 +12,7 @@
 
 #include "alg/aho_corasick.hh"
 #include "alg/corpus.hh"
-#include "alg/prefilter.hh"
+#include "support/prefilter.hh"
 #include "sim/rng.hh"
 
 using namespace halsim;
