@@ -508,12 +508,12 @@ ServerSystem::buildObs()
     if (snic_ != nullptr) {
         snic_->attachObs(reg, tr, "server.snic",
                          obs::laneId(Lane::SnicRing),
-                         obs::laneId(Lane::SnicCore), cfg_.obs.series);
+                         obs::laneId(Lane::SnicCore));
     }
     if (host_ != nullptr) {
         host_->attachObs(reg, tr, "server.host",
                          obs::laneId(Lane::HostRing),
-                         obs::laneId(Lane::HostCore), cfg_.obs.series);
+                         obs::laneId(Lane::HostCore));
     }
 
     if (reg == nullptr)
@@ -590,14 +590,12 @@ ServerSystem::buildObs()
     if (monitor_ != nullptr) {
         reg->probe("server.hlb.monitor.rate_rx_gbps",
                    [this] { return monitor_->rateRxGbps(); },
-                   obs::StatsRegistry::ProbeOptions{cfg_.obs.series, 0.1,
-                                                    400.0, 16});
+                   obs::StatsRegistry::ProbeOptions{0.1, 400.0, 16});
     }
     if (director_ != nullptr) {
         reg->probe("server.hlb.director.fwd_th_gbps",
                    [this] { return director_->fwdThGbps(); },
-                   obs::StatsRegistry::ProbeOptions{cfg_.obs.series, 0.1,
-                                                    400.0, 16});
+                   obs::StatsRegistry::ProbeOptions{0.1, 400.0, 16});
         reg->fnCounter("server.hlb.director.to_snic",
                        [this] { return director_->toSnic(); });
         reg->fnCounter("server.hlb.director.to_host",
@@ -620,8 +618,7 @@ ServerSystem::buildObs()
                        [this] { return lbp_->heartbeats(); });
         reg->probe("server.lbp.snic_tp_gbps",
                    [this] { return lbp_->snicTpGbps(); },
-                   obs::StatsRegistry::ProbeOptions{cfg_.obs.series, 0.1,
-                                                    400.0, 16});
+                   obs::StatsRegistry::ProbeOptions{0.1, 400.0, 16});
     }
     if (watchdog_ != nullptr) {
         reg->fnCounter("server.watchdog.failovers", [this] {
@@ -645,7 +642,7 @@ ServerSystem::buildObs()
 
     // Per-component energy accounts: lazy joules gauges plus
     // epoch-sampled power probes.
-    energy_.attachObs(reg, "server.energy", cfg_.obs.series);
+    energy_.attachObs(reg, "server.energy");
 
     if (slo_ != nullptr) {
         reg->fnCounter("server.slo.epochs",

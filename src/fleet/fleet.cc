@@ -317,7 +317,7 @@ FleetSystem::buildObs()
         });
     }
 
-    energy_.attachObs(reg, "fleet.energy", cfg_.obs.series);
+    energy_.attachObs(reg, "fleet.energy");
 
     if (slo_ != nullptr) {
         reg->fnCounter("fleet.slo.epochs",

@@ -45,7 +45,7 @@ class Link : public PacketSink, private TimedChannel::Receiver
 
     Link(EventQueue &eq, Config cfg, PacketSink &sink)
         : eq_(eq), cfg_(std::move(cfg)), sink_(sink),
-          chan_(eq, *this, "link-deliver")
+          chan_(eq, *this)
     {}
 
     /** Offer a packet to the link; may tail-drop. */

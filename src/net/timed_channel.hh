@@ -41,9 +41,7 @@ class TimedChannel : public Event
         ~Receiver() = default;
     };
 
-    TimedChannel(EventQueue &eq, Receiver &rx, const char *name = "chan")
-        : Event(name), eq_(eq), rx_(rx)
-    {}
+    TimedChannel(EventQueue &eq, Receiver &rx) : eq_(eq), rx_(rx) {}
 
     ~TimedChannel() override
     {

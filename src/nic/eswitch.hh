@@ -146,7 +146,7 @@ class FixedDelay : public net::PacketSink,
   public:
     FixedDelay(EventQueue &eq, Tick delay, net::PacketSink &next)
         : eq_(eq), delay_(delay), next_(next),
-          chan_(eq, *this, "fixed-delay")
+          chan_(eq, *this)
     {}
 
     // halint: hotpath

@@ -107,8 +107,7 @@ EnergyLedger::totalJ() const
 }
 
 void
-EnergyLedger::attachObs(StatsRegistry *reg, const std::string &prefix,
-                        bool series) const
+EnergyLedger::attachObs(StatsRegistry *reg, const std::string &prefix) const
 {
     if (reg == nullptr)
         return;
@@ -124,8 +123,7 @@ EnergyLedger::attachObs(StatsRegistry *reg, const std::string &prefix,
         } else {
             reg->probe(prefix + "." + a.name + ".power_w",
                        [acct] { return acct->read_watts(); },
-                       StatsRegistry::ProbeOptions{series, 0.01, 1000.0,
-                                                   16});
+                       StatsRegistry::ProbeOptions{0.01, 1000.0, 16});
         }
     }
     reg->fnGauge(prefix + ".total_j", [this] { return totalJ(); });

@@ -113,11 +113,9 @@ class EnergyLedger
      * `<prefix>.<name>.joules` lazy gauges, `<prefix>.<name>.power_w`
      * epoch-sampled probes (dynamic) or constant gauges (static),
      * plus `<prefix>.total_j` and `<prefix>.window_seconds`.
-     * @p series forwards the (tick, value) time-series flag to the
-     * power probes. No-op when @p reg is null.
+     * No-op when @p reg is null.
      */
-    void attachObs(StatsRegistry *reg, const std::string &prefix,
-                   bool series) const;
+    void attachObs(StatsRegistry *reg, const std::string &prefix) const;
 
   private:
     const Account *find(const std::string &name) const;

@@ -106,7 +106,7 @@ Observability::registerFlightRecStats(const std::string &prefix)
 void
 Observability::onSample()
 {
-    reg_.sampleProbes(eq_.now());
+    reg_.sampleProbes();
     if (eq_.now() + cfg_.sample_epoch <= until_)
         eq_.schedule(&sampleEvent_, eq_.now() + cfg_.sample_epoch);
 }

@@ -47,9 +47,6 @@ struct ObsConfig
     /** Probe sampling period. */
     Tick sample_epoch = 1 * kMs;
 
-    /** Keep full (tick, value) series for probes, not just summaries. */
-    bool series = false;
-
     /** Trace ring capacity in records (trace or spans on). */
     std::uint32_t trace_capacity = 1u << 16;
 

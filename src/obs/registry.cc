@@ -180,13 +180,12 @@ StatsRegistry::probe(const std::string &path,
                                     "' needs a read function");
     Entry &e = addEntry(path, Kind::Probe);
     e.readProbe = std::move(read);
-    e.series = opt.series;
     e.hist = std::make_unique<Histogram>(opt.hist_lo, opt.hist_hi,
                                          opt.hist_bins_per_decade);
 }
 
 void
-StatsRegistry::sampleProbes(Tick now)
+StatsRegistry::sampleProbes()
 {
     for (auto &e : entries_) {
         if (e->kind != Kind::Probe)
@@ -194,8 +193,6 @@ StatsRegistry::sampleProbes(Tick now)
         const double v = e->readProbe();
         e->accum.sample(v);
         e->hist->sample(v);
-        if (e->series)
-            e->samples.emplace_back(now, v);
     }
     ++sampleEpochs_;
 }
@@ -279,32 +276,8 @@ StatsRegistry::resetAll()
         e->accum.reset();
         if (e->hist)
             e->hist->reset();
-        e->samples.clear();
     }
     sampleEpochs_ = 0;
-}
-
-void
-StatsRegistry::merge(const StatsRegistry &o)
-{
-    if (entries_.size() != o.entries_.size())
-        throw std::invalid_argument("registry merge: shape mismatch");
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        Entry &a = *entries_[i];
-        const Entry &b = *o.entries_[i];
-        if (a.path != b.path || a.kind != b.kind) {
-            throw std::invalid_argument(
-                "registry merge: entry mismatch at '" + a.path + "'");
-        }
-        a.counter.merge(b.counter);
-        a.gauge.merge(b.gauge);
-        a.accum.merge(b.accum);
-        if (a.hist && b.hist)
-            a.hist->merge(*b.hist);
-        a.samples.insert(a.samples.end(), b.samples.begin(),
-                         b.samples.end());
-    }
-    sampleEpochs_ += o.sampleEpochs_;
 }
 
 void
@@ -339,18 +312,7 @@ StatsRegistry::writeLeafJson(std::ostream &os, const Entry &e) const
            << ",\"max\":" << jsonNumber(h.maxSample())
            << ",\"p50\":" << jsonNumber(h.quantile(0.50))
            << ",\"p90\":" << jsonNumber(h.quantile(0.90))
-           << ",\"p99\":" << jsonNumber(h.quantile(0.99));
-        if (e.kind == Kind::Probe && e.series) {
-            os << ",\"series\":[";
-            for (std::size_t i = 0; i < e.samples.size(); ++i) {
-                if (i)
-                    os << ",";
-                os << "[" << e.samples[i].first << ","
-                   << jsonNumber(e.samples[i].second) << "]";
-            }
-            os << "]";
-        }
-        os << "}";
+           << ",\"p99\":" << jsonNumber(h.quantile(0.99)) << "}";
         break;
       }
     }

@@ -15,8 +15,8 @@
  *  - fnCounter() binds a closure that reads an existing component
  *    counter lazily at serialization time;
  *  - probe() binds a closure sampled every sampling epoch into an
- *    Accumulator + Histogram (+ optional time series), giving
- *    occupancy/utilization distributions without touching accept().
+ *    Accumulator + Histogram, giving occupancy/utilization
+ *    distributions without touching accept().
  */
 
 #ifndef HALSIM_OBS_REGISTRY_HH
@@ -27,11 +27,9 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/stats.hh"
-#include "sim/types.hh"
 
 namespace halsim::obs {
 
@@ -42,7 +40,6 @@ class Counter
     void inc(std::uint64_t n = 1) { v_ += n; }
     std::uint64_t value() const { return v_; }
     void reset() { v_ = 0; }
-    void merge(const Counter &o) { v_ += o.v_; }
 
   private:
     std::uint64_t v_ = 0;
@@ -69,16 +66,6 @@ class Gauge
         written_ = false;
     }
 
-    /** Merge keeps the other side's value when it was ever written. */
-    void
-    merge(const Gauge &o)
-    {
-        if (o.written_) {
-            v_ = o.v_;
-            written_ = true;
-        }
-    }
-
   private:
     double v_ = 0.0;
     bool written_ = false;
@@ -98,8 +85,6 @@ class StatsRegistry
     /** Probe registration knobs. */
     struct ProbeOptions
     {
-        /** Keep the full (tick, value) series, not just the summary. */
-        bool series = false;
         /** Histogram binning for the sampled values. */
         double hist_lo = 1.0;
         double hist_hi = 1e6;
@@ -137,8 +122,8 @@ class StatsRegistry
 
     // --- sampling ------------------------------------------------------
 
-    /** Read every probe once, recording @p now for time series. */
-    void sampleProbes(Tick now);
+    /** Read every probe once. */
+    void sampleProbes();
 
     /** Probe samples taken so far (epochs seen). */
     std::uint64_t sampleEpochs() const { return sampleEpochs_; }
@@ -166,16 +151,9 @@ class StatsRegistry
 
     // --- lifecycle -----------------------------------------------------
 
-    /** Zero every owned stat, probe summary, and time series
-     *  (fnCounter bindings read live values and are unaffected). */
+    /** Zero every owned stat and probe summary (fnCounter bindings
+     *  read live values and are unaffected). */
     void resetAll();
-
-    /**
-     * Fold another registry of the same shape into this one:
-     * counters add, accumulators/histograms merge, gauges keep the
-     * written value. Shape mismatch throws std::invalid_argument.
-     */
-    void merge(const StatsRegistry &o);
 
     // --- serialization -------------------------------------------------
 
@@ -208,8 +186,6 @@ class StatsRegistry
         std::function<std::uint64_t()> readCounter;
         std::function<double()> readGauge;
         std::function<double()> readProbe;
-        bool series = false;
-        std::vector<std::pair<Tick, double>> samples;
     };
 
     Entry &addEntry(const std::string &path, Kind kind);

@@ -759,7 +759,7 @@ Processor::accelDegraded() const
 void
 Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                      const std::string &prefix, std::uint8_t ring_lane,
-                     std::uint8_t core_lane, bool series)
+                     std::uint8_t core_lane)
 {
     if (tracer != nullptr) {
         if (accel_ != nullptr)
@@ -781,20 +781,20 @@ Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
 
     reg->probe(prefix + ".dyn_power_w",
                [this] { return power_.currentW(); },
-               obs::StatsRegistry::ProbeOptions{series, 0.01, 1000.0, 16});
+               obs::StatsRegistry::ProbeOptions{0.01, 1000.0, 16});
 
     if (accel_ != nullptr) {
         reg->probe(
             prefix + ".accel.occupancy",
             [this] { return static_cast<double>(accel_->occupancy()); },
-            obs::StatsRegistry::ProbeOptions{series, 1.0, 4096.0, 16});
+            obs::StatsRegistry::ProbeOptions{1.0, 4096.0, 16});
         return;
     }
 
     if (cfg_.dvfs.enabled) {
         reg->probe(prefix + ".dvfs_scale",
                    [this] { return freqScale_; },
-                   obs::StatsRegistry::ProbeOptions{series, 0.1, 1.0, 16});
+                   obs::StatsRegistry::ProbeOptions{0.1, 1.0, 16});
     }
     if (governor_ != nullptr) {
         reg->probe(
@@ -803,7 +803,7 @@ Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                 return static_cast<double>(governor_->activeCores());
             },
             obs::StatsRegistry::ProbeOptions{
-                series, 1.0, static_cast<double>(cfg_.cores), 16});
+                1.0, static_cast<double>(cfg_.cores), 16});
     }
     const double ring_hi =
         static_cast<double>(std::max<std::uint32_t>(
@@ -814,12 +814,11 @@ Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
         nic::DpdkRing *ring = rings_[i].get();
         reg->probe(prefix + ".core" + n + ".busy_frac",
                    [core] { return core->utilization(); },
-                   obs::StatsRegistry::ProbeOptions{series, 0.001, 1.0,
-                                                    16});
+                   obs::StatsRegistry::ProbeOptions{0.001, 1.0, 16});
         reg->probe(
             prefix + ".ring" + n + ".occupancy",
             [ring] { return static_cast<double>(ring->occupancy()); },
-            obs::StatsRegistry::ProbeOptions{series, 1.0, ring_hi, 16});
+            obs::StatsRegistry::ProbeOptions{1.0, ring_hi, 16});
     }
 }
 

@@ -491,12 +491,11 @@ class Processor
      * Register this processor's stats under @p prefix
      * (`prefix.coreN.busy_frac`, `prefix.ringN.occupancy`, ...) and
      * attach the trace ring to its rings and cores. Either pointer
-     * may be null; the corresponding hooks stay inert. @p series
-     * forwards the per-epoch time-series flag to every probe.
+     * may be null; the corresponding hooks stay inert.
      */
     void attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                    const std::string &prefix, std::uint8_t ring_lane,
-                   std::uint8_t core_lane, bool series = false);
+                   std::uint8_t core_lane);
 
     void resetStats();
 

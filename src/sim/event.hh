@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "sim/types.hh"
@@ -33,7 +32,7 @@ class EventQueue;
 class Event
 {
   public:
-    explicit Event(std::string name = "event") : name_(std::move(name)) {}
+    Event() = default;
     virtual ~Event();
 
     Event(const Event &) = delete;
@@ -48,13 +47,9 @@ class Event
     /** True while the event sits in a queue. */
     bool scheduled() const { return scheduled_; }
 
-    /** Diagnostic name. */
-    const std::string &name() const { return name_; }
-
   private:
     friend class EventQueue;
 
-    std::string name_;
     Tick when_ = kTickNever;
     std::uint64_t seq_ = 0;   //!< tie-break for same-tick ordering
     std::size_t heapIndex_ = 0;   //!< position in the owning queue's heap
@@ -68,12 +63,9 @@ class Event
 class CallbackEvent : public Event
 {
   public:
-    CallbackEvent() : Event("callback") {}
+    CallbackEvent() = default;
 
-    explicit CallbackEvent(std::function<void()> fn,
-                           std::string name = "callback")
-        : Event(std::move(name)), fn_(std::move(fn))
-    {}
+    explicit CallbackEvent(std::function<void()> fn) : fn_(std::move(fn)) {}
 
     /** Replace the callable (only while not scheduled). */
     void

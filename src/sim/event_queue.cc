@@ -21,7 +21,7 @@ Event::~Event()
 class EventQueue::OneShot : public Event
 {
   public:
-    explicit OneShot(EventQueue &q) : Event("oneshot"), q_(q) {}
+    explicit OneShot(EventQueue &q) : q_(q) {}
 
     void arm(UniqueFn fn) { fn_ = std::move(fn); }
 
@@ -112,6 +112,7 @@ EventQueue::deschedule(Event *ev)
     ev->scheduled_ = false;
     --live_;
     ++dead_;
+    ++descheduled_;
     maybeCompact();
 }
 

@@ -278,6 +278,13 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /**
+     * Scheduled events removed by deschedule() over the queue's
+     * lifetime (no-op calls do not count). Every schedule pushes one
+     * heap entry, so heap pushes = executed() + descheduled() + size().
+     */
+    std::uint64_t descheduled() const { return descheduled_; }
+
+    /**
      * Events clamped to now() by the release-mode guard in
      * schedule(); nonzero means a component computed a past tick.
      */
@@ -336,6 +343,7 @@ class EventQueue
     std::size_t live_ = 0;
     std::size_t dead_ = 0;   //!< tombstones still in heap_
     std::uint64_t executed_ = 0;
+    std::uint64_t descheduled_ = 0;
     std::uint64_t pastClamps_ = 0;
     std::vector<OneShot *> pool_;
 };

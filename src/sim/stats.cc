@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 
 namespace halsim {
 
@@ -17,28 +16,6 @@ Accumulator::sample(double v)
     const double delta = v - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (v - mean_);
-}
-
-void
-Accumulator::merge(const Accumulator &o)
-{
-    if (o.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = o;
-        return;
-    }
-    // Chan et al. parallel variance combination.
-    const double delta = o.mean_ - mean_;
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(o.count_);
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += o.m2_ + delta * delta * na * nb / n;
-    count_ += o.count_;
-    sum_ += o.sum_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
 }
 
 double
@@ -109,29 +86,6 @@ Histogram::reset()
     count_ = 0;
     sum_ = 0.0;
     min_ = max_ = 0.0;
-}
-
-void
-Histogram::merge(const Histogram &o)
-{
-    if (logLo_ != o.logLo_ || logHi_ != o.logHi_ ||
-        binsPerLog_ != o.binsPerLog_ || bins_.size() != o.bins_.size()) {
-        throw std::invalid_argument(
-            "Histogram::merge: binning mismatch");
-    }
-    if (o.count_ == 0)
-        return;
-    for (std::size_t i = 0; i < bins_.size(); ++i)
-        bins_[i] += o.bins_[i];
-    if (count_ == 0) {
-        min_ = o.min_;
-        max_ = o.max_;
-    } else {
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-    count_ += o.count_;
-    sum_ += o.sum_;
 }
 
 double

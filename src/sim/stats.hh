@@ -25,9 +25,6 @@ class Accumulator
   public:
     void sample(double v);
 
-    /** Merge another accumulator into this one. */
-    void merge(const Accumulator &o);
-
     /** Discard all samples. */
     void reset() { *this = Accumulator{}; }
 
@@ -78,13 +75,6 @@ class Histogram
 
     /** Remove all samples, keeping the binning. */
     void reset();
-
-    /**
-     * Fold another histogram's samples into this one. Both must use
-     * identical binning (same lo/hi/bins_per_decade); a mismatch
-     * throws std::invalid_argument.
-     */
-    void merge(const Histogram &o);
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }

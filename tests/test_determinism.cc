@@ -190,7 +190,6 @@ TEST(Determinism, ObsOnVsOffIdentical)
     ServerConfig on = faultedHalConfig();
     on.obs.stats = true;
     on.obs.trace = true;
-    on.obs.series = true;
     on.obs.trace_sample_every = 8;
 
     const RunResult r_off = runOnce(off, 60.0, true);

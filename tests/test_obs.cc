@@ -123,14 +123,13 @@ TEST(StatsRegistry, ProbeSamplesIntoSummaryAndHistogram)
     StatsRegistry reg;
     double signal = 0.0;
     StatsRegistry::ProbeOptions opt;
-    opt.series = true;
     opt.hist_lo = 0.1;
     opt.hist_hi = 100.0;
     reg.probe("sig", [&signal] { return signal; }, opt);
 
     for (int i = 1; i <= 4; ++i) {
         signal = static_cast<double>(i);
-        reg.sampleProbes(static_cast<Tick>(i) * kMs);
+        reg.sampleProbes();
     }
 
     const Accumulator *sum = reg.probeSummary("sig");
@@ -144,13 +143,6 @@ TEST(StatsRegistry, ProbeSamplesIntoSummaryAndHistogram)
     ASSERT_NE(hist, nullptr);
     EXPECT_EQ(hist->count(), 4u);
     EXPECT_EQ(reg.sampleEpochs(), 4u);
-
-    // The opted-in series shows up in JSON as [tick, value] pairs.
-    std::ostringstream os;
-    reg.writeJson(os);
-    const std::string want =
-        "\"series\":[[" + std::to_string(1 * kMs) + ",1]";
-    EXPECT_NE(os.str().find(want), std::string::npos) << os.str();
 }
 
 TEST(StatsRegistry, ResetAllZeroesOwnedStatsButNotFnCounters)
@@ -163,52 +155,13 @@ TEST(StatsRegistry, ResetAllZeroesOwnedStatsButNotFnCounters)
     reg.probe("sig", [&sig] { return sig; });
 
     c->inc(10);
-    reg.sampleProbes(1 * kMs);
+    reg.sampleProbes();
     reg.resetAll();
 
     EXPECT_EQ(reg.counterValue("c"), 0u);
     EXPECT_EQ(reg.probeSummary("sig")->count(), 0u);
     EXPECT_EQ(reg.sampleEpochs(), 0u);
     EXPECT_EQ(reg.counterValue("live"), 5u);
-}
-
-// --- merge --------------------------------------------------------------
-
-TEST(StatsRegistry, MergeFoldsSameShapeRegistries)
-{
-    StatsRegistry a, b;
-    a.counter("n")->inc(3);
-    b.counter("n")->inc(4);
-    a.accumulator("acc")->sample(1.0);
-    b.accumulator("acc")->sample(3.0);
-    a.histogram("h", 1.0, 1e3, 32)->sample(10.0);
-    b.histogram("h", 1.0, 1e3, 32)->sample(20.0);
-    b.gauge("g")->set(9.0);
-    a.gauge("g");
-
-    a.merge(b);
-    EXPECT_EQ(a.counterValue("n"), 7u);
-    EXPECT_EQ(a.findAccumulator("acc")->count(), 2u);
-    EXPECT_DOUBLE_EQ(a.findAccumulator("acc")->mean(), 2.0);
-    EXPECT_EQ(a.findHistogram("h")->count(), 2u);
-    EXPECT_DOUBLE_EQ(a.findGauge("g")->value(), 9.0);
-}
-
-TEST(StatsRegistry, MergeRejectsShapeMismatch)
-{
-    StatsRegistry a, b, c;
-    a.counter("n");
-    b.counter("m");
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
-    c.gauge("n");
-    EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(Histogram, MergeRejectsBinningMismatch)
-{
-    Histogram a(1.0, 1e3, 32);
-    Histogram b(1.0, 1e4, 32);
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 // --- histogram quantiles vs exact reference ---------------------------
@@ -653,7 +606,7 @@ TEST(EnergyLedger, AttachObsExposesGaugesAndProbes)
     ledger.addStatic("base", 194.0);
 
     StatsRegistry reg;
-    ledger.attachObs(&reg, "server.energy", false);
+    ledger.attachObs(&reg, "server.energy");
 
     ledger.beginWindow(0);
     j = 6.0;
@@ -669,7 +622,7 @@ TEST(EnergyLedger, AttachObsExposesGaugesAndProbes)
                      2.0);
 
     // Dynamic power is an epoch-sampled probe, not a gauge.
-    reg.sampleProbes(1 * kMs);
+    reg.sampleProbes();
     const Accumulator *p = reg.probeSummary("server.energy.dyn.power_w");
     ASSERT_NE(p, nullptr);
     EXPECT_DOUBLE_EQ(p->mean(), 3.0);

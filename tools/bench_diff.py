@@ -1,36 +1,22 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON artifacts and fail on regression.
+"""Fail when a deterministic bench artifact drifts from its baseline.
 
-Stdlib-only gate for the CI perf job: compares a freshly measured
-artifact against a committed baseline, metric by metric, with a
-relative tolerance per metric.
+Stdlib-only gate for the CI perf job. The simulator is bit-
+deterministic, so every numeric field of a freshly produced artifact
+must reproduce its committed baseline: a relative difference above
+1e-6 in either direction fails (the tolerance only absorbs libm
+quantile differences across glibc builds).
 
-Two comparison modes:
-
-  regress  (default) one-sided: fail only when the current value is
-           *worse* than baseline by more than the tolerance. "Worse"
-           means lower for throughput-style metrics (the default) and
-           higher for metrics named with --lower-better (latencies,
-           seconds, drops).
-  drift    two-sided: fail when the current value differs from the
-           baseline by more than the tolerance in either direction
-           (for deterministic artifacts that should reproduce).
-
-Document selection: --baseline-key / --current-key drill into the
-JSON with a dotted path (e.g. `post_overhaul` or `metrics`). If both
-selected documents are sweep artifacts (objects holding a "points"
+If both documents are sweep artifacts (objects holding a "points"
 list), rows are matched by their "label" and every shared numeric
-field is compared; otherwise the selected objects' numeric fields are
-compared directly.
+field is compared; otherwise the top-level numeric fields are
+compared directly. A baseline field missing from the current artifact
+fails too.
 
-Examples:
-  bench_diff.py --baseline bench/BENCH_simcore.json \
-      --baseline-key post_overhaul \
-      --current out.json --current-key metrics --default-tol 0.25
-  bench_diff.py --mode drift --default-tol 1e-6 \
-      --baseline bench/BENCH_fig3_quick.json --current fig3.json
+Example:
+  bench_diff.py --baseline bench/BENCH_fig3_quick.json --current fig3.json
 
-Exit codes: 0 clean, 1 regression/drift found, 2 usage or input error.
+Exit codes: 0 clean, 1 drift found, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -39,17 +25,7 @@ import argparse
 import json
 import sys
 
-
-def resolve(doc, dotted):
-    """Drill into *doc* with a dotted path; '' returns doc itself."""
-    node = doc
-    if not dotted:
-        return node
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise KeyError(dotted)
-        node = node[part]
-    return node
+TOL = 1e-6
 
 
 def numeric_fields(obj):
@@ -61,54 +37,29 @@ def numeric_fields(obj):
     }
 
 
-def compare_value(name, base, cur, tol, mode, lower_better):
+def compare_value(base, cur):
     """Return (ok, detail) for one metric."""
     if base == 0.0:
-        delta = abs(cur)
-        ok = delta <= tol
-        if mode == "regress":
-            worse = cur < 0.0 if not lower_better else cur > 0.0
-            ok = ok or not worse
-        return ok, f"baseline 0, current {cur:g}"
+        return abs(cur) <= TOL, f"baseline 0, current {cur:g}"
     rel = (cur - base) / abs(base)
-    if mode == "drift":
-        ok = abs(rel) <= tol
-    elif lower_better:
-        ok = rel <= tol
-    else:
-        ok = rel >= -tol
-    return ok, f"{base:g} -> {cur:g} ({rel:+.2%}, tol {tol:g})"
+    return abs(rel) <= TOL, f"{base:g} -> {cur:g} ({rel:+.2%}, tol {TOL:g})"
 
 
 class Differ:
-    def __init__(self, args):
-        self.mode = args.mode
-        self.default_tol = args.default_tol
-        self.tols = {}
-        for spec in args.tol:
-            name, _, frac = spec.partition("=")
-            if not _:
-                raise ValueError(f"--tol wants NAME=FRAC, got '{spec}'")
-            self.tols[name] = float(frac)
-        self.lower_better = set(args.lower_better)
-        self.ignore = set(args.ignore)
+    def __init__(self):
         self.rows = []
         self.failures = 0
 
     def compare_fields(self, ctx, base_obj, cur_obj):
-        base_num = {k: v for k, v in numeric_fields(base_obj).items()
-                    if k not in self.ignore}
-        cur_num = {k: v for k, v in numeric_fields(cur_obj).items()
-                   if k not in self.ignore}
+        base_num = numeric_fields(base_obj)
+        cur_num = numeric_fields(cur_obj)
         shared = sorted(set(base_num) & set(cur_num))
         if not shared:
             raise ValueError(f"{ctx or 'top level'}: no shared numeric "
                              "fields to compare")
         for name in shared:
-            tol = self.tols.get(name, self.default_tol)
-            ok, detail = compare_value(
-                name, float(base_num[name]), float(cur_num[name]), tol,
-                self.mode, name in self.lower_better)
+            ok, detail = compare_value(float(base_num[name]),
+                                       float(cur_num[name]))
             label = f"{ctx}.{name}" if ctx else name
             self.rows.append((ok, label, detail))
             if not ok:
@@ -121,10 +72,10 @@ class Differ:
             self.failures += 1
 
     def compare_docs(self, base_doc, cur_doc):
-        base_pts = base_doc.get("points") if isinstance(base_doc, dict) \
-            else None
-        cur_pts = cur_doc.get("points") if isinstance(cur_doc, dict) \
-            else None
+        if not isinstance(base_doc, dict) or not isinstance(cur_doc, dict):
+            raise ValueError("documents must be JSON objects")
+        base_pts = base_doc.get("points")
+        cur_pts = cur_doc.get("points")
         if isinstance(base_pts, list) and isinstance(cur_pts, list):
             cur_by_label = {
                 p.get("label"): p for p in cur_pts if isinstance(p, dict)
@@ -139,18 +90,14 @@ class Differ:
                     continue
                 self.compare_fields(str(label), bp, cp)
             return
-        if not isinstance(base_doc, dict) or not isinstance(cur_doc, dict):
-            raise ValueError("selected documents must be JSON objects")
         self.compare_fields("", base_doc, cur_doc)
 
-    def report(self, verbose):
+    def report(self):
         for ok, label, detail in self.rows:
-            if ok and not verbose:
-                continue
-            print(f"  [{'ok' if ok else 'FAIL'}] {label}: {detail}")
-        checked = len(self.rows)
-        print(f"bench_diff: {checked} comparisons, "
-              f"{self.failures} failed ({self.mode} mode)")
+            if not ok:
+                print(f"  [FAIL] {label}: {detail}")
+        print(f"bench_diff: {len(self.rows)} comparisons, "
+              f"{self.failures} failed")
 
 
 def main(argv):
@@ -159,45 +106,24 @@ def main(argv):
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--current", required=True)
-    ap.add_argument("--baseline-key", default="")
-    ap.add_argument("--current-key", default="")
-    ap.add_argument("--mode", choices=("regress", "drift"),
-                    default="regress")
-    ap.add_argument("--default-tol", type=float, default=0.25,
-                    help="relative tolerance for unnamed metrics")
-    ap.add_argument("--tol", action="append", default=[],
-                    metavar="NAME=FRAC",
-                    help="per-metric tolerance override (repeatable)")
-    ap.add_argument("--lower-better", action="append", default=[],
-                    metavar="NAME",
-                    help="metric where smaller is better (repeatable)")
-    ap.add_argument("--ignore", action="append", default=[],
-                    metavar="NAME",
-                    help="metric to exclude from comparison and the "
-                         "missing-field check (repeatable)")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="print passing comparisons too")
     args = ap.parse_args(argv)
 
     try:
         with open(args.baseline, encoding="utf-8") as f:
-            base_doc = resolve(json.load(f), args.baseline_key)
+            base_doc = json.load(f)
         with open(args.current, encoding="utf-8") as f:
-            cur_doc = resolve(json.load(f), args.current_key)
+            cur_doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"bench_diff: cannot load input: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"bench_diff: key {exc} not found", file=sys.stderr)
-        return 2
 
-    differ = Differ(args)
+    differ = Differ()
     try:
         differ.compare_docs(base_doc, cur_doc)
     except ValueError as exc:
         print(f"bench_diff: {exc}", file=sys.stderr)
         return 2
-    differ.report(args.verbose)
+    differ.report()
     return 1 if differ.failures else 0
 
 

@@ -3,11 +3,11 @@
 
 CI's release job feeds every artifact it produces through this
 script: the fig4 sweep's --json/--stats-out/--trace, the fleet
-drill's --json/--stats-out/--trace, the governor sweep's
---json/--trace, and bench_sim_core's --json (--simcore). A RunResult
-field added (or renamed) in src/core/results.cc without a matching
-edit to tools/bench_schema.json fails the build instead of silently
-shipping a different artifact shape.
+drill's --json/--stats-out/--trace and the governor sweep's
+--json/--trace. A RunResult field added (or renamed) in
+src/core/results.cc without a matching edit to tools/bench_schema.json
+fails the build instead of silently shipping a different artifact
+shape.
 
 Only the Python standard library is used.
 """
@@ -191,23 +191,6 @@ def check_stats(path, schema):
                      (path, dotted))
 
 
-def check_simcore(path, schema):
-    """The bench_sim_core artifact: every metric and workload field
-    present and numeric."""
-    doc = load(path)
-    if doc is None:
-        return
-    check_fields(doc, schema["header"], path)
-    metrics = doc.get("metrics")
-    if isinstance(metrics, dict):
-        check_fields(metrics, schema["metric_fields"],
-                     "%s: metrics" % path)
-    workload = doc.get("workload")
-    if isinstance(workload, dict):
-        check_fields(workload, schema["workload_fields"],
-                     "%s: workload" % path)
-
-
 def check_trace(path, schema):
     doc = load(path)
     if doc is None:
@@ -262,12 +245,9 @@ def main():
     ap.add_argument("--results", help="results artifact (--json)")
     ap.add_argument("--stats", help="stats artifact (--stats-out)")
     ap.add_argument("--trace", help="trace artifact (--trace)")
-    ap.add_argument("--simcore",
-                    help="bench_sim_core artifact (--json)")
     args = ap.parse_args()
-    if not (args.results or args.stats or args.trace or args.simcore):
-        ap.error("give at least one of "
-                 "--results/--stats/--trace/--simcore")
+    if not (args.results or args.stats or args.trace):
+        ap.error("give at least one of --results/--stats/--trace")
 
     schema = load(args.schema)
     if schema is None:
@@ -280,16 +260,13 @@ def main():
         check_stats(args.stats, schema["stats"])
     if args.trace:
         check_trace(args.trace, schema["trace"])
-    if args.simcore:
-        check_simcore(args.simcore, schema["simcore"])
 
     if ERRORS:
         for e in ERRORS:
             print("error: " + e, file=sys.stderr)
         print("%d schema violation(s)" % len(ERRORS), file=sys.stderr)
         return 1
-    checked = [p for p in (args.results, args.stats, args.trace,
-                           args.simcore) if p]
+    checked = [p for p in (args.results, args.stats, args.trace) if p]
     print("schema OK: " + ", ".join(checked))
     return 0
 
