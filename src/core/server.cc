@@ -329,20 +329,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
                 wc.lbp_failsafe_gbps = cfg_.lbp.initial_fwd_gbps;
             watchdog_ = std::make_unique<HealthWatchdog>(
                 eq_, wc, snic_.get(), host_.get(), director_.get(),
-                lbp_.get(), [this] {
-                    std::uint64_t d = 0;
-                    if (snic_ != nullptr)
-                        d += snic_->drops();
-                    if (host_ != nullptr)
-                        d += host_->drops();
-                    if (clientLink_ != nullptr)
-                        d += clientLink_->drops() +
-                             clientLink_->faultDrops();
-                    if (returnLink_ != nullptr)
-                        d += returnLink_->drops() +
-                             returnLink_->faultDrops();
-                    return d;
-                });
+                lbp_.get(), [this] { return totalDrops(); });
         }
         // The LBP occupies one SNIC core; the HLB burns its FPGA
         // power (§VII-C).
@@ -698,8 +685,11 @@ ServerSystem::totalDrops() const
     return (snic_ != nullptr ? snic_->drops() : 0) +
            (host_ != nullptr ? host_->drops() : 0) +
            (slb_ != nullptr ? slb_->drops() : 0) +
+           (eswitch_ != nullptr
+                ? eswitch_->unrouted() + eswitch_->blackholed()
+                : 0) +
            clientLink_->drops() + clientLink_->faultDrops() +
-           returnLink_->faultDrops();
+           returnLink_->drops() + returnLink_->faultDrops();
 }
 
 void

@@ -333,6 +333,9 @@ class ServerSystem
 
   private:
     double totalDynamicW() const;
+    /** Frames lost anywhere in the server: processor rings, the SLB,
+     *  eSwitch unrouted/blackholed frames, and both links' tail drops
+     *  and fault losses. */
     std::uint64_t totalDrops() const;
 
     /** Build the obs facade, register the stats tree, attach tracer

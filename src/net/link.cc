@@ -30,10 +30,11 @@ Link::send(PacketPtr pkt)
             return;
         }
     }
-    if (queued_ >= cfg_.max_queue) {
+    const std::size_t queued = chan_.pending();
+    if (queued >= cfg_.max_queue) {
         ++drops_;
         obs::tracePacket(trace_, now, pkt->id, obs::TracePoint::Drop,
-                         traceLane_, queued_);
+                         traceLane_, static_cast<std::uint32_t>(queued));
         return;
     }
 
@@ -42,7 +43,6 @@ Link::send(PacketPtr pkt)
     busyUntil_ = start + ser;
     const Tick deliver = busyUntil_ + cfg_.propagation;
 
-    ++queued_;
     deliveredBytes_ += pkt->size();
     ++deliveredFrames_;
     obs::tracePacket(trace_, now, pkt->id, tracePoint_, traceLane_);

@@ -32,7 +32,7 @@ namespace halsim::net {
  * propagation. When the backlog waiting to serialize exceeds the
  * configured budget the link tail-drops, modeling a bounded Tx FIFO.
  */
-class Link : public PacketSink, private TimedChannel::Receiver
+class Link : public PacketSink
 {
   public:
     struct Config
@@ -44,8 +44,7 @@ class Link : public PacketSink, private TimedChannel::Receiver
     };
 
     Link(EventQueue &eq, Config cfg, PacketSink &sink)
-        : eq_(eq), cfg_(std::move(cfg)), sink_(sink),
-          chan_(eq, *this)
+        : eq_(eq), cfg_(std::move(cfg)), chan_(eq, sink)
     {}
 
     /** Offer a packet to the link; may tail-drop. */
@@ -112,20 +111,10 @@ class Link : public PacketSink, private TimedChannel::Receiver
     }
 
   private:
-    /** Arrival at the far end: retire the Tx slot, forward. */
-    void
-    channelDeliver(PacketPtr pkt) override
-    {
-        --queued_;
-        sink_.accept(std::move(pkt));
-    }
-
     EventQueue &eq_;
     Config cfg_;
-    PacketSink &sink_;
-    TimedChannel chan_;
+    TimedChannel chan_; //!< frames in the Tx FIFO or on the wire
     Tick busyUntil_ = 0;
-    std::uint32_t queued_ = 0;
     std::uint64_t drops_ = 0;
     std::uint64_t deliveredBytes_ = 0;
     std::uint64_t deliveredFrames_ = 0;

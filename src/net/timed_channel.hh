@@ -30,18 +30,9 @@ namespace halsim::net {
 class TimedChannel : public Event
 {
   public:
-    /** Delivery target; kept separate from PacketSink so a stage can
-     *  run bookkeeping (queue counters) before forwarding. */
-    class Receiver
-    {
-      public:
-        virtual void channelDeliver(PacketPtr pkt) = 0;
-
-      protected:
-        ~Receiver() = default;
-    };
-
-    TimedChannel(EventQueue &eq, Receiver &rx) : eq_(eq), rx_(rx) {}
+    /** Each entry is handed to @p sink at its delivery tick. */
+    TimedChannel(EventQueue &eq, PacketSink &sink) : eq_(eq), sink_(sink)
+    {}
 
     ~TimedChannel() override
     {
@@ -81,7 +72,7 @@ class TimedChannel : public Event
         const Slot s = popFront();
         if (count_ != 0)
             eq_.scheduleKeyed(this, front().when, front().key);
-        rx_.channelDeliver(PacketPtr(s.pkt));
+        sink_.accept(PacketPtr(s.pkt));
     }
 
   private:
@@ -131,7 +122,7 @@ class TimedChannel : public Event
     }
 
     EventQueue &eq_;
-    Receiver &rx_;
+    PacketSink &sink_;
     std::vector<Slot> ring_;   //!< power-of-two circular buffer
     std::size_t head_ = 0;
     std::size_t count_ = 0;

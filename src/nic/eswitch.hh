@@ -140,13 +140,11 @@ class ESwitch : public net::PacketSink
  * paper quantifies (§III-A): eSwitch -> SNIC rings, the extra PCIe
  * hop to the host, and the extra UPI/CXL hop to a remote socket.
  */
-class FixedDelay : public net::PacketSink,
-                   private net::TimedChannel::Receiver
+class FixedDelay : public net::PacketSink
 {
   public:
     FixedDelay(EventQueue &eq, Tick delay, net::PacketSink &next)
-        : eq_(eq), delay_(delay), next_(next),
-          chan_(eq, *this)
+        : eq_(eq), delay_(delay), chan_(eq, next)
     {}
 
     // halint: hotpath
@@ -157,15 +155,8 @@ class FixedDelay : public net::PacketSink,
     }
 
   private:
-    void
-    channelDeliver(net::PacketPtr pkt) override
-    {
-        next_.accept(std::move(pkt));
-    }
-
     EventQueue &eq_;
     Tick delay_;
-    net::PacketSink &next_;
     net::TimedChannel chan_;
 };
 

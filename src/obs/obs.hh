@@ -145,7 +145,6 @@ class Observability
     void registerFlightRecStats(const std::string &prefix);
 
     void writeStatsJson(std::ostream &os) const { reg_.writeJson(os); }
-    void writeStatsText(std::ostream &os) const { reg_.writeText(os); }
 
   private:
     void onSample();

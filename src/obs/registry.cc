@@ -117,24 +117,6 @@ StatsRegistry::find(const std::string &path, Kind kind) const
     return nullptr;
 }
 
-Counter *
-StatsRegistry::counter(const std::string &path)
-{
-    return &addEntry(path, Kind::Counter).counter;
-}
-
-Gauge *
-StatsRegistry::gauge(const std::string &path)
-{
-    return &addEntry(path, Kind::Gauge).gauge;
-}
-
-Accumulator *
-StatsRegistry::accumulator(const std::string &path)
-{
-    return &addEntry(path, Kind::Accum).accum;
-}
-
 Histogram *
 StatsRegistry::histogram(const std::string &path, double lo, double hi,
                          unsigned bins_per_decade)
@@ -197,27 +179,6 @@ StatsRegistry::sampleProbes()
     ++sampleEpochs_;
 }
 
-const Counter *
-StatsRegistry::findCounter(const std::string &path) const
-{
-    const Entry *e = find(path, Kind::Counter);
-    return e ? &e->counter : nullptr;
-}
-
-const Gauge *
-StatsRegistry::findGauge(const std::string &path) const
-{
-    const Entry *e = find(path, Kind::Gauge);
-    return e ? &e->gauge : nullptr;
-}
-
-const Accumulator *
-StatsRegistry::findAccumulator(const std::string &path) const
-{
-    const Entry *e = find(path, Kind::Accum);
-    return e ? &e->accum : nullptr;
-}
-
 const Histogram *
 StatsRegistry::findHistogram(const std::string &path) const
 {
@@ -228,29 +189,15 @@ StatsRegistry::findHistogram(const std::string &path) const
 std::uint64_t
 StatsRegistry::counterValue(const std::string &path) const
 {
-    for (const auto &e : entries_) {
-        if (e->path != path)
-            continue;
-        if (e->kind == Kind::Counter)
-            return e->counter.value();
-        if (e->kind == Kind::FnCounter)
-            return e->readCounter();
-    }
-    return 0;
+    const Entry *e = find(path, Kind::FnCounter);
+    return e ? e->readCounter() : 0;
 }
 
 double
 StatsRegistry::gaugeValue(const std::string &path) const
 {
-    for (const auto &e : entries_) {
-        if (e->path != path)
-            continue;
-        if (e->kind == Kind::Gauge)
-            return e->gauge.value();
-        if (e->kind == Kind::FnGauge)
-            return e->readGauge();
-    }
-    return 0.0;
+    const Entry *e = find(path, Kind::FnGauge);
+    return e ? e->readGauge() : 0.0;
 }
 
 const Accumulator *
@@ -271,8 +218,6 @@ void
 StatsRegistry::resetAll()
 {
     for (auto &e : entries_) {
-        e->counter.reset();
-        e->gauge.reset();
         e->accum.reset();
         if (e->hist)
             e->hist->reset();
@@ -284,24 +229,11 @@ void
 StatsRegistry::writeLeafJson(std::ostream &os, const Entry &e) const
 {
     switch (e.kind) {
-      case Kind::Counter:
-        os << e.counter.value();
-        break;
       case Kind::FnCounter:
         os << e.readCounter();
         break;
-      case Kind::Gauge:
-        os << jsonNumber(e.gauge.value());
-        break;
       case Kind::FnGauge:
         os << jsonNumber(e.readGauge());
-        break;
-      case Kind::Accum:
-        os << "{\"count\":" << e.accum.count()
-           << ",\"mean\":" << jsonNumber(e.accum.mean())
-           << ",\"min\":" << jsonNumber(e.accum.count() ? e.accum.min() : 0)
-           << ",\"max\":" << jsonNumber(e.accum.count() ? e.accum.max() : 0)
-           << ",\"stddev\":" << jsonNumber(e.accum.stddev()) << "}";
         break;
       case Kind::Histogram:
       case Kind::Probe: {
@@ -367,48 +299,6 @@ StatsRegistry::writeJson(std::ostream &os) const
     for (std::size_t i = open.size(); i > 0; --i)
         os << "}";
     os << "}";
-}
-
-void
-StatsRegistry::writeText(std::ostream &os) const
-{
-    std::vector<const Entry *> sorted;
-    sorted.reserve(entries_.size());
-    for (const auto &e : entries_)
-        sorted.push_back(e.get());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Entry *a, const Entry *b) {
-                  return a->path < b->path;
-              });
-    for (const Entry *e : sorted) {
-        os << e->path << " = ";
-        switch (e->kind) {
-          case Kind::Counter:
-            os << e->counter.value();
-            break;
-          case Kind::FnCounter:
-            os << e->readCounter();
-            break;
-          case Kind::Gauge:
-            os << jsonNumber(e->gauge.value());
-            break;
-          case Kind::FnGauge:
-            os << jsonNumber(e->readGauge());
-            break;
-          case Kind::Accum:
-            os << "count " << e->accum.count() << " mean "
-               << jsonNumber(e->accum.mean());
-            break;
-          case Kind::Histogram:
-          case Kind::Probe:
-            os << "count " << e->hist->count() << " mean "
-               << jsonNumber(e->hist->count() ? e->hist->mean() : 0)
-               << " p50 " << jsonNumber(e->hist->quantile(0.50))
-               << " p99 " << jsonNumber(e->hist->quantile(0.99));
-            break;
-        }
-        os << "\n";
-    }
 }
 
 } // namespace halsim::obs

@@ -1,22 +1,21 @@
 /**
  * @file
- * Hierarchical statistics registry (gem5-style): named counters,
- * gauges, accumulators, quantile histograms, and sampled probes
+ * Hierarchical statistics registry (gem5-style): lazily read
+ * counters and gauges, quantile histograms, and sampled probes
  * organised in a dotted component tree
  * (`server.snic.core3.busy_frac`, `server.hlb.director.fwd_th_gbps`).
  *
  * Registration happens at component-construction time and may
- * allocate; the handles it returns are stable for the registry's
- * lifetime, so steady-state updates are plain inlined increments and
- * stores — nothing on the simulator hot path touches the registry
- * structure itself (DESIGN.md §10).
- *
- * Two read-side mechanisms avoid hot-path hooks entirely:
- *  - fnCounter() binds a closure that reads an existing component
- *    counter lazily at serialization time;
+ * allocate; nothing on the simulator hot path touches the registry
+ * structure itself (DESIGN.md §10). Components keep their own
+ * counters, and the registry reads them without hot-path hooks:
+ *  - fnCounter()/fnGauge() bind a closure that reads an existing
+ *    component counter lazily at serialization time;
  *  - probe() binds a closure sampled every sampling epoch into an
  *    Accumulator + Histogram, giving occupancy/utilization
- *    distributions without touching accept().
+ *    distributions without touching accept();
+ *  - histogram() hands out a stable Histogram the owner samples
+ *    into directly.
  */
 
 #ifndef HALSIM_OBS_REGISTRY_HH
@@ -32,44 +31,6 @@
 #include "sim/stats.hh"
 
 namespace halsim::obs {
-
-/** Monotonic event count. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t n = 1) { v_ += n; }
-    std::uint64_t value() const { return v_; }
-    void reset() { v_ = 0; }
-
-  private:
-    std::uint64_t v_ = 0;
-};
-
-/** Last-written scalar (e.g. the director's current Fwd_Th). */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        v_ = v;
-        written_ = true;
-    }
-
-    double value() const { return v_; }
-    bool written() const { return written_; }
-
-    void
-    reset()
-    {
-        v_ = 0.0;
-        written_ = false;
-    }
-
-  private:
-    double v_ = 0.0;
-    bool written_ = false;
-};
 
 /**
  * The registry: a flat store of dotted paths rendered as a tree.
@@ -97,9 +58,6 @@ class StatsRegistry
 
     // --- registration (setup time; handles stay valid) ---------------
 
-    Counter *counter(const std::string &path);
-    Gauge *gauge(const std::string &path);
-    Accumulator *accumulator(const std::string &path);
     Histogram *histogram(const std::string &path, double lo = 1.0,
                          double hi = 1e6,
                          unsigned bins_per_decade = 16);
@@ -130,17 +88,12 @@ class StatsRegistry
 
     // --- lookup (tests and views) --------------------------------------
 
-    const Counter *findCounter(const std::string &path) const;
-    const Gauge *findGauge(const std::string &path) const;
-    const Accumulator *findAccumulator(const std::string &path) const;
     const Histogram *findHistogram(const std::string &path) const;
 
-    /** Counter value by path, resolving fnCounter bindings too;
-     *  returns 0 for unknown paths. */
+    /** fnCounter value by path; returns 0 for unknown paths. */
     std::uint64_t counterValue(const std::string &path) const;
 
-    /** Gauge value by path, resolving fnGauge bindings too; returns
-     *  0.0 for unknown paths. */
+    /** fnGauge value by path; returns 0.0 for unknown paths. */
     double gaugeValue(const std::string &path) const;
 
     /** Probe summary by path (null when @p path is not a probe). */
@@ -151,8 +104,8 @@ class StatsRegistry
 
     // --- lifecycle -----------------------------------------------------
 
-    /** Zero every owned stat and probe summary (fnCounter bindings
-     *  read live values and are unaffected). */
+    /** Zero every histogram and probe summary (fnCounter/fnGauge
+     *  bindings read live values and are unaffected). */
     void resetAll();
 
     // --- serialization -------------------------------------------------
@@ -160,15 +113,9 @@ class StatsRegistry
     /** Nested JSON object following the dotted tree. */
     void writeJson(std::ostream &os) const;
 
-    /** Flat deterministic text: one sorted "path = value" per line. */
-    void writeText(std::ostream &os) const;
-
   private:
     enum class Kind : std::uint8_t
     {
-        Counter,
-        Gauge,
-        Accum,
         Histogram,
         FnCounter,
         FnGauge,
@@ -179,9 +126,7 @@ class StatsRegistry
     {
         std::string path;
         Kind kind;
-        Counter counter;
-        Gauge gauge;
-        Accumulator accum;
+        Accumulator accum; //!< probe summary
         std::unique_ptr<Histogram> hist;
         std::function<std::uint64_t()> readCounter;
         std::function<double()> readGauge;

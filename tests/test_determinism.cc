@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -39,94 +38,18 @@ using namespace halsim::core;
 
 namespace {
 
-/** Exact bit equality for doubles (EXPECT_EQ would accept -0 == 0). */
-void
-expectBitEqual(double a, double b, const char *field)
+/**
+ * The serialized RunResult: every field, in the one format artifacts
+ * use. jsonNumber() is shortest-round-trip and prints -0 distinctly,
+ * so equal strings mean bit-equal finite doubles, and a new field is
+ * covered without editing this file.
+ */
+std::string
+json(const RunResult &r)
 {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
-              std::bit_cast<std::uint64_t>(b))
-        << field << ": " << a << " vs " << b;
-}
-
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    expectBitEqual(a.offered_gbps, b.offered_gbps, "offered_gbps");
-    expectBitEqual(a.delivered_gbps, b.delivered_gbps, "delivered_gbps");
-    expectBitEqual(a.max_window_gbps, b.max_window_gbps,
-                   "max_window_gbps");
-    expectBitEqual(a.p99_us, b.p99_us, "p99_us");
-    expectBitEqual(a.mean_us, b.mean_us, "mean_us");
-    expectBitEqual(a.system_power_w, b.system_power_w, "system_power_w");
-    expectBitEqual(a.dynamic_power_w, b.dynamic_power_w,
-                   "dynamic_power_w");
-    expectBitEqual(a.energy_eff, b.energy_eff, "energy_eff");
-    EXPECT_EQ(a.sent, b.sent);
-    EXPECT_EQ(a.responses, b.responses);
-    EXPECT_EQ(a.drops, b.drops);
-    EXPECT_EQ(a.in_flight_at_window_end, b.in_flight_at_window_end);
-    EXPECT_EQ(a.snic_frames, b.snic_frames);
-    EXPECT_EQ(a.host_frames, b.host_frames);
-    EXPECT_EQ(a.slb_kept, b.slb_kept);
-    EXPECT_EQ(a.slb_forwarded, b.slb_forwarded);
-    expectBitEqual(a.final_fwd_th_gbps, b.final_fwd_th_gbps,
-                   "final_fwd_th_gbps");
-    EXPECT_EQ(a.faults_injected, b.faults_injected);
-    EXPECT_EQ(a.faults_reverted, b.faults_reverted);
-    EXPECT_EQ(a.failovers, b.failovers);
-    EXPECT_EQ(a.recoveries, b.recoveries);
-    expectBitEqual(a.degraded_us, b.degraded_us, "degraded_us");
-    expectBitEqual(a.time_to_recover_us, b.time_to_recover_us,
-                   "time_to_recover_us");
-    EXPECT_EQ(a.failover_drops, b.failover_drops);
-    EXPECT_EQ(a.ctrl_updates_dropped, b.ctrl_updates_dropped);
-    expectBitEqual(a.energy_snic_cpu_j, b.energy_snic_cpu_j,
-                   "energy_snic_cpu_j");
-    expectBitEqual(a.energy_snic_accel_j, b.energy_snic_accel_j,
-                   "energy_snic_accel_j");
-    expectBitEqual(a.energy_host_cpu_j, b.energy_host_cpu_j,
-                   "energy_host_cpu_j");
-    expectBitEqual(a.energy_host_accel_j, b.energy_host_accel_j,
-                   "energy_host_accel_j");
-    expectBitEqual(a.energy_extra_j, b.energy_extra_j, "energy_extra_j");
-    expectBitEqual(a.energy_static_j, b.energy_static_j,
-                   "energy_static_j");
-    expectBitEqual(a.energy_total_j, b.energy_total_j, "energy_total_j");
-    expectBitEqual(a.j_per_request, b.j_per_request, "j_per_request");
-    expectBitEqual(a.j_per_gb, b.j_per_gb, "j_per_gb");
-    expectBitEqual(a.slo_target_p99_us, b.slo_target_p99_us,
-                   "slo_target_p99_us");
-    expectBitEqual(a.slo_worst_p99_us, b.slo_worst_p99_us,
-                   "slo_worst_p99_us");
-    EXPECT_EQ(a.slo_epochs, b.slo_epochs);
-    EXPECT_EQ(a.slo_violation_epochs, b.slo_violation_epochs);
-    EXPECT_EQ(a.fleet_backends, b.fleet_backends);
-    EXPECT_EQ(a.fleet_retries, b.fleet_retries);
-    EXPECT_EQ(a.fleet_timeouts, b.fleet_timeouts);
-    EXPECT_EQ(a.fleet_duplicates, b.fleet_duplicates);
-    EXPECT_EQ(a.fleet_sheds, b.fleet_sheds);
-    EXPECT_EQ(a.fleet_requests_failed, b.fleet_requests_failed);
-    EXPECT_EQ(a.fleet_failovers, b.fleet_failovers);
-    EXPECT_EQ(a.fleet_flows_migrated, b.fleet_flows_migrated);
-    EXPECT_EQ(a.fleet_drain_timeouts, b.fleet_drain_timeouts);
-    EXPECT_EQ(a.fleet_probes_failed, b.fleet_probes_failed);
-    EXPECT_EQ(a.fleet_backend_served_min, b.fleet_backend_served_min);
-    EXPECT_EQ(a.fleet_backend_served_max, b.fleet_backend_served_max);
-    expectBitEqual(a.energy_fleet_j, b.energy_fleet_j, "energy_fleet_j");
-    EXPECT_EQ(a.gov_epochs, b.gov_epochs);
-    EXPECT_EQ(a.gov_rebalances, b.gov_rebalances);
-    EXPECT_EQ(a.gov_migrations, b.gov_migrations);
-    EXPECT_EQ(a.gov_parks, b.gov_parks);
-    EXPECT_EQ(a.gov_unparks, b.gov_unparks);
-    EXPECT_EQ(a.gov_min_active_cores, b.gov_min_active_cores);
-    EXPECT_EQ(a.gov_max_active_cores, b.gov_max_active_cores);
-    EXPECT_EQ(a.past_clamps, b.past_clamps);
-    EXPECT_EQ(a.trace_spans, b.trace_spans);
-    EXPECT_EQ(a.fr_dumps, b.fr_dumps);
-    EXPECT_EQ(a.fr_trigger_fault, b.fr_trigger_fault);
-    EXPECT_EQ(a.fr_trigger_slo, b.fr_trigger_slo);
-    EXPECT_EQ(a.fr_trigger_shed, b.fr_trigger_shed);
-    EXPECT_EQ(a.fr_trigger_gov, b.fr_trigger_gov);
+    std::ostringstream os;
+    r.toJson(os);
+    return os.str();
 }
 
 /** A HAL point with a transient fault so that every fault/watchdog
@@ -173,7 +96,7 @@ TEST(Determinism, PoolingOnVsOffIdentical)
     // The fault plan must have fired for this test to mean anything.
     ASSERT_GT(pooled.faults_injected, 0u);
     ASSERT_GT(pooled.failovers, 0u);
-    expectIdentical(pooled, bare);
+    EXPECT_EQ(json(pooled), json(bare));
 }
 
 TEST(Determinism, RepeatedRunsIdentical)
@@ -181,7 +104,7 @@ TEST(Determinism, RepeatedRunsIdentical)
     const ServerConfig cfg = faultedHalConfig();
     const RunResult a = runOnce(cfg, 60.0, true);
     const RunResult b = runOnce(cfg, 60.0, true);
-    expectIdentical(a, b);
+    EXPECT_EQ(json(a), json(b));
 }
 
 TEST(Determinism, ObsOnVsOffIdentical)
@@ -199,13 +122,7 @@ TEST(Determinism, ObsOnVsOffIdentical)
     // they must agree too (and actually measure something).
     ASSERT_GT(r_on.energy_total_j, 0.0);
     ASSERT_GT(r_on.slo_epochs, 0u);
-    expectIdentical(r_off, r_on);
-
-    // The serialized form must match byte for byte too.
-    std::ostringstream ja, jb;
-    r_off.toJson(ja);
-    r_on.toJson(jb);
-    EXPECT_EQ(ja.str(), jb.str());
+    EXPECT_EQ(json(r_off), json(r_on));
 }
 
 TEST(Determinism, ObsArtifactsIdenticalAcrossSweepThreads)
@@ -314,7 +231,7 @@ TEST(Determinism, FleetSweepThreads1VsNIdentical)
     ASSERT_GT(rs[0].fleet_failovers, 0u);
     for (std::size_t i = 0; i < rs.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(rs[i], rp[i]);
+        EXPECT_EQ(json(rs[i]), json(rp[i]));
     }
     ASSERT_FALSE(as[0].empty());
     ASSERT_FALSE(as[1].empty());
@@ -375,7 +292,7 @@ TEST(Determinism, SpanArtifactsIdenticalAcrossSweepThreads)
     ASSERT_GT(rs[0].fr_trigger_fault, 0u);
     for (std::size_t i = 0; i < rs.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(rs[i], rp[i]);
+        EXPECT_EQ(json(rs[i]), json(rp[i]));
     }
     ASSERT_FALSE(as[0].empty());
     ASSERT_FALSE(as[1].empty());
@@ -412,7 +329,7 @@ TEST(Determinism, GovernorSweepThreads1VsNIdentical)
     ASSERT_GT(rs[0].gov_parks, 0u);
     for (std::size_t i = 0; i < rs.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(rs[i], rp[i]);
+        EXPECT_EQ(json(rs[i]), json(rp[i]));
     }
 }
 
@@ -446,6 +363,6 @@ TEST(Determinism, SweepThreads1VsNIdentical)
     ASSERT_EQ(rp.size(), points.size());
     for (std::size_t i = 0; i < rs.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(rs[i], rp[i]);
+        EXPECT_EQ(json(rs[i]), json(rp[i]));
     }
 }

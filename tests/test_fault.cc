@@ -410,6 +410,25 @@ TEST(FaultDrill, ReturnLinkCorruptionDropsResponses)
     EXPECT_LT(r.responses, r.sent);
 }
 
+TEST(FaultDrill, SwitchPortDownBlackholesAreCountedAsDrops)
+{
+    // Frames the eSwitch blackholes at a downed port are losses: they
+    // must reach RunResult::drops, or they sit in in-flight forever and
+    // lossFraction() reads zero.
+    EventQueue eq;
+    auto cfg = cfgFor(Mode::Hal);
+    cfg.faults.switchPortDown(fault::FaultTarget::Host, 2 * kMs, 5 * kMs);
+    ServerSystem sys(eq, cfg);
+    const auto r = runConstant(sys, 60.0, 0, 20 * kMs);
+
+    ASSERT_EQ(r.faults_injected, 1u);
+    const std::uint64_t blackholed = sys.eswitch()->blackholed();
+    ASSERT_GT(blackholed, 0u);
+    EXPECT_GE(r.drops, blackholed);
+    EXPECT_LT(r.in_flight_at_window_end, blackholed);
+    EXPECT_GT(r.lossFraction(), 0.1);
+}
+
 // --- core-level faults ------------------------------------------------
 
 TEST(FaultDrill, CoreStallBacksUpThenDrains)

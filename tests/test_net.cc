@@ -258,12 +258,12 @@ taggedFrame(std::uint64_t tag)
 }
 
 /** Logs each delivery's tag and tick; an optional hook runs after. */
-struct ChannelLog : TimedChannel::Receiver
+struct ChannelLog : PacketSink
 {
     explicit ChannelLog(EventQueue &eq) : eq(eq) {}
 
     void
-    channelDeliver(PacketPtr pkt) override
+    accept(PacketPtr pkt) override
     {
         order.push_back(static_cast<int>(pkt->id));
         ticks.push_back(eq.now());

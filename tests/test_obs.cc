@@ -37,39 +37,46 @@ using namespace halsim::obs;
 TEST(StatsRegistry, RegistersAndResolvesDottedPaths)
 {
     StatsRegistry reg;
-    Counter *c = reg.counter("server.snic.frames");
-    Gauge *g = reg.gauge("server.hlb.fwd_th");
-    ASSERT_NE(c, nullptr);
-    ASSERT_NE(g, nullptr);
-
-    c->inc(41);
-    c->inc();
-    g->set(35.5);
+    std::uint64_t frames = 42;
+    double fwd_th = 35.5;
+    reg.fnCounter("server.snic.frames", [&frames] { return frames; });
+    reg.fnGauge("server.hlb.fwd_th", [&fwd_th] { return fwd_th; });
 
     EXPECT_EQ(reg.counterValue("server.snic.frames"), 42u);
-    ASSERT_NE(reg.findGauge("server.hlb.fwd_th"), nullptr);
-    EXPECT_DOUBLE_EQ(reg.findGauge("server.hlb.fwd_th")->value(), 35.5);
-    EXPECT_EQ(reg.findCounter("no.such.path"), nullptr);
+    EXPECT_DOUBLE_EQ(reg.gaugeValue("server.hlb.fwd_th"), 35.5);
     EXPECT_EQ(reg.counterValue("no.such.path"), 0u);
+    EXPECT_EQ(reg.size(), 2u);
+
+    std::ostringstream os;
+    reg.writeJson(os);
+    EXPECT_EQ(os.str(),
+              "{\"server\":{\"hlb\":{\"fwd_th\":35.5},"
+              "\"snic\":{\"frames\":42}}}");
 }
 
 TEST(StatsRegistry, RejectsInvalidPaths)
 {
     StatsRegistry reg;
-    EXPECT_THROW(reg.counter(""), std::invalid_argument);
-    EXPECT_THROW(reg.counter("Server.frames"), std::invalid_argument);
-    EXPECT_THROW(reg.counter("server..frames"), std::invalid_argument);
-    EXPECT_THROW(reg.counter(".server"), std::invalid_argument);
-    EXPECT_THROW(reg.counter("server."), std::invalid_argument);
-    EXPECT_THROW(reg.counter("server.fra mes"), std::invalid_argument);
+    auto zero = [] { return std::uint64_t{0}; };
+    EXPECT_THROW(reg.fnCounter("", zero), std::invalid_argument);
+    EXPECT_THROW(reg.fnCounter("Server.frames", zero),
+                 std::invalid_argument);
+    EXPECT_THROW(reg.fnCounter("server..frames", zero),
+                 std::invalid_argument);
+    EXPECT_THROW(reg.fnCounter(".server", zero), std::invalid_argument);
+    EXPECT_THROW(reg.fnCounter("server.", zero), std::invalid_argument);
+    EXPECT_THROW(reg.fnCounter("server.fra mes", zero),
+                 std::invalid_argument);
 }
 
 TEST(StatsRegistry, RejectsDuplicatePaths)
 {
     StatsRegistry reg;
-    reg.counter("a.b");
-    EXPECT_THROW(reg.counter("a.b"), std::invalid_argument);
-    EXPECT_THROW(reg.gauge("a.b"), std::invalid_argument);
+    reg.fnCounter("a.b", [] { return std::uint64_t{0}; });
+    EXPECT_THROW(reg.fnCounter("a.b", [] { return std::uint64_t{1}; }),
+                 std::invalid_argument);
+    EXPECT_THROW(reg.fnGauge("a.b", [] { return 0.0; }),
+                 std::invalid_argument);
     EXPECT_THROW(reg.probe("a.b", [] { return 0.0; }),
                  std::invalid_argument);
 }
@@ -109,13 +116,6 @@ TEST(StatsRegistry, FnGaugeRejectsNullAndDuplicates)
                  std::invalid_argument);
 }
 
-TEST(StatsRegistry, GaugeValueResolvesPlainGaugesToo)
-{
-    StatsRegistry reg;
-    reg.gauge("plain")->set(3.5);
-    EXPECT_DOUBLE_EQ(reg.gaugeValue("plain"), 3.5);
-}
-
 // --- probes and sampling ----------------------------------------------
 
 TEST(StatsRegistry, ProbeSamplesIntoSummaryAndHistogram)
@@ -148,17 +148,17 @@ TEST(StatsRegistry, ProbeSamplesIntoSummaryAndHistogram)
 TEST(StatsRegistry, ResetAllZeroesOwnedStatsButNotFnCounters)
 {
     StatsRegistry reg;
-    Counter *c = reg.counter("c");
+    Histogram *h = reg.histogram("h");
     std::uint64_t live = 5;
     reg.fnCounter("live", [&live] { return live; });
     double sig = 3.0;
     reg.probe("sig", [&sig] { return sig; });
 
-    c->inc(10);
+    h->sample(10.0);
     reg.sampleProbes();
     reg.resetAll();
 
-    EXPECT_EQ(reg.counterValue("c"), 0u);
+    EXPECT_EQ(reg.findHistogram("h")->count(), 0u);
     EXPECT_EQ(reg.probeSummary("sig")->count(), 0u);
     EXPECT_EQ(reg.sampleEpochs(), 0u);
     EXPECT_EQ(reg.counterValue("live"), 5u);
@@ -508,13 +508,13 @@ TEST(ObsIntegration, HalRunEmitsStatsTreeAndTrace)
     ASSERT_NE(sys.obs()->tracer(), nullptr);
     EXPECT_GT(sys.obs()->tracer()->recorded(), 0u);
 
-    // Serialized forms are non-trivial.
-    std::ostringstream json, text;
+    // The serialized tree nests the dotted path.
+    std::ostringstream json;
     sys.obs()->writeStatsJson(json);
-    sys.obs()->writeStatsText(text);
-    EXPECT_NE(json.str().find("\"busy_frac\""), std::string::npos);
-    EXPECT_NE(text.str().find("server.snic.core0.busy_frac"),
-              std::string::npos);
+    EXPECT_NE(json.str().find("\"snic\":{"), std::string::npos);
+    EXPECT_NE(json.str().find("\"core0\":{\"busy_frac\":{"),
+              std::string::npos)
+        << json.str();
 }
 
 // --- power meter window edges ------------------------------------------

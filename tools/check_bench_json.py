@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Validate sweep-bench artifacts against the committed schema.
 
-CI's release job feeds every artifact it produces through this
-script: the fig4 sweep's --json/--stats-out/--trace, the fleet
-drill's --json/--stats-out/--trace and the governor sweep's
---json/--trace. A RunResult field added (or renamed) in
-src/core/results.cc without a matching edit to tools/bench_schema.json
+This is the only artifact-schema check. ctest runs it on a server
+set (bench_governor --quick --json/--stats-out/--trace) and a fleet
+set (bench_fleet_drill --quick, same flags) as the
+check_bench_json.governor and check_bench_json.fleet tests; CI's
+release job also runs it on the multi-threaded fig4 sweep. The check
+is exact in both directions: a RunResult field added (or renamed) in
+src/core/results.cc without a matching edit to tools/bench_schema.json,
+a stale schema field, or a required stats path that no point exposes
 fails the build instead of silently shipping a different artifact
 shape.
 

@@ -2,9 +2,9 @@
  * @file
  * halint engine core: per-file rule scanners (HAL-W001..W007), the
  * suppression/directive machinery, and the analyzeSources()
- * orchestration that adds the cross-TU passes (HAL-W008/W010, see
+ * orchestration that adds the cross-TU pass (HAL-W008, see
  * passes.cc). The lexer lives in lexer.cc, the repo indexer in
- * index.cc, output/baseline in output.cc.
+ * index.cc, the report formats in output.cc.
  */
 
 #include "halint.hh"
@@ -397,13 +397,6 @@ sortDiags(std::vector<Diagnostic> &diags)
               });
 }
 
-bool
-endsWith(const std::string &s, std::string_view suf)
-{
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
 } // namespace
 
 std::vector<Diagnostic>
@@ -428,17 +421,7 @@ lintSource(const std::string &path, std::string_view content)
 std::vector<Diagnostic>
 analyzeSources(const std::vector<SourceFile> &files)
 {
-    std::vector<SourceFile> cpp;
-    std::string schemaPath, schemaContent;
-    for (const SourceFile &f : files) {
-        if (endsWith(f.path, "bench_schema.json")) {
-            schemaPath = f.path;
-            schemaContent = f.content;
-        } else {
-            cpp.push_back(f);
-        }
-    }
-    const RepoIndex idx = buildIndex(cpp);
+    const RepoIndex idx = buildIndex(files);
 
     std::vector<Diagnostic> diags;
     std::map<std::string, std::map<int, std::set<std::string>>> allow;
@@ -449,7 +432,6 @@ analyzeSources(const std::vector<SourceFile> &files)
     }
 
     passTransitiveHotpath(idx, diags);
-    passSchemaDrift(idx, schemaPath, schemaContent, diags);
 
     std::vector<Diagnostic> kept;
     for (Diagnostic &d : diags) {
@@ -472,8 +454,7 @@ analyzeSources(const std::vector<SourceFile> &files)
 std::string
 ruleTable()
 {
-    return "HAL-W000  malformed halint directive or stale baseline "
-           "entry\n"
+    return "HAL-W000  malformed halint directive or unreadable path\n"
            "HAL-W001  wall-clock/host time source (simulated time only)\n"
            "HAL-W002  stdlib/unseeded RNG in src/ (use halsim::Rng)\n"
            "HAL-W003  unordered container in src/ (use alg::FixedMap)\n"
@@ -484,10 +465,7 @@ ruleTable()
            "src/net)\n"
            "HAL-W008  allocation transitively reachable from a "
            "'// halint: hotpath' root (call-graph pass)\n"
-           "HAL-W010  RunResult kFields / registered stats drifted "
-           "from tools/bench_schema.json\n"
-           "Suppress with: // halint: allow(HAL-Wnnn) <reason>, or a "
-           "counted entry in tools/halint_baseline.json\n";
+           "Suppress with: // halint: allow(HAL-Wnnn) <reason>\n";
 }
 
 std::vector<Diagnostic>
@@ -521,39 +499,19 @@ lintPaths(const std::string &base, const std::vector<std::string> &roots)
 
     const std::string prefix =
         base.empty() || base == "." ? "" : base + "/";
-    auto slurp = [](const std::string &p, std::string &out) {
-        std::ifstream in(p, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (!in)
-            return false;
-        out = buf.str();
-        return true;
-    };
-
     std::vector<SourceFile> sources;
     for (const std::string &f : files) {
-        SourceFile sf;
-        if (!slurp(f, sf.content)) {
+        std::ifstream in(f, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        if (!in) {
             diags.push_back({f, 0, kRuleDirective, "cannot read file"});
             continue;
         }
-        sf.path = f;
+        SourceFile sf{f, buf.str()};
         if (!prefix.empty() && sf.path.rfind(prefix, 0) == 0)
             sf.path = sf.path.substr(prefix.size());
         sources.push_back(std::move(sf));
-    }
-    // The committed schema rides along for the HAL-W010 drift pass.
-    {
-        const std::string schemaOnDisk =
-            (base.empty() || base == "." ? std::string()
-                                         : base + "/") +
-            "tools/bench_schema.json";
-        SourceFile sf;
-        if (slurp(schemaOnDisk, sf.content)) {
-            sf.path = "tools/bench_schema.json";
-            sources.push_back(std::move(sf));
-        }
     }
     for (Diagnostic &d : analyzeSources(sources))
         diags.push_back(std::move(d));

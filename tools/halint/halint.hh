@@ -9,13 +9,13 @@
  * primitives in the single-threaded engine) that a compiler cannot check. halint promotes
  * them from DESIGN.md prose to named, suppressible diagnostics. See
  * DESIGN.md §9 for the per-file rule table and §14 for the v2
- * multi-pass engine (indexer, call graph, baseline/ratchet).
+ * multi-pass engine (indexer, call graph).
  *
  * The engine is deliberately not a C++ front end: a small lexer
  * strips comments/strings/preprocessor lines into a token stream;
  * per-rule scanners pattern-match on it, and a heuristic repo indexer
  * (tools/halint/index.hh) recovers enough structure — functions, call
- * sites — for the cross-TU passes (HAL-W008/W010).
+ * sites — for the cross-TU pass (HAL-W008).
  * That keeps the tool dependency-free and fast enough to run as a
  * tier-1 ctest on every build (< 5 s over the whole repo).
  */
@@ -48,7 +48,6 @@ inline constexpr const char *kRuleParallelPurity = "HAL-W005";
 inline constexpr const char *kRuleHeaderHygiene = "HAL-W006";
 inline constexpr const char *kRuleThreadPrimitive = "HAL-W007";
 inline constexpr const char *kRuleTransitiveAlloc = "HAL-W008";
-inline constexpr const char *kRuleSchemaDrift = "HAL-W010";
 
 /** One input file handed to the engine (path decides rule scope). */
 struct SourceFile
@@ -70,11 +69,9 @@ std::vector<Diagnostic> lintSource(const std::string &path,
 
 /**
  * Full engine over a set of in-memory sources: per-file rules plus
- * the cross-TU passes (HAL-W008 transitive hotpath allocation,
- * HAL-W010 schema drift). A file
- * whose path ends in "bench_schema.json" is consumed as the W010
- * schema instead of being linted as C++. Diagnostics come back
- * suppression-filtered and sorted by (file, line, rule).
+ * the cross-TU pass (HAL-W008 transitive hotpath allocation).
+ * Diagnostics come back suppression-filtered and sorted by (file,
+ * line, rule).
  */
 std::vector<Diagnostic>
 analyzeSources(const std::vector<SourceFile> &files);
@@ -85,58 +82,12 @@ std::string ruleTable();
 /**
  * Lint every C++ source under @p roots (files, or directories walked
  * recursively for .cc/.hh/.cpp/.h), with paths reported relative to
- * @p base when they fall under it, then run the cross-TU passes.
- * When @p base holds tools/bench_schema.json it is loaded for the
- * HAL-W010 drift pass. Unreadable paths produce a HAL-W000
- * diagnostic rather than a crash.
+ * @p base when they fall under it, then run the cross-TU pass.
+ * Unreadable paths produce a HAL-W000 diagnostic rather than a
+ * crash.
  */
 std::vector<Diagnostic> lintPaths(const std::string &base,
                                   const std::vector<std::string> &roots);
-
-// --------------------------------------------------------------------
-// Baseline / ratchet (tools/halint_baseline.json)
-// --------------------------------------------------------------------
-
-/**
- * One legacy suppression: up to @p count findings of @p rule in
- * @p file are burned down over time instead of failing the build.
- * The reason is mandatory, mirroring the allow() grammar.
- */
-struct BaselineEntry
-{
-    std::string rule;
-    std::string file;
-    int count = 0;
-    std::string reason;
-};
-
-struct Baseline
-{
-    std::vector<BaselineEntry> entries;
-    int totalCount() const
-    {
-        int n = 0;
-        for (const BaselineEntry &e : entries)
-            n += e.count;
-        return n;
-    }
-};
-
-/** Parse a baseline file's JSON. Returns false (with @p err set) on
- *  malformed input — the caller should fail loudly, not lint. */
-bool loadBaseline(const std::string &json, Baseline &out,
-                  std::string &err);
-
-/**
- * Ratchet semantics: each entry removes up to `count` matching
- * (rule, file) diagnostics. An entry that matches *fewer* findings
- * than its count is stale and produces a HAL-W000 diagnostic — the
- * baseline must shrink in lockstep with the fixes, so suppressions
- * can only burn down, never silently linger or grow.
- */
-std::vector<Diagnostic> applyBaseline(std::vector<Diagnostic> diags,
-                                      const Baseline &bl,
-                                      const std::string &baselinePath);
 
 // --------------------------------------------------------------------
 // Output formats
@@ -145,15 +96,8 @@ std::vector<Diagnostic> applyBaseline(std::vector<Diagnostic> diags,
 /** One line per diagnostic: "file:line: RULE: message". */
 std::string formatText(const std::vector<Diagnostic> &diags);
 
-/** {"diagnostics":[{"file":...,"line":...,"rule":...,"message":...}]} */
-std::string formatJson(const std::vector<Diagnostic> &diags);
-
 /** SARIF 2.1.0, one run, for GitHub code-scanning upload. */
 std::string formatSarif(const std::vector<Diagnostic> &diags);
-
-/** Serialize findings as a baseline file (reasons stubbed TODO), for
- *  --write-baseline bootstrap. */
-std::string formatBaseline(const std::vector<Diagnostic> &diags);
 
 } // namespace halint
 

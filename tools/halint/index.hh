@@ -5,11 +5,8 @@
  * §14). Same philosophy as the per-file scanners — no libClang, no
  * template instantiation, no overload resolution — just enough
  * structure recovery (namespaces, classes, function bodies, call
- * sites) for the cross-TU passes:
- *
- *  - HAL-W008 propagates `// halint: hotpath` over call edges;
- *  - HAL-W010 harvests the string literals that name stats paths and
- *    RunResult fields.
+ * sites) for the cross-TU pass: HAL-W008 propagates
+ * `// halint: hotpath` over call edges.
  *
  * Known limits (deliberate): calls through function pointers,
  * virtual dispatch, and macros produce no edges; overloads and

@@ -98,7 +98,7 @@ validRuleId(const std::string &r)
         kRuleDirective,      kRuleWallClock,     kRuleRng,
         kRuleUnordered,      kRuleHotpathAlloc,
         kRuleParallelPurity, kRuleHeaderHygiene, kRuleThreadPrimitive,
-        kRuleTransitiveAlloc, kRuleSchemaDrift};
+        kRuleTransitiveAlloc};
     return kKnown.count(r) != 0;
 }
 
@@ -176,7 +176,7 @@ lex(std::string_view src)
             i = e;
             continue;
         }
-        // Raw string literal R"delim( ... )delim".
+        // Raw string literal R"delim( ... )delim" (dropped).
         if (c == 'R' && i + 1 < n && src[i + 1] == '"' &&
             (i == 0 || !identChar(src[i - 1]))) {
             std::size_t dEnd = i + 2;
@@ -185,25 +185,13 @@ lex(std::string_view src)
             const std::string delim =
                 ")" + std::string(src.substr(i + 2, dEnd - i - 2)) + "\"";
             std::size_t e = src.find(delim, dEnd);
-            const std::size_t bodyBegin = std::min(dEnd + 1, n);
-            const std::size_t bodyEnd = (e == std::string_view::npos)
-                                            ? n
-                                            : e;
-            const int start = line;
-            out.toks.push_back(
-                {TokKind::Str,
-                 std::string(src.substr(bodyBegin,
-                                        bodyEnd - bodyBegin)),
-                 start});
             e = (e == std::string_view::npos) ? n : e + delim.size();
             newlineSpan(i, e);
             i = e;
             continue;
         }
-        // Ordinary string / char literal. Strings become Str tokens
-        // (W010 reads them); char literals are dropped.
+        // Ordinary string / char literal (dropped).
         if (c == '"' || c == '\'') {
-            const int start = line;
             std::size_t e = i + 1;
             while (e < n && src[e] != c) {
                 if (src[e] == '\\' && e + 1 < n)
@@ -212,10 +200,6 @@ lex(std::string_view src)
                     ++line;
                 ++e;
             }
-            if (c == '"')
-                out.toks.push_back(
-                    {TokKind::Str,
-                     std::string(src.substr(i + 1, e - i - 1)), start});
             i = (e < n) ? e + 1 : n;
             continue;
         }

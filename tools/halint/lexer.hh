@@ -1,12 +1,10 @@
 /**
  * @file
  * halint lexer: turns one C++ translation unit into the token stream
- * the rule scanners and the repo indexer share. Comments, string
- * literals, and preprocessor logical lines are isolated so a
- * forbidden name inside a string (or halint's own rule tables) cannot
- * trip a rule; string literals are still *kept* as Str tokens because
- * the HAL-W010 drift pass needs the dotted stats paths and kFields
- * names they carry.
+ * the rule scanners and the repo indexer share. Comments and string
+ * and char literals are dropped, and preprocessor logical lines are
+ * kept whole as PP tokens, so a forbidden name inside a string (or
+ * halint's own rule tables) cannot trip a rule.
  *
  * The lexer also parses `// halint: ...` control comments into
  * Directive records (hotpath/allow), which the engine attaches to
@@ -23,12 +21,12 @@
 
 namespace halint {
 
-enum class TokKind { Ident, Punct, Number, PP, Str };
+enum class TokKind { Ident, Punct, Number, PP };
 
 struct Tok
 {
     TokKind kind;
-    std::string text; //!< for Str: the raw inner text, escapes kept
+    std::string text;
     int line;
 };
 

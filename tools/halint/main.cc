@@ -2,16 +2,14 @@
  * @file
  * halint CLI. Scans the repo's C++ trees (default: src/ bench/
  * examples/ tools/ relative to --root), runs the per-file rules plus
- * the cross-TU passes (HAL-W008..W010), and reports diagnostics:
+ * the cross-TU pass (HAL-W008), and reports diagnostics:
  *
  *   src/sim/foo.cc:123: HAL-W002: non-deterministic RNG 'rand' — ...
  *
  * Options:
  *   --root DIR            repo root (paths reported relative to it)
- *   --format text|json|sarif
+ *   --format text|sarif
  *   --output FILE         write the report there instead of stdout
- *   --baseline FILE       apply a ratcheted suppression baseline
- *   --write-baseline FILE bootstrap a baseline from current findings
  *   --list-rules          print the rule table and exit
  *
  * Exit status: 0 clean, 1 diagnostics found, 2 usage/IO error. Run
@@ -23,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,9 +52,8 @@ usage(const char *prog)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--root DIR] [--format text|json|sarif]\n"
-        "          [--output FILE] [--baseline FILE]\n"
-        "          [--write-baseline FILE] [--list-rules] [path...]\n"
+        "usage: %s [--root DIR] [--format text|sarif]\n"
+        "          [--output FILE] [--list-rules] [path...]\n"
         "  default paths: src bench examples tools\n",
         prog);
     return 2;
@@ -71,8 +67,6 @@ main(int argc, char **argv)
     std::string root = ".";
     std::string format = "text";
     std::string outputFile;
-    std::string baselineFile;
-    std::string writeBaselineFile;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         std::string v;
@@ -80,15 +74,10 @@ main(int argc, char **argv)
             root = v;
         } else if (flagValue(argc, argv, i, "--format", v)) {
             format = v;
-            if (format != "text" && format != "json" &&
-                format != "sarif")
+            if (format != "text" && format != "sarif")
                 return usage(argv[0]);
         } else if (flagValue(argc, argv, i, "--output", v)) {
             outputFile = v;
-        } else if (flagValue(argc, argv, i, "--baseline", v)) {
-            baselineFile = v;
-        } else if (flagValue(argc, argv, i, "--write-baseline", v)) {
-            writeBaselineFile = v;
         } else if (std::strcmp(argv[i], "--list-rules") == 0) {
             std::fputs(halint::ruleTable().c_str(), stdout);
             return 0;
@@ -104,50 +93,12 @@ main(int argc, char **argv)
         if (p[0] != '/' && root != ".")
             p = root + "/" + p;
 
-    std::vector<halint::Diagnostic> diags =
+    const std::vector<halint::Diagnostic> diags =
         halint::lintPaths(root, paths);
 
-    if (!writeBaselineFile.empty()) {
-        std::ofstream out(writeBaselineFile);
-        out << halint::formatBaseline(diags);
-        if (!out) {
-            std::fprintf(stderr, "halint: cannot write baseline %s\n",
-                         writeBaselineFile.c_str());
-            return 2;
-        }
-        std::printf("halint: wrote %zu finding(s) to %s — fill in "
-                    "the TODO reasons before committing\n",
-                    diags.size(), writeBaselineFile.c_str());
-        return 0;
-    }
-
-    if (!baselineFile.empty()) {
-        std::ifstream in(baselineFile, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (!in) {
-            std::fprintf(stderr, "halint: cannot read baseline %s\n",
-                         baselineFile.c_str());
-            return 2;
-        }
-        halint::Baseline bl;
-        std::string err;
-        if (!halint::loadBaseline(buf.str(), bl, err)) {
-            std::fprintf(stderr, "halint: %s: %s\n",
-                         baselineFile.c_str(), err.c_str());
-            return 2;
-        }
-        diags = halint::applyBaseline(std::move(diags), bl,
-                                      baselineFile);
-    }
-
-    std::string report;
-    if (format == "json")
-        report = halint::formatJson(diags);
-    else if (format == "sarif")
-        report = halint::formatSarif(diags);
-    else
-        report = halint::formatText(diags);
+    const std::string report = format == "sarif"
+                                   ? halint::formatSarif(diags)
+                                   : halint::formatText(diags);
 
     if (!outputFile.empty()) {
         std::ofstream out(outputFile);
@@ -167,8 +118,7 @@ main(int argc, char **argv)
         else
             std::printf(
                 "halint: %zu diagnostic(s); suppress a justified one "
-                "with '// halint: allow(HAL-Wnnn) <reason>' or a "
-                "counted tools/halint_baseline.json entry "
+                "with '// halint: allow(HAL-Wnnn) <reason>' "
                 "(see DESIGN.md §9, §14)\n",
                 diags.size());
     }
