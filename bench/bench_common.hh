@@ -4,8 +4,7 @@
  * ServerSystem operating point (or a parallel sweep of them) and
  * print paper-style rows.
  *
- * Sweep-style benches accept `--threads N` (0 = all cores; also the
- * HALSIM_THREADS env var) and `--json PATH` via
+ * Sweep-style benches accept `--threads N|all` and `--json PATH` via
  * core::parseSweepArgs(); points run concurrently but results are
  * always reported in input order and are identical to a serial run.
  */
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hh"
 #include "core/server.hh"
 #include "core/sweep.hh"
 
@@ -83,8 +81,8 @@ banner(const std::string &title)
 
 /**
  * The standard bench command line: the shared sweep flag set
- * (--threads/--json/--stats-out/--trace/--slo-p99/--governor/
- * --gov-epoch) plus the ubiquitous `--quick` switch, all through the
+ * (--threads/--json/--stats-out/--trace/--slo-p99/--governor) plus
+ * the ubiquitous `--quick` switch, all through the
  * one ArgRegistrar so every bench shares help text and the strict
  * exit-2 contract. @p extra, when given, registers bench-specific
  * flags before parsing.
@@ -96,7 +94,6 @@ parseBenchArgs(int argc, char **argv, std::string bench_name,
 {
     core::SweepOptions opts;
     opts.bench_name = std::move(bench_name);
-    opts.threads = core::envDefaultThreads(opts.threads);
     core::ArgRegistrar reg(argv[0], description);
     core::registerSweepFlags(reg, opts);
     if (quick != nullptr) {

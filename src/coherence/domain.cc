@@ -6,7 +6,7 @@ Tick
 CoherenceDomain::access(std::uint64_t addr, NodeId node, bool write)
 {
     ++stats_.accesses;
-    const std::uint64_t line_id = addr / cfg_.line_bytes;
+    const std::uint64_t line_id = addr / kLineBytes;
     const std::uint8_t me = std::uint8_t{1}
                             << static_cast<std::uint8_t>(node);
     const std::uint8_t other = me ^ 0b11;
@@ -21,7 +21,7 @@ CoherenceDomain::access(std::uint64_t addr, NodeId node, bool write)
         if (line->sharers & me) {
             // Shared or exclusive here already: plain hit.
             ++stats_.localHits;
-            return cfg_.local_hit;
+            return kLocalHit;
         }
         if (line->owner >= 0 &&
             (std::uint8_t{1} << line->owner) == other) {
@@ -29,32 +29,32 @@ CoherenceDomain::access(std::uint64_t addr, NodeId node, bool write)
             line->owner = -1;
             line->sharers |= me;
             ++stats_.remoteTransfers;
-            return cfg_.remote_transfer;
+            return kRemoteTransfer;
         }
         // Clean (possibly shared remotely): fetch from memory.
         line->sharers |= me;
         ++stats_.memoryFetches;
-        return cfg_.memory_fetch;
+        return kMemoryFetch;
     }
 
     // Write path: need exclusive ownership.
     if (line->owner == static_cast<std::int8_t>(node)) {
         ++stats_.localHits;
-        return cfg_.local_hit;
+        return kLocalHit;
     }
     Tick cost = 0;
     if (line->sharers & other) {
         // Invalidate the remote copy (dirty transfer if it owned it).
         ++stats_.invalidations;
-        cost = cfg_.remote_transfer;
+        cost = kRemoteTransfer;
         ++stats_.remoteTransfers;
     } else if (line->sharers & me) {
         // Upgrade S->M locally.
         ++stats_.localHits;
-        cost = cfg_.local_hit;
+        cost = kLocalHit;
     } else {
         ++stats_.memoryFetches;
-        cost = cfg_.memory_fetch;
+        cost = kMemoryFetch;
     }
     line->sharers = me;
     line->owner = static_cast<std::int8_t>(node);

@@ -38,24 +38,18 @@ enum class NodeId : std::uint8_t
 class CoherenceDomain
 {
   public:
-    struct Config
-    {
-        /** Line already held in a sufficient state (L1/L2 hit). */
-        Tick local_hit = 20 * kNs;
-        /** Line fetched from local memory (no remote copy). */
-        Tick memory_fetch = 90 * kNs;
-        /**
-         * Cache-line transfer or invalidation across UPI/CXL
-         * (~150 ns on current parts; the paper's ~0.5 us remote-
-         * socket figure is the full packet-delivery path, §III-A).
-         */
-        Tick remote_transfer = 150 * kNs;
-        /** Bytes per coherence line. */
-        std::uint32_t line_bytes = 64;
-    };
-
-    CoherenceDomain() : CoherenceDomain(Config{}) {}
-    explicit CoherenceDomain(Config cfg) : cfg_(cfg) {}
+    /** Line already held in a sufficient state (L1/L2 hit). */
+    static constexpr Tick kLocalHit = 20 * kNs;
+    /** Line fetched from local memory (no remote copy). */
+    static constexpr Tick kMemoryFetch = 90 * kNs;
+    /**
+     * Cache-line transfer or invalidation across UPI/CXL
+     * (~150 ns on current parts; the paper's ~0.5 us remote-
+     * socket figure is the full packet-delivery path, §III-A).
+     */
+    static constexpr Tick kRemoteTransfer = 150 * kNs;
+    /** Bytes per coherence line. */
+    static constexpr std::uint32_t kLineBytes = 64;
 
     /**
      * Perform a coherent access by @p node to the line containing
@@ -81,8 +75,6 @@ class CoherenceDomain
     const Stats &stats() const { return stats_; }
     void resetStats() { stats_ = Stats{}; }
 
-    const Config &config() const { return cfg_; }
-
     /**
      * Invariant check for tests: no line may be writable on both
      * nodes at once.
@@ -103,7 +95,6 @@ class CoherenceDomain
         }
     };
 
-    Config cfg_;
     alg::FixedMap<std::uint64_t, Line> dir_{1024};
     Stats stats_;
 };

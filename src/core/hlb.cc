@@ -16,8 +16,7 @@ splitModeName(SplitMode m)
     return "?";
 }
 
-TrafficMonitor::TrafficMonitor(EventQueue &eq, Config cfg)
-    : eq_(eq), cfg_(cfg)
+TrafficMonitor::TrafficMonitor(EventQueue &eq) : eq_(eq)
 {
     tickEvent_.setCallback([this] { tick(); });
 }
@@ -31,7 +30,7 @@ void
 TrafficMonitor::start()
 {
     if (!tickEvent_.scheduled())
-        eq_.scheduleIn(&tickEvent_, cfg_.epoch);
+        eq_.scheduleIn(&tickEvent_, kEpoch);
 }
 
 void
@@ -44,9 +43,9 @@ TrafficMonitor::stop()
 void
 TrafficMonitor::tick()
 {
-    rateRx_ = gbps(receivedBytes_, cfg_.epoch);
+    rateRx_ = gbps(receivedBytes_, kEpoch);
     receivedBytes_ = 0;
-    eq_.scheduleIn(&tickEvent_, cfg_.epoch);
+    eq_.scheduleIn(&tickEvent_, kEpoch);
 }
 
 TrafficDirector::TrafficDirector(EventQueue &eq, Config cfg,
@@ -58,7 +57,7 @@ TrafficDirector::TrafficDirector(EventQueue &eq, Config cfg,
 {
     // Start with a full bucket so traffic below Fwd_Th never diverts,
     // including the very first packet.
-    tokens_ = cfg_.bucket_depth_us * fwdTh_ / 8.0 * 1000.0;
+    tokens_ = kBucketDepthUs * fwdTh_ / 8.0 * 1000.0;
 }
 
 void
@@ -103,7 +102,7 @@ TrafficDirector::refill()
         return;
     // Fwd_Th Gbps -> bytes per tick.
     const double bytes_per_tick = fwdTh_ / 8.0 / 1000.0;
-    const double cap = cfg_.bucket_depth_us * fwdTh_ / 8.0 * 1000.0;
+    const double cap = kBucketDepthUs * fwdTh_ / 8.0 * 1000.0;
     tokens_ = std::min(cap, tokens_ + bytes_per_tick *
                                 static_cast<double>(now - lastRefill_));
     lastRefill_ = now;

@@ -59,17 +59,15 @@ const char *splitModeName(SplitMode m);
 
 /**
  * 1 Traffic monitor: counts received bytes and derives Rate_Rx every
- * epoch (the paper suggests ~10 us).
+ * kEpoch.
  */
 class TrafficMonitor
 {
   public:
-    struct Config
-    {
-        Tick epoch = 10 * kUs;
-    };
+    /** Rate_Rx estimation period (the paper suggests ~10 us). */
+    static constexpr Tick kEpoch = 10 * kUs;
 
-    TrafficMonitor(EventQueue &eq, Config cfg);
+    explicit TrafficMonitor(EventQueue &eq);
     ~TrafficMonitor();
 
     /** Account an arriving frame. */
@@ -89,7 +87,6 @@ class TrafficMonitor
     void tick();
 
     EventQueue &eq_;
-    Config cfg_;
     CallbackEvent tickEvent_;
     std::uint64_t receivedBytes_ = 0;
     double rateRx_ = 0.0;
@@ -110,10 +107,11 @@ class TrafficDirector : public net::PacketSink
         net::MacAddr host_mac;
         SplitMode mode = SplitMode::TokenBucket;
         double initial_fwd_th_gbps = 100.0;
-        /** Token budget cap, in microseconds of Fwd_Th rate; bounds
-         *  post-idle bursts to the SNIC. */
-        double bucket_depth_us = 50.0;
     };
+
+    /** Token budget cap, in microseconds of Fwd_Th rate; bounds
+     *  post-idle bursts to the SNIC. */
+    static constexpr double kBucketDepthUs = 50.0;
 
     TrafficDirector(EventQueue &eq, Config cfg, TrafficMonitor &monitor,
                     net::PacketSink &out);

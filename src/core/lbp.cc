@@ -80,7 +80,7 @@ LoadBalancingPolicy::sendCtrl(std::function<void()> fn)
         ++updatesDropped_;
         return false;
     }
-    eq_.scheduleFnIn(std::move(fn), cfg_.comms_latency + ctrlExtraDelay_);
+    eq_.scheduleFnIn(std::move(fn), kCommsLatency + ctrlExtraDelay_);
     return true;
 }
 
@@ -99,7 +99,7 @@ LoadBalancingPolicy::tick()
     // Algorithm 1: only act when Fwd_Th has converged down to the
     // achieved throughput (the SNIC is the binding constraint).
     const double before = fwdTh_;
-    if (fwdTh_ < snicTp_ + cfg_.delta_tp_gbps) {
+    if (fwdTh_ < snicTp_ + kDeltaTpGbps) {
         const std::uint32_t occ = snic_.maxRingOccupancy();
         double step = cfg_.step_gbps;
         if (cfg_.adaptive_step) {
@@ -115,18 +115,18 @@ LoadBalancingPolicy::tick()
             fwdTh_ += step;
         else if (occ > cfg_.wm_high)
             fwdTh_ -= step;
-        fwdTh_ = std::clamp(fwdTh_, cfg_.min_fwd_gbps, cfg_.max_fwd_gbps);
+        fwdTh_ = std::clamp(fwdTh_, kMinFwdGbps, kMaxFwdGbps);
     }
     if (capacity_) {
         // Governor co-design: never steer more at the SNIC than its
-        // currently-active cores can serve (floored at min_fwd so the
-        // threshold stays actionable). Applied outside the convergence
+        // currently-active cores can serve (floored at kMinFwdGbps so
+        // the threshold stays actionable). Applied outside the convergence
         // branch on purpose: when load falls off a converged-high
         // threshold, Algorithm 1 goes quiet, but the governor keeps
         // parking — the clamp must track the shrinking active set, or
         // the frozen threshold would steer a returning burst at cores
         // that are asleep.
-        fwdTh_ = std::min(fwdTh_, std::max(cfg_.min_fwd_gbps, capacity_()));
+        fwdTh_ = std::min(fwdTh_, std::max(kMinFwdGbps, capacity_()));
     }
     if (fwdTh_ > before)
         ++ups_;

@@ -37,19 +37,23 @@ class LoadBalancingPolicy
     struct Config
     {
         Tick epoch = 100 * kUs;         //!< policy period
-        double delta_tp_gbps = 3.0;     //!< Delta_TP
         double step_gbps = 1.0;         //!< Step_Th
         std::uint32_t wm_low = 4;       //!< WM_Low (ring occupancy)
         std::uint32_t wm_high = 48;     //!< WM_High
+        /** Starting Fwd_Th; must lie in [kMinFwdGbps, kMaxFwdGbps]. */
         double initial_fwd_gbps = 5.0;
-        double min_fwd_gbps = 0.5;
-        double max_fwd_gbps = 100.0;
         /** §V-B: adaptively scale Step_Th with the watermark error to
          *  converge faster. */
         bool adaptive_step = false;
-        /** FPGA threshold update latency over the Ethernet hop. */
-        Tick comms_latency = 2 * kUs;
     };
+
+    /** Delta_TP: act only when Fwd_Th is within this of SNIC_TP. */
+    static constexpr double kDeltaTpGbps = 3.0;
+    /** Bounds Algorithm 1 clamps Fwd_Th to. */
+    static constexpr double kMinFwdGbps = 0.5;
+    static constexpr double kMaxFwdGbps = 100.0;
+    /** FPGA threshold update latency over the Ethernet hop. */
+    static constexpr Tick kCommsLatency = 2 * kUs;
 
     LoadBalancingPolicy(EventQueue &eq, Config cfg,
                         proc::Processor &snic, TrafficDirector &director);
@@ -64,7 +68,7 @@ class LoadBalancingPolicy
      * active-core count). Each epoch clamps Fwd_Th to it, so a
      * consolidated SNIC is never asked to absorb its full static
      * rating — the director decides *where*, the governor *how many*.
-     * Unset (default) keeps the static cfg.max_fwd_gbps ceiling only.
+     * Unset (default) keeps the static kMaxFwdGbps ceiling only.
      */
     void
     setCapacityProvider(std::function<double()> gbps)

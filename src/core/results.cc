@@ -2,8 +2,8 @@
  * @file
  * RunResult serialization: the single emission point for every bench
  * artifact. Benches used to hand-roll fprintf JSON per binary; they
- * now all call toJson()/toCsvRow(), so adding a RunResult field means
- * editing exactly this file (and the committed schema check in
+ * now all call toJson()/toJsonFields(), so adding a RunResult field
+ * means editing exactly this file (and the committed schema check in
  * tools/bench_schema.json).
  */
 
@@ -14,8 +14,8 @@ namespace halsim::core {
 
 namespace {
 
-// Field table driving all three emitters, so JSON and CSV can never
-// disagree on order or spelling.
+// Field table driving both JSON emitters, so they can never disagree
+// on order or spelling.
 struct Field
 {
     const char *name;
@@ -187,33 +187,6 @@ RunResult::toJson(std::ostream &os) const
     os << "{";
     toJsonFields(os);
     os << "}";
-}
-
-void
-RunResult::toCsvRow(std::ostream &os) const
-{
-    bool first = true;
-    for (const Field &f : kFields) {
-        if (!first)
-            os << ",";
-        first = false;
-        if (f.type == Field::Type::F64)
-            os << obs::jsonNumber(f.f(*this));
-        else
-            os << f.u(*this);
-    }
-}
-
-void
-RunResult::csvHeader(std::ostream &os)
-{
-    bool first = true;
-    for (const Field &f : kFields) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << f.name;
-    }
 }
 
 } // namespace halsim::core

@@ -9,10 +9,9 @@ namespace halsim::core {
 
 /**
  * Collect every configuration violation in one pass, each naming the
- * offending field (a zero-core processor never polls; a
- * non-power-of-two ring breaks the DPDK model; watermarks above the
- * ring size can never trip). Callers that used to learn about errors
- * one ctor throw at a time now get the complete list.
+ * offending field (a zero-core processor never polls; watermarks
+ * above the ring size can never trip). Callers that used to learn
+ * about errors one ctor throw at a time now get the complete list.
  */
 std::vector<std::string>
 ServerConfig::validate() const
@@ -31,34 +30,27 @@ ServerConfig::validate() const
         fail("snic_cores must be > 0 in mode " +
              std::string(modeName(mode)));
 
-    const std::uint32_t rd = ring_descriptors;
-    if (rd == 0 || (rd & (rd - 1)) != 0) {
-        fail("ring_descriptors must be a power of two, got " +
-             std::to_string(rd));
-    } else if (rd < lbp.wm_high) {
-        fail("ring_descriptors (" + std::to_string(rd) +
-             ") must be >= lbp.wm_high (" +
-             std::to_string(lbp.wm_high) + ")");
+    if (lbp.wm_high > proc::kRingDescriptors) {
+        fail("lbp.wm_high (" + std::to_string(lbp.wm_high) +
+             ") must be <= the ring size (" +
+             std::to_string(proc::kRingDescriptors) + ")");
     }
     if (lbp.wm_low > lbp.wm_high)
         fail("lbp.wm_low (" + std::to_string(lbp.wm_low) +
              ") must be <= lbp.wm_high (" +
              std::to_string(lbp.wm_high) + ")");
 
-    if (!(lbp.min_fwd_gbps <= lbp.initial_fwd_gbps &&
-          lbp.initial_fwd_gbps <= lbp.max_fwd_gbps)) {
+    using Lbp = LoadBalancingPolicy;
+    if (!(Lbp::kMinFwdGbps <= lbp.initial_fwd_gbps &&
+          lbp.initial_fwd_gbps <= Lbp::kMaxFwdGbps)) {
         fail("lbp thresholds must satisfy min_fwd (" +
-             std::to_string(lbp.min_fwd_gbps) + ") <= initial (" +
+             std::to_string(Lbp::kMinFwdGbps) + ") <= initial (" +
              std::to_string(lbp.initial_fwd_gbps) + ") <= max_fwd (" +
-             std::to_string(lbp.max_fwd_gbps) + ")");
+             std::to_string(Lbp::kMaxFwdGbps) + ")");
     }
 
     if (lbp.epoch <= 0)
         fail("lbp.epoch must be positive");
-    if (watchdog.epoch <= 0)
-        fail("watchdog.epoch must be positive");
-    if (watchdog.lbp_staleness_bound <= 0)
-        fail("watchdog.lbp_staleness_bound must be positive");
     if (frame_bytes == 0)
         fail("frame_bytes must be > 0");
 
@@ -72,17 +64,11 @@ ServerConfig::validate() const
 
     if (slo.target_p99_us < 0.0)
         fail("slo.target_p99_us must be >= 0");
-    // Unconditional: a zero epoch is degenerate whether or not the
-    // monitor is armed, and arming it later (e.g. via --slo-p99)
-    // must not suddenly discover a bad epoch mid-sweep.
-    if (slo.epoch <= 0)
-        fail("slo.epoch must be > 0");
 
-    // The obs and power-policy sub-structs validate themselves (same
-    // every-violation-in-one-pass contract); splice their messages in.
-    for (const std::vector<std::string> &sub :
-         {obs.validate(), power.validate()})
-        errors.insert(errors.end(), sub.begin(), sub.end());
+    // The obs sub-struct validates itself (same every-violation-in-
+    // one-pass contract); splice its messages in.
+    const std::vector<std::string> obs_errors = obs.validate();
+    errors.insert(errors.end(), obs_errors.begin(), obs_errors.end());
 
     return errors;
 }
@@ -235,11 +221,9 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
                            cfg_.host_cores > cfg_.slb_cores
                        ? cfg_.host_cores - cfg_.slb_cores
                        : cfg_.host_cores;
-        hc.ring_descriptors = cfg_.ring_descriptors;
         // Host cores sleep only under HAL (§V-B); the host baseline
         // busy-polls like any DPDK deployment.
-        if (cfg_.mode == Mode::Hal && cfg_.power.host_sleep.enabled)
-            hc.sleep = cfg_.power.host_sleep;
+        hc.sleep = cfg_.mode == Mode::Hal;
         hc.governor = cfg_.power.governor;
         hc.node = coherence::NodeId::Host;
         hc.service_mac = hostMac_;
@@ -262,7 +246,6 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         if (cfg_.mode == Mode::Slb)
             cores = cores > cfg_.slb_cores ? cores - cfg_.slb_cores : 1;
         sc.cores = cores;
-        sc.ring_descriptors = cfg_.ring_descriptors;
         sc.dvfs = cfg_.power.snic_dvfs;
         sc.governor = cfg_.power.governor;
         sc.node = coherence::NodeId::Snic;
@@ -299,7 +282,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         eswitch_ = std::make_unique<nic::ESwitch>();
         eswitch_->addRule(snicIp_, snicPathDelay_.get());
         eswitch_->addRule(hostIp_, hostPathDelay_.get());
-        monitor_ = std::make_unique<TrafficMonitor>(eq_, cfg_.monitor);
+        monitor_ = std::make_unique<TrafficMonitor>(eq_);
         TrafficDirector::Config dc;
         dc.snic_ip = snicIp_;
         dc.host_ip = hostIp_;
@@ -323,14 +306,10 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
                     snic_->governorActiveCores());
             });
         }
-        if (cfg_.watchdog.enabled) {
-            HealthWatchdog::Config wc = cfg_.watchdog;
-            if (wc.lbp_failsafe_gbps <= 0.0)
-                wc.lbp_failsafe_gbps = cfg_.lbp.initial_fwd_gbps;
-            watchdog_ = std::make_unique<HealthWatchdog>(
-                eq_, wc, snic_.get(), host_.get(), director_.get(),
-                lbp_.get(), [this] { return totalDrops(); });
-        }
+        // LbpSilent falls back to the LBP's own starting threshold.
+        watchdog_ = std::make_unique<HealthWatchdog>(
+            eq_, cfg_.lbp.initial_fwd_gbps, snic_.get(), host_.get(),
+            director_.get(), lbp_.get(), [this] { return totalDrops(); });
         // The LBP occupies one SNIC core; the HLB burns its FPGA
         // power (§VII-C).
         extraPower_.add(
@@ -884,7 +863,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
                     snic_base;
     r.host_frames = (host_ != nullptr ? host_->processedFrames() : 0) -
                     host_base;
-    r.drops = totalDrops();
+    r.drops = totalDrops() - drops_base;
     r.slb_kept = slb_ != nullptr ? slb_->keptLocal() : 0;
     r.slb_forwarded = slb_ != nullptr ? slb_->forwarded() : 0;
     r.final_fwd_th_gbps = lbp_ != nullptr ? lbp_->fwdTh() : 0.0;

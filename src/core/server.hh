@@ -77,13 +77,12 @@ struct ServerConfig
     funcs::Platform snic_platform = funcs::Platform::SnicBf2;
     unsigned host_cores = 8;
     unsigned snic_cores = 8;
-    std::uint32_t ring_descriptors = 512;
 
     /**
-     * All power management in one sub-struct: host-CPU sleep states
-     * (§V-B, HAL default on), SNIC-CPU DVFS (§VIII), and the adaptive
-     * core-scaling governor (ROADMAP item 3). The governor arms on
-     * *both* CPU processors; LBP reads its active capacity.
+     * Switchable power management: SNIC-CPU DVFS (§VIII) and the
+     * adaptive core-scaling governor (ROADMAP item 3). The governor
+     * arms on *both* CPU processors; LBP reads its active capacity.
+     * Host-CPU sleep states (§V-B) are always on under HAL.
      */
     proc::PowerPolicy power;
 
@@ -95,7 +94,6 @@ struct ServerConfig
     bool coherent_state = true;
 
     SplitMode split_mode = SplitMode::TokenBucket;
-    TrafficMonitor::Config monitor;
     LoadBalancingPolicy::Config lbp;
 
     /** SLB baseline parameters (Mode::Slb). */
@@ -105,11 +103,9 @@ struct ServerConfig
     std::size_t frame_bytes = net::kMtuFrameBytes;
     std::uint64_t seed = 1;
 
-    /** Scheduled fault events, times relative to run() start. */
+    /** Scheduled fault events, times relative to run() start; the
+     *  degraded-mode watchdog is always armed in Mode::Hal. */
     fault::FaultPlan faults;
-
-    /** Degraded-mode watchdog (active in Mode::Hal only). */
-    HealthWatchdog::Config watchdog;
 
     /** Stats-registry + packet-tracing knobs (off by default; turning
      *  them on must not change simulation results). */
@@ -271,12 +267,6 @@ struct RunResult
     /** The same fields without the enclosing braces, for callers that
      *  splice extra keys (label, mode, ...) into the object. */
     void toJsonFields(std::ostream &os) const;
-
-    /** One CSV data row matching csvHeader() (no trailing newline). */
-    void toCsvRow(std::ostream &os) const;
-
-    /** The CSV header row for toCsvRow() (no trailing newline). */
-    static void csvHeader(std::ostream &os);
 
     /** Close the flight recorder's pending dumps at @p now and fill
      *  the trace/flight-recorder fields from @p obs (null = obs off,

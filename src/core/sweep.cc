@@ -1,11 +1,11 @@
 #include "core/sweep.hh"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 
-#include "core/config.hh"
 #include "funcs/registry.hh"
 #include "obs/registry.hh"
 #include "obs/report.hh"
@@ -227,6 +227,39 @@ ArgRegistrar::parse(int argc, char **argv) const
     }
 }
 
+std::optional<unsigned>
+parseThreadsValue(std::string_view text, std::string *error)
+{
+    auto fail = [&](const std::string &why) -> std::optional<unsigned> {
+        if (error != nullptr)
+            *error = why;
+        return std::nullopt;
+    };
+    if (text.empty())
+        return fail("thread count is empty; give a positive integer "
+                    "or 'all'");
+    if (text == "all")
+        return 0; // SweepOptions sentinel: all hardware threads
+    if (text[0] == '-')
+        return fail("thread count cannot be negative: '" +
+                    std::string(text) + "'");
+    unsigned long value = 0;
+    for (char c : text) {
+        if (std::isdigit(static_cast<unsigned char>(c)) == 0)
+            return fail("thread count is not a number: '" +
+                        std::string(text) + "'");
+        value = value * 10 + static_cast<unsigned long>(c - '0');
+        if (value > kMaxThreads)
+            return fail("thread count out of range (1.." +
+                        std::to_string(kMaxThreads) + "): '" +
+                        std::string(text) + "'");
+    }
+    if (value == 0)
+        return fail("thread count must be positive; use 'all' for "
+                    "every hardware thread");
+    return static_cast<unsigned>(value);
+}
+
 void
 registerSweepFlags(ArgRegistrar &reg, SweepOptions &opts)
 {
@@ -325,17 +358,6 @@ registerPowerFlags(ArgRegistrar &reg, SweepOptions &opts)
                       return "needs on or off, got '" + v + "'";
                   return {};
               });
-    reg.value("--gov-epoch", "US",
-              "governor epoch in microseconds (implies nothing else)",
-              [&opts](const std::string &v) -> std::string {
-                  const auto t = parseNumberArg<Tick>(v, kUs);
-                  if (!t || *t == 0)
-                      return "needs a positive microsecond epoch, "
-                             "got '" +
-                             v + "'";
-                  opts.gov_epoch = *t;
-                  return {};
-              });
 }
 
 void
@@ -343,8 +365,6 @@ applyPowerFlags(const SweepOptions &opts, ServerConfig &cfg)
 {
     if (opts.governor)
         cfg.power.governor.enabled = *opts.governor;
-    if (opts.gov_epoch)
-        cfg.power.governor.epoch = *opts.gov_epoch;
 }
 
 SweepOptions
@@ -352,7 +372,6 @@ parseSweepArgs(int argc, char **argv, std::string bench_name)
 {
     SweepOptions opts;
     opts.bench_name = std::move(bench_name);
-    opts.threads = envDefaultThreads(opts.threads);
     ArgRegistrar reg(argv[0]);
     registerSweepFlags(reg, opts);
     reg.parse(argc, argv);

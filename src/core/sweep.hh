@@ -81,8 +81,6 @@ struct SweepOptions
     /** `--governor on|off`: force the core-scaling governor on (or
      *  off) for every point; unset leaves each point's config alone. */
     std::optional<bool> governor;
-    /** `--gov-epoch US`: governor epoch override. */
-    std::optional<Tick> gov_epoch;
     /** Bench name recorded in the artifact. */
     std::string bench_name = "sweep";
 };
@@ -188,17 +186,33 @@ parseNumberArg(std::string_view text, T unit = 1)
 }
 
 /**
+ * Parse a sweep worker-thread count as accepted by `--threads`.
+ * Grammar: a positive decimal integer (at most @ref kMaxThreads), or
+ * the word `all` for every hardware thread.
+ *
+ * @return the count (0 is the internal "all hardware threads"
+ *         sentinel used by SweepOptions), or std::nullopt with
+ *         @p error filled in. Rejected: empty, non-numeric, trailing
+ *         junk, negative, explicit 0 (spell it `all`), and
+ *         implausibly large values.
+ */
+std::optional<unsigned> parseThreadsValue(std::string_view text,
+                                          std::string *error);
+
+/** Upper bound accepted by parseThreadsValue (sanity, not a target). */
+inline constexpr unsigned kMaxThreads = 4096;
+
+/**
  * Register the shared sweep/CLI flag set against @p opts:
  * `--threads N|all`, `--json PATH`, `--stats-out PATH`,
  * `--trace PATH`, `--flightrec PATH`,
- * `--fr-trigger LIST`, `--slo-p99 US`, `--governor on|off`, and
- * `--gov-epoch US`.
+ * `--fr-trigger LIST`, `--slo-p99 US` and `--governor on|off`.
  */
 void registerSweepFlags(ArgRegistrar &reg, SweepOptions &opts);
 
 /**
- * Just the power-policy subset (`--governor on|off`, `--gov-epoch US`)
- * for binaries that are not sweeps (halsim_cli). Included in
+ * Just the power-policy subset (`--governor on|off`) for binaries
+ * that are not sweeps (halsim_cli). Included in
  * registerSweepFlags(); declared separately so the flags are defined
  * in exactly one place either way.
  */
@@ -259,11 +273,10 @@ std::vector<RunResult> runSweep(const std::vector<SweepPoint> &points,
 
 /**
  * Parse exactly the registerSweepFlags() set (a thin wrapper over
- * ArgRegistrar). The HALSIM_THREADS environment variable (same
- * grammar, see core::envDefaultThreads) supplies the default thread
- * count when the flag is absent. Malformed values — negative, zero,
- * or non-numeric counts, bad on|off — are rejected with a diagnostic
- * and exit code 2, as are unknown arguments; `--help` exits 0.
+ * ArgRegistrar); one worker thread unless `--threads` says otherwise.
+ * Malformed values — negative, zero, or non-numeric counts, bad
+ * on|off — are rejected with a diagnostic and exit code 2, as are
+ * unknown arguments; `--help` exits 0.
  */
 SweepOptions parseSweepArgs(int argc, char **argv,
                             std::string bench_name);

@@ -17,14 +17,15 @@ healthStateName(HealthState s)
     return "?";
 }
 
-HealthWatchdog::HealthWatchdog(EventQueue &eq, Config cfg,
+HealthWatchdog::HealthWatchdog(EventQueue &eq, double lbp_failsafe_gbps,
                                proc::Processor *snic,
                                proc::Processor *host,
                                TrafficDirector *director,
                                LoadBalancingPolicy *lbp,
                                std::function<std::uint64_t()> drop_count)
-    : eq_(eq), cfg_(cfg), snic_(snic), host_(host), director_(director),
-      lbp_(lbp), dropCount_(std::move(drop_count))
+    : eq_(eq), lbpFailsafeGbps_(lbp_failsafe_gbps), snic_(snic),
+      host_(host), director_(director), lbp_(lbp),
+      dropCount_(std::move(drop_count))
 {
     tickEvent_.setCallback([this] { tick(); });
 }
@@ -39,7 +40,7 @@ void
 HealthWatchdog::start()
 {
     if (!tickEvent_.scheduled())
-        eq_.scheduleIn(&tickEvent_, cfg_.epoch);
+        eq_.scheduleIn(&tickEvent_, kEpoch);
 }
 
 void
@@ -87,13 +88,13 @@ HealthWatchdog::tick()
         want = HealthState::SnicDown;
     } else if (lbp_ != nullptr && director_ != nullptr &&
                eq_.now() - director_->lastUpdateTick() >
-                   cfg_.lbp_staleness_bound) {
+                   kLbpStalenessBound) {
         want = HealthState::LbpSilent;
     }
 
     if (want != state_)
         transition(want);
-    eq_.scheduleIn(&tickEvent_, cfg_.epoch);
+    eq_.scheduleIn(&tickEvent_, kEpoch);
 }
 
 void
@@ -126,12 +127,12 @@ HealthWatchdog::applyActions(HealthState s)
         break;
       case HealthState::HostDown:
         if (director_ != nullptr)
-            director_->enterFailover(cfg_.host_down_fwd_gbps);
+            director_->enterFailover(kHostDownFwdGbps);
         break;
       case HealthState::SnicDown:
       case HealthState::AllDown:
         if (director_ != nullptr)
-            director_->enterFailover(cfg_.snic_down_fwd_gbps);
+            director_->enterFailover(kSnicDownFwdGbps);
         // The host cores were likely asleep at low rates; wake them
         // now so the diverted stream does not pay per-packet wake
         // penalties during the failover transient.
@@ -140,7 +141,7 @@ HealthWatchdog::applyActions(HealthState s)
         break;
       case HealthState::LbpSilent:
         if (director_ != nullptr)
-            director_->enterFailover(cfg_.lbp_failsafe_gbps);
+            director_->enterFailover(lbpFailsafeGbps_);
         break;
     }
 }

@@ -55,21 +55,14 @@ const char *healthStateName(HealthState s);
 class HealthWatchdog
 {
   public:
-    struct Config
-    {
-        bool enabled = true;
-        /** Liveness/occupancy sampling period. */
-        Tick epoch = 200 * kUs;
-        /** Control channel silent longer than this => LbpSilent. */
-        Tick lbp_staleness_bound = 1 * kMs;
-        /** Threshold applied while LbpSilent; 0 = the LBP's initial
-         *  threshold (resolved by ServerSystem). */
-        double lbp_failsafe_gbps = 0.0;
-        /** Threshold applied while HostDown (keep all on the SNIC). */
-        double host_down_fwd_gbps = kMaxFwdThGbps;
-        /** Threshold applied while SnicDown (divert all to host). */
-        double snic_down_fwd_gbps = 0.0;
-    };
+    /** Liveness/occupancy sampling period. */
+    static constexpr Tick kEpoch = 200 * kUs;
+    /** Control channel silent longer than this => LbpSilent. */
+    static constexpr Tick kLbpStalenessBound = 1 * kMs;
+    /** Threshold applied while HostDown (keep all on the SNIC). */
+    static constexpr double kHostDownFwdGbps = kMaxFwdThGbps;
+    /** Threshold applied while SnicDown (divert all to host). */
+    static constexpr double kSnicDownFwdGbps = 0.0;
 
     struct Stats
     {
@@ -91,10 +84,12 @@ class HealthWatchdog
     /**
      * Any of @p snic / @p host / @p director / @p lbp may be null;
      * the corresponding checks and actions are skipped.
+     * @p lbp_failsafe_gbps is the threshold applied while LbpSilent.
      * @p drop_count samples the system-wide drop total, used to
      * attribute losses to degraded intervals.
      */
-    HealthWatchdog(EventQueue &eq, Config cfg, proc::Processor *snic,
+    HealthWatchdog(EventQueue &eq, double lbp_failsafe_gbps,
+                   proc::Processor *snic,
                    proc::Processor *host, TrafficDirector *director,
                    LoadBalancingPolicy *lbp,
                    std::function<std::uint64_t()> drop_count);
@@ -123,7 +118,7 @@ class HealthWatchdog
     std::uint64_t sampleDrops() const;
 
     EventQueue &eq_;
-    Config cfg_;
+    double lbpFailsafeGbps_;
     proc::Processor *snic_;
     proc::Processor *host_;
     TrafficDirector *director_;

@@ -21,10 +21,9 @@ Backend::updatePower()
         w = 0.0;
     } else if (stalled_) {
         // Hung poll-mode cores spin at full draw.
-        w = cfg_.cores * cfg_.core_active_w;
+        w = cfg_.cores * kCoreActiveW;
     } else {
-        w = busy_ * cfg_.core_active_w +
-            (cfg_.cores - busy_) * cfg_.core_idle_w;
+        w = busy_ * kCoreActiveW + (cfg_.cores - busy_) * kCoreIdleW;
     }
     power_.set(w, eq_.now());
 }
@@ -87,7 +86,7 @@ Backend::tryDispatch()
                         obs::SpanKind::BackendService,
                         obs::SpanPhase::Begin, spanLane_, cfg_.index);
         const Tick service =
-            cfg_.service_overhead +
+            kServiceOverhead +
             transferTicks(pkt->size(), cfg_.core_rate_gbps);
         const std::uint64_t inc = incarnation_;
         eq_.scheduleFnIn(

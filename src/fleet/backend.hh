@@ -41,17 +41,18 @@ namespace halsim::fleet {
 class Backend : public net::PacketSink
 {
   public:
+    static constexpr Tick kServiceOverhead = 2 * kUs; //!< per request
+    static constexpr double kCoreActiveW = 8.0;  //!< per busy core
+    static constexpr double kCoreIdleW = 1.0;    //!< per idle core
+
     struct Config
     {
         unsigned cores = 4;             //!< parallel service cores
         double core_rate_gbps = 10.0;   //!< per-core service rate
-        Tick service_overhead = 2 * kUs; //!< fixed per-request cost
         std::uint32_t ring_capacity = 512; //!< bounded ingress ring
         /** Shed when ring occupancy reaches this; 0 disables
          *  admission control (the no-shedding ablation). */
         std::uint32_t shed_watermark = 0;
-        double core_active_w = 8.0;     //!< per busy core
-        double core_idle_w = 1.0;       //!< per idle (sleeping) core
         /** Responses carry this service identity back to the client. */
         net::MacAddr service_mac;
         net::Ipv4Addr service_ip;

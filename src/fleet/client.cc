@@ -45,7 +45,7 @@ FleetClient::stop()
 void
 FleetClient::resample()
 {
-    rateGbps_ = std::max(rate_->sample(rng_), cfg_.min_rate_gbps);
+    rateGbps_ = std::max(rate_->sample(rng_), net::kMinRateGbps);
     if (eq_.now() + cfg_.resample_epoch <= until_)
         eq_.scheduleIn(&resampleEvent_, cfg_.resample_epoch);
 }

@@ -51,7 +51,6 @@ class FleetClient : public net::PacketSink
         std::size_t frame_bytes = net::kMtuFrameBytes;
         net::RetryPolicy retry;
         Tick resample_epoch = 1 * kMs;
-        double min_rate_gbps = 0.01;
         std::uint64_t seed = 1;
     };
 

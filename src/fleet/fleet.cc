@@ -13,6 +13,20 @@
 
 namespace halsim::fleet {
 
+namespace {
+
+/** Client <-> frontend <-> backend links. */
+constexpr double kLinkGbps = 100.0;
+constexpr Tick kLinkLatency = 2 * kUs;
+constexpr std::uint32_t kLinkQueue = 4096;
+
+/** Idle baseline per backend server (the paper's 194 W figure). */
+constexpr double kBackendStaticW = funcs::kServerBasePowerW;
+/** The L4 frontend's own draw. */
+constexpr double kFrontendW = 8.0;
+
+} // namespace
+
 std::vector<std::string>
 FleetConfig::validate() const
 {
@@ -29,8 +43,6 @@ FleetConfig::validate() const
 
     if (frontend.vnodes == 0)
         fail("frontend.vnodes must be > 0");
-    if (frontend.drain_timeout <= 0)
-        fail("frontend.drain_timeout must be positive");
 
     if (backend.cores == 0)
         fail("backend.cores must be > 0");
@@ -44,13 +56,6 @@ FleetConfig::validate() const
              ") must be <= ring_capacity (" +
              std::to_string(backend.ring_capacity) + ")");
     }
-
-    if (health.epoch <= 0)
-        fail("health.epoch must be positive");
-    if (health.fall == 0)
-        fail("health.fall must be > 0");
-    if (health.rise == 0)
-        fail("health.rise must be > 0");
 
     if (client.flows == 0)
         fail("client.flows must be > 0");
@@ -71,19 +76,8 @@ FleetConfig::validate() const
             fail("client.retry.backoff_cap must be >= backoff_base");
     }
 
-    if (link_gbps <= 0.0)
-        fail("link_gbps must be > 0");
-    if (link_queue == 0)
-        fail("link_queue must be > 0");
-    if (backend_static_w < 0.0)
-        fail("backend_static_w must be >= 0");
-    if (frontend_w < 0.0)
-        fail("frontend_w must be >= 0");
-
     if (slo.target_p99_us < 0.0)
         fail("slo.target_p99_us must be >= 0");
-    if (slo.epoch <= 0)
-        fail("slo.epoch must be > 0");
 
     const std::vector<std::string> obs_errors = obs.validate();
     errors.insert(errors.end(), obs_errors.begin(), obs_errors.end());
@@ -115,8 +109,8 @@ FleetSystem::FleetSystem(EventQueue &eq, FleetConfig cfg)
 
     ingressLink_ = std::make_unique<net::Link>(
         eq_,
-        net::Link::Config{cfg_.link_gbps, cfg_.link_latency,
-                          cfg_.link_queue, "ingress"},
+        net::Link::Config{kLinkGbps, kLinkLatency, kLinkQueue,
+                          "ingress"},
         *frontend_);
 
     FleetClient::Config cc = cfg_.client;
@@ -136,8 +130,7 @@ FleetSystem::FleetSystem(EventQueue &eq, FleetConfig cfg)
     for (unsigned i = 0; i < cfg_.backends; ++i) {
         uplinks_.push_back(std::make_unique<net::Link>(
             eq_,
-            net::Link::Config{cfg_.link_gbps, cfg_.link_latency,
-                              cfg_.link_queue,
+            net::Link::Config{kLinkGbps, kLinkLatency, kLinkQueue,
                               "up" + std::to_string(i)},
             *tap_));
 
@@ -153,16 +146,14 @@ FleetSystem::FleetSystem(EventQueue &eq, FleetConfig cfg)
 
         downlinks_.push_back(std::make_unique<net::Link>(
             eq_,
-            net::Link::Config{cfg_.link_gbps, cfg_.link_latency,
-                              cfg_.link_queue,
+            net::Link::Config{kLinkGbps, kLinkLatency, kLinkQueue,
                               "down" + std::to_string(i)},
             *backends_.back()));
         frontend_->setBackendSink(i, downlinks_.back().get());
         targets.push_back(backends_.back().get());
     }
 
-    health_ = std::make_unique<HealthChecker>(eq_, cfg_.health,
-                                              std::move(targets));
+    health_ = std::make_unique<HealthChecker>(eq_, std::move(targets));
     health_->setOnDown(
         [this](unsigned b) { frontend_->onBackendDown(b); });
     health_->setOnUp([this](unsigned b) { frontend_->onBackendUp(b); });
@@ -176,9 +167,8 @@ FleetSystem::FleetSystem(EventQueue &eq, FleetConfig cfg)
             [b] { return b->currentW(); });
     }
     energy_.addStatic("static",
-                      cfg_.backend_static_w *
-                          static_cast<double>(cfg_.backends));
-    energy_.addStatic("frontend", cfg_.frontend_w);
+                      kBackendStaticW * static_cast<double>(cfg_.backends));
+    energy_.addStatic("frontend", kFrontendW);
 
     if (cfg_.slo.enabled()) {
         slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo);
@@ -389,7 +379,7 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
 
     // Probing outlives the traffic window by the drain budget so a
     // crash near the end is still detected while the fleet drains.
-    health_->start(end + cfg_.frontend.drain_timeout);
+    health_->start(end + Frontend::kDrainTimeout);
     client_->setResampleEpoch(resample_epoch);
     client_->start(std::move(rate), end);
 
@@ -459,8 +449,8 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
         dyn += b->averageW();
     r.dynamic_power_w = dyn;
     r.system_power_w =
-        cfg_.backend_static_w * static_cast<double>(backends_.size()) +
-        cfg_.frontend_w + dyn;
+        kBackendStaticW * static_cast<double>(backends_.size()) +
+        kFrontendW + dyn;
 
     // Close the energy/SLO windows before the drain so drained
     // requests' draw and latencies stay out of the window.

@@ -52,19 +52,8 @@ struct FleetConfig
      *  per backend by the system. */
     Backend::Config backend;
 
-    HealthChecker::Config health;
     FleetClient::Config client;
     Frontend::Config frontend;
-
-    /** Frontend <-> backend links. */
-    double link_gbps = 100.0;
-    Tick link_latency = 2 * kUs;
-    std::uint32_t link_queue = 4096;
-
-    /** Idle baseline per backend server (the paper's 194 W figure). */
-    double backend_static_w = 194.0;
-    /** The L4 frontend's own draw. */
-    double frontend_w = 8.0;
 
     std::uint64_t seed = 1;
 

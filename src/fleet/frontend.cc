@@ -119,7 +119,7 @@ Frontend::onBackendDown(unsigned b)
                     ++drainTimeouts_;
                 }
             },
-            cfg_.drain_timeout);
+            kDrainTimeout);
     }
 }
 

@@ -45,8 +45,10 @@ class Frontend : public net::PacketSink
     struct Config
     {
         unsigned vnodes = 64;          //!< ring points per backend
-        Tick drain_timeout = 10 * kMs; //!< failover drain budget
     };
+
+    /** Failover drain budget for a pinned flow's in-flight requests. */
+    static constexpr Tick kDrainTimeout = 10 * kMs;
 
     Frontend(EventQueue &eq, Config cfg, unsigned backends);
 

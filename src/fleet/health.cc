@@ -1,18 +1,13 @@
 #include "fleet/health.hh"
 
-#include <cassert>
 #include <utility>
 
 namespace halsim::fleet {
 
-HealthChecker::HealthChecker(EventQueue &eq, Config cfg,
+HealthChecker::HealthChecker(EventQueue &eq,
                              std::vector<Backend *> targets)
-    : eq_(eq), cfg_(cfg), targets_(std::move(targets)),
-      st_(targets_.size())
+    : eq_(eq), targets_(std::move(targets)), st_(targets_.size())
 {
-    assert(cfg_.epoch > 0);
-    assert(cfg_.fall > 0);
-    assert(cfg_.rise > 0);
     probeEvent_.setCallback([this] { probeAll(); });
 }
 
@@ -26,8 +21,8 @@ HealthChecker::start(Tick until)
 {
     until_ = until;
     if (!probeEvent_.scheduled() &&
-        eq_.now() + cfg_.epoch <= until_)
-        eq_.scheduleIn(&probeEvent_, cfg_.epoch);
+        eq_.now() + kEpoch <= until_)
+        eq_.scheduleIn(&probeEvent_, kEpoch);
 }
 
 void
@@ -52,7 +47,7 @@ HealthChecker::probeAll()
         State &s = st_[b];
         if (ok) {
             s.consecFail = 0;
-            if (!s.healthy && ++s.consecOk >= cfg_.rise) {
+            if (!s.healthy && ++s.consecOk >= kRise) {
                 s.healthy = true;
                 s.consecOk = 0;
                 ++upTransitions_;
@@ -64,7 +59,7 @@ HealthChecker::probeAll()
         } else {
             ++probesFailed_;
             s.consecOk = 0;
-            if (s.healthy && ++s.consecFail >= cfg_.fall) {
+            if (s.healthy && ++s.consecFail >= kFall) {
                 s.healthy = false;
                 s.consecFail = 0;
                 ++downTransitions_;
@@ -75,8 +70,8 @@ HealthChecker::probeAll()
             }
         }
     }
-    if (eq_.now() + cfg_.epoch <= until_)
-        eq_.scheduleIn(&probeEvent_, cfg_.epoch);
+    if (eq_.now() + kEpoch <= until_)
+        eq_.scheduleIn(&probeEvent_, kEpoch);
 }
 
 } // namespace halsim::fleet

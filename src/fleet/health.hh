@@ -3,12 +3,12 @@
  * Epoch-driven health checker with consecutive-failure/success
  * hysteresis, clocked entirely by the DES event queue (no wall time).
  *
- * Every epoch the checker probes each backend; a backend is marked
- * down only after `fall` consecutive failed probes and back up only
- * after `rise` consecutive successes. The hysteresis is what keeps a
+ * Every kEpoch the checker probes each backend; a backend is marked
+ * down only after kFall consecutive failed probes and back up only
+ * after kRise consecutive successes. The hysteresis is what keeps a
  * backend oscillating around the threshold from thrashing failover:
- * a flap shorter than `fall` epochs is absorbed silently, and the
- * worst-case transition rate is bounded by 1 per (fall + rise)
+ * a flap shorter than kFall epochs is absorbed silently, and the
+ * worst-case transition rate is bounded by 1 per (kFall + kRise)
  * epochs (test_fleet locks this bound in).
  *
  * Probe loss (a fleet-scoped fault kind) is modeled here: an injected
@@ -36,15 +36,11 @@ namespace halsim::fleet {
 class HealthChecker
 {
   public:
-    struct Config
-    {
-        Tick epoch = 2 * kMs;  //!< probe period
-        unsigned fall = 3;     //!< consecutive failures before down
-        unsigned rise = 2;     //!< consecutive successes before up
-    };
+    static constexpr Tick kEpoch = 2 * kMs;  //!< probe period
+    static constexpr unsigned kFall = 3;  //!< failures before down
+    static constexpr unsigned kRise = 2;  //!< successes before up
 
-    HealthChecker(EventQueue &eq, Config cfg,
-                  std::vector<Backend *> targets);
+    HealthChecker(EventQueue &eq, std::vector<Backend *> targets);
     ~HealthChecker();
 
     HealthChecker(const HealthChecker &) = delete;
@@ -97,7 +93,7 @@ class HealthChecker
 
     // --- state / counters ----------------------------------------------
 
-    /** Current verdict for a backend (true until `fall` consecutive
+    /** Current verdict for a backend (true until kFall consecutive
      *  failures accumulate). */
     bool healthy(unsigned backend) const
     {
@@ -110,8 +106,6 @@ class HealthChecker
     std::uint64_t downTransitions() const { return downTransitions_; }
     std::uint64_t upTransitions() const { return upTransitions_; }
 
-    const Config &config() const { return cfg_; }
-
   private:
     struct State
     {
@@ -123,7 +117,6 @@ class HealthChecker
     void probeAll();
 
     EventQueue &eq_;
-    Config cfg_;
     std::vector<Backend *> targets_;
     std::vector<State> st_;
     std::function<void(unsigned)> onDown_;

@@ -14,11 +14,11 @@ using net::store16;
 using net::store32;
 using net::store64;
 
-Bm25Function::Bm25Function(Config cfg) : cfg_(cfg)
+Bm25Function::Bm25Function()
 {
-    Rng rng(cfg_.seed ^ 0xB25);
-    postings_.resize(cfg_.vocabulary);
-    docLength_.resize(cfg_.documents);
+    Rng rng(kSeed ^ 0xB25);
+    postings_.resize(kVocabulary);
+    docLength_.resize(kDocuments);
 
     // Document lengths around 200 +- 80 terms.
     std::uint64_t total_len = 0;
@@ -28,19 +28,19 @@ Bm25Function::Bm25Function(Config cfg) : cfg_(cfg)
         total_len += dl;
     }
     avgDocLength_ =
-        static_cast<double>(total_len) / static_cast<double>(cfg_.documents);
+        static_cast<double>(total_len) / static_cast<double>(kDocuments);
 
     // Zipf-ish postings: low term ids are common, high ids rare.
-    for (std::uint32_t t = 0; t < cfg_.vocabulary; ++t) {
+    for (std::uint32_t t = 0; t < kVocabulary; ++t) {
         const double rarity =
-            1.0 - static_cast<double>(t) / cfg_.vocabulary;
+            1.0 - static_cast<double>(t) / kVocabulary;
         const auto n = static_cast<std::uint32_t>(
-            1 + cfg_.avg_postings * rarity * 2.0 * rng.uniform());
+            1 + kAvgPostings * rarity * 2.0 * rng.uniform());
         auto &list = postings_[t];
         for (std::uint32_t i = 0; i < n; ++i) {
             Posting p;
             p.doc = static_cast<std::uint32_t>(
-                rng.uniformInt(cfg_.documents));
+                rng.uniformInt(kDocuments));
             p.tf = static_cast<std::uint16_t>(1 + rng.uniformInt(8));
             list.push_back(p);
         }
@@ -51,7 +51,7 @@ Bm25Function::Bm25Function(Config cfg) : cfg_(cfg)
         // idf = ln((N - df + 0.5) / (df + 0.5) + 1)  (BM25+ style)
         const double df = static_cast<double>(list.size());
         idf_.push_back(std::log(
-            (static_cast<double>(cfg_.documents) - df + 0.5) /
+            (static_cast<double>(kDocuments) - df + 0.5) /
                 (df + 0.5) +
             1.0));
     }
@@ -64,7 +64,7 @@ Bm25Function::score(std::uint32_t doc,
     constexpr double k1 = 1.2, b = 0.75;
     double s = 0.0;
     for (std::uint16_t t : terms) {
-        if (t >= cfg_.vocabulary)
+        if (t >= kVocabulary)
             continue;
         for (const Posting &p : postings_[t]) {
             if (p.doc != doc)
@@ -90,10 +90,10 @@ Bm25Function::process(net::Packet &pkt, coherence::StateContext &)
     constexpr double k1 = 1.2, b = 0.75;
     // Small dense accumulator: documents is ~1K.
     thread_local std::vector<double> acc;
-    acc.assign(cfg_.documents, 0.0);
+    acc.assign(kDocuments, 0.0);
     for (unsigned i = 0; i < nterms; ++i) {
         const std::uint16_t t = load16(p.data() + 1 + 2 * i);
-        if (t >= cfg_.vocabulary)
+        if (t >= kVocabulary)
             continue;
         const double idf = idf_[t];
         for (const Posting &post : postings_[t]) {
@@ -106,7 +106,7 @@ Bm25Function::process(net::Packet &pkt, coherence::StateContext &)
     }
     std::uint32_t best_doc = 0;
     double best = -1.0;
-    for (std::uint32_t d = 0; d < cfg_.documents; ++d) {
+    for (std::uint32_t d = 0; d < kDocuments; ++d) {
         if (acc[d] > best) {
             best = acc[d];
             best_doc = d;
@@ -121,28 +121,28 @@ void
 Bm25Function::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(cfg_.query_terms);
-    for (unsigned i = 0; i < cfg_.query_terms; ++i) {
+    p[0] = static_cast<std::uint8_t>(kQueryTerms);
+    for (unsigned i = 0; i < kQueryTerms; ++i) {
         // Bias queries toward common (low-id) terms.
         const double u = rng.uniform();
         const auto t = static_cast<std::uint16_t>(
-            u * u * static_cast<double>(cfg_.vocabulary - 1));
+            u * u * static_cast<double>(kVocabulary - 1));
         store16(p.data() + 1 + 2 * i, t);
     }
 }
 
-KnnFunction::KnnFunction(Config cfg) : cfg_(cfg)
+KnnFunction::KnnFunction()
 {
-    Rng rng(cfg_.seed ^ 0x4A4);
+    Rng rng(kSeed ^ 0x4A4);
     // Well-separated class centroids, reference points near them.
-    centroids_.resize(cfg_.classes);
-    for (unsigned c = 0; c < cfg_.classes; ++c) {
+    centroids_.resize(kClasses);
+    for (unsigned c = 0; c < kClasses; ++c) {
         for (unsigned d = 0; d < kDims; ++d)
             centroids_[c][d] = static_cast<std::uint8_t>(
-                rng.uniformInt(40) + 10 + (200 / cfg_.classes) * c);
+                rng.uniformInt(40) + 10 + (200 / kClasses) * c);
     }
-    for (unsigned c = 0; c < cfg_.classes; ++c) {
-        for (unsigned i = 0; i < cfg_.set_size; ++i) {
+    for (unsigned c = 0; c < kClasses; ++c) {
+        for (unsigned i = 0; i < kSetSize; ++i) {
             RefPoint r;
             r.label = static_cast<std::uint8_t>(c);
             for (unsigned d = 0; d < kDims; ++d) {
@@ -165,7 +165,7 @@ KnnFunction::classify(const std::uint8_t *features) const
         std::uint8_t label;
     };
     // Insertion sort into a tiny k-array (k is 3).
-    std::vector<Neighbour> best(cfg_.k,
+    std::vector<Neighbour> best(kK,
                                 {0xffffffffu, 0});
     for (const RefPoint &r : refs_) {
         std::uint32_t d2 = 0;
@@ -181,12 +181,12 @@ KnnFunction::classify(const std::uint8_t *features) const
         }
     }
     // Majority vote; ties resolve to the nearest.
-    std::vector<unsigned> votes(cfg_.classes, 0);
+    std::vector<unsigned> votes(kClasses, 0);
     for (const auto &n : best)
         if (n.dist != 0xffffffffu)
             ++votes[n.label];
     unsigned win = best[0].label;
-    for (unsigned c = 0; c < cfg_.classes; ++c)
+    for (unsigned c = 0; c < kClasses; ++c)
         if (votes[c] > votes[win])
             win = c;
     return win;
@@ -210,7 +210,7 @@ KnnFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
     // Query near a random class centroid, with noise.
-    const unsigned c = static_cast<unsigned>(rng.uniformInt(cfg_.classes));
+    const unsigned c = static_cast<unsigned>(rng.uniformInt(kClasses));
     for (unsigned d = 0; d < kDims; ++d) {
         const int v = centroids_[c][d] +
                       static_cast<int>(rng.normal(0.0, 10.0));
@@ -218,16 +218,16 @@ KnnFunction::makeRequest(net::Packet &pkt, Rng &rng)
     }
 }
 
-BayesFunction::BayesFunction(Config cfg) : cfg_(cfg)
+BayesFunction::BayesFunction()
 {
-    Rng rng(cfg_.seed ^ 0xBA7E5);
-    logLik_.resize(cfg_.classes);
-    genProb_.resize(cfg_.classes);
-    prior_.assign(cfg_.classes, 0);
-    for (unsigned c = 0; c < cfg_.classes; ++c) {
-        logLik_[c].resize(cfg_.features);
-        genProb_[c].resize(cfg_.features);
-        for (unsigned f = 0; f < cfg_.features; ++f) {
+    Rng rng(kSeed ^ 0xBA7E5);
+    logLik_.resize(kClasses);
+    genProb_.resize(kClasses);
+    prior_.assign(kClasses, 0);
+    for (unsigned c = 0; c < kClasses; ++c) {
+        logLik_[c].resize(kFeatures);
+        genProb_[c].resize(kFeatures);
+        for (unsigned f = 0; f < kFeatures; ++f) {
             // Class-dependent Bernoulli parameter in [0.05, 0.95].
             const double p1 = 0.05 + 0.9 * rng.uniform();
             genProb_[c][f] = p1;
@@ -237,7 +237,7 @@ BayesFunction::BayesFunction(Config cfg) : cfg_(cfg)
                 static_cast<std::int32_t>(std::log(1.0 - p1) * 1000.0);
         }
         prior_[c] = static_cast<std::int32_t>(
-            std::log(1.0 / cfg_.classes) * 1000.0);
+            std::log(1.0 / kClasses) * 1000.0);
     }
 }
 
@@ -246,9 +246,9 @@ BayesFunction::classify(const std::uint8_t *bits) const
 {
     unsigned best_cls = 0;
     std::int64_t best = INT64_MIN;
-    for (unsigned c = 0; c < cfg_.classes; ++c) {
+    for (unsigned c = 0; c < kClasses; ++c) {
         std::int64_t score = prior_[c];
-        for (unsigned f = 0; f < cfg_.features; ++f) {
+        for (unsigned f = 0; f < kFeatures; ++f) {
             const int bit = (bits[f / 8] >> (f % 8)) & 1;
             score += logLik_[c][f][bit];
         }
@@ -271,9 +271,9 @@ void
 BayesFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    const unsigned c = static_cast<unsigned>(rng.uniformInt(cfg_.classes));
-    std::memset(p.data(), 0, (cfg_.features + 7) / 8);
-    for (unsigned f = 0; f < cfg_.features; ++f)
+    const unsigned c = static_cast<unsigned>(rng.uniformInt(kClasses));
+    std::memset(p.data(), 0, (kFeatures + 7) / 8);
+    for (unsigned f = 0; f < kFeatures; ++f)
         if (rng.chance(genProb_[c][f]))
             p[f / 8] |= static_cast<std::uint8_t>(1u << (f % 8));
 }

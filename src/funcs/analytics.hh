@@ -25,17 +25,13 @@ namespace halsim::funcs {
 class Bm25Function : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        std::uint32_t vocabulary = 4096;   //!< 2 K or 4 K in the paper
-        std::uint32_t documents = 1024;
-        std::uint32_t avg_postings = 24;   //!< docs per term
-        unsigned query_terms = 8;
-        std::uint64_t seed = 1;
-    };
+    static constexpr std::uint32_t kVocabulary = 4096; //!< 2 K or 4 K
+    static constexpr std::uint32_t kDocuments = 1024;
+    static constexpr std::uint32_t kAvgPostings = 24;  //!< docs per term
+    static constexpr unsigned kQueryTerms = 8;
+    static constexpr std::uint64_t kSeed = 1;
 
-    Bm25Function() : Bm25Function(Config{}) {}
-    explicit Bm25Function(Config cfg);
+    Bm25Function();
 
     FunctionId id() const override { return FunctionId::Bm25; }
     bool stateful() const override { return false; }
@@ -54,7 +50,6 @@ class Bm25Function : public NetworkFunction
         std::uint16_t tf;   //!< term frequency in the document
     };
 
-    Config cfg_;
     std::vector<std::vector<Posting>> postings_;  //!< per term
     std::vector<std::uint16_t> docLength_;
     double avgDocLength_ = 0.0;
@@ -73,16 +68,13 @@ class KnnFunction : public NetworkFunction
   public:
     static constexpr unsigned kDims = 16;
 
-    struct Config
-    {
-        unsigned classes = 4;
-        unsigned set_size = 16;   //!< reference points per class (8/16)
-        unsigned k = 3;
-        std::uint64_t seed = 2;
-    };
+    static constexpr unsigned kClasses = 4;
+    /** Reference points per class (8 or 16 in the paper). */
+    static constexpr unsigned kSetSize = 16;
+    static constexpr unsigned kK = 3;
+    static constexpr std::uint64_t kSeed = 2;
 
-    KnnFunction() : KnnFunction(Config{}) {}
-    explicit KnnFunction(Config cfg);
+    KnnFunction();
 
     FunctionId id() const override { return FunctionId::Knn; }
     bool stateful() const override { return false; }
@@ -103,7 +95,6 @@ class KnnFunction : public NetworkFunction
         std::uint8_t label;
     };
 
-    Config cfg_;
     std::vector<RefPoint> refs_;
     std::vector<std::array<std::uint8_t, kDims>> centroids_;
 };
@@ -118,15 +109,11 @@ class KnnFunction : public NetworkFunction
 class BayesFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        unsigned classes = 4;
-        unsigned features = 256;   //!< 128 or 256 in the paper
-        std::uint64_t seed = 3;
-    };
+    static constexpr unsigned kClasses = 4;
+    static constexpr unsigned kFeatures = 256; //!< 128 or 256 in the paper
+    static constexpr std::uint64_t kSeed = 3;
 
-    BayesFunction() : BayesFunction(Config{}) {}
-    explicit BayesFunction(Config cfg);
+    BayesFunction();
 
     FunctionId id() const override { return FunctionId::Bayes; }
     bool stateful() const override { return false; }
@@ -138,7 +125,6 @@ class BayesFunction : public NetworkFunction
     unsigned classify(const std::uint8_t *bits) const;
 
   private:
-    Config cfg_;
     /** logLik_[cls][feature][bit] in milli-nats. */
     std::vector<std::vector<std::array<std::int32_t, 2>>> logLik_;
     std::vector<std::int32_t> prior_;

@@ -27,12 +27,11 @@ DpdkFwdFunction::makeRequest(net::Packet &, Rng &)
 {
 }
 
-RemFunction::RemFunction(Config cfg)
-    : cfg_(cfg),
-      rules_(alg::makeRuleset(cfg.ruleset, cfg.rules, cfg.seed)),
+RemFunction::RemFunction(alg::RulesetKind ruleset)
+    : rules_(alg::makeRuleset(ruleset, kRules, kSeed)),
       ac_(std::make_unique<alg::AhoCorasick>(rules_)),
-      corpus_(alg::makeScanStream(1 << 20, rules_, cfg.hit_rate,
-                                  cfg.seed ^ 0xC0))
+      corpus_(alg::makeScanStream(1 << 20, rules_, kHitRate,
+                                  kSeed ^ 0xC0))
 {}
 
 void
@@ -56,8 +55,8 @@ RemFunction::makeRequest(net::Packet &pkt, Rng &rng)
     std::memcpy(p.data(), corpus_.data() + off, n);
 }
 
-CryptoFunction::CryptoFunction(Config cfg)
-    : cfg_(cfg), n_(alg::groups::prime512()), g_(2), e_(65537)
+CryptoFunction::CryptoFunction()
+    : n_(alg::groups::prime512()), g_(2), e_(65537)
 {}
 
 void
@@ -68,7 +67,7 @@ CryptoFunction::process(net::Packet &pkt, coherence::StateContext &)
 
     // Digest the signed prefix; all three ops key off it.
     const alg::Sha256Digest digest = alg::Sha256::hash(
-        p.subspan(0, std::min(p.size(), cfg_.digest_bytes)));
+        p.subspan(0, std::min(p.size(), kDigestBytes)));
     const alg::BigUint m = alg::BigUint::fromBytes(
         std::span<const std::uint8_t>(digest.data(), digest.size()));
 
@@ -82,14 +81,14 @@ CryptoFunction::process(net::Packet &pkt, coherence::StateContext &)
         // DH-style: g^x mod p with an ephemeral exponent derived
         // from the digest (truncated to the configured bits).
         const alg::BigUint x =
-            m % (alg::BigUint(1) << cfg_.exponent_bits);
+            m % (alg::BigUint(1) << kExponentBits);
         result = g_.modexp(x + alg::BigUint(1), n_);
         break;
       }
       default: {
         // DSA-style: r = (g^k mod p) and fold in the digest.
         const alg::BigUint k =
-            (m >> 128) % (alg::BigUint(1) << cfg_.exponent_bits);
+            (m >> 128) % (alg::BigUint(1) << kExponentBits);
         const alg::BigUint r = g_.modexp(k + alg::BigUint(2), n_);
         result = (r * m) % n_;
         break;
@@ -116,8 +115,8 @@ CryptoFunction::makeRequest(net::Packet &pkt, Rng &rng)
         p[i] = static_cast<std::uint8_t>(rng.next());
 }
 
-CompressFunction::CompressFunction(Config cfg)
-    : cfg_(cfg), corpus_(alg::makeSilesiaLike(1 << 20, cfg.seed))
+CompressFunction::CompressFunction()
+    : corpus_(alg::makeSilesiaLike(1 << 20, kSeed))
 {}
 
 void
@@ -125,7 +124,7 @@ CompressFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
     auto p = pkt.payload();
     const std::vector<std::uint8_t> compressed =
-        alg::deflateCompress(p, cfg_.max_chain);
+        alg::deflateCompress(p, kMaxChain);
     bytesIn_ += p.size();
     bytesOut_ += compressed.size();
 

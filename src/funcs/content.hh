@@ -44,17 +44,13 @@ class DpdkFwdFunction : public NetworkFunction
 class RemFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        alg::RulesetKind ruleset = alg::RulesetKind::Teakettle;
-        std::size_t rules = 2500;
-        /** Fraction of generated payload windows with a planted hit. */
-        double hit_rate = 0.05;
-        std::uint64_t seed = 5;
-    };
+    static constexpr std::size_t kRules = 2500;
+    /** Fraction of generated payload windows with a planted hit. */
+    static constexpr double kHitRate = 0.05;
+    static constexpr std::uint64_t kSeed = 5;
 
-    RemFunction() : RemFunction(Config{}) {}
-    explicit RemFunction(Config cfg);
+    explicit RemFunction(
+        alg::RulesetKind ruleset = alg::RulesetKind::Teakettle);
 
     FunctionId id() const override { return FunctionId::Rem; }
     bool stateful() const override { return false; }
@@ -66,7 +62,6 @@ class RemFunction : public NetworkFunction
     std::uint64_t totalMatches() const { return totalMatches_; }
 
   private:
-    Config cfg_;
     std::vector<std::string> rules_;
     std::unique_ptr<alg::AhoCorasick> ac_;
     /** Pre-generated scan corpus sliced into payloads. */
@@ -87,19 +82,15 @@ class RemFunction : public NetworkFunction
 class CryptoFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        /** Exponent bits used for the DH/DSA ephemeral exponents;
-         *  kept modest so a real modexp per packet stays cheap. */
-        unsigned exponent_bits = 16;
-        /** Bytes of payload covered by the signature digest (real
-         *  protocols sign a digest of the session material, not the
-         *  bulk payload). */
-        std::size_t digest_bytes = 256;
-    };
+    /** Exponent bits used for the DH/DSA ephemeral exponents; kept
+     *  modest so a real modexp per packet stays cheap. */
+    static constexpr unsigned kExponentBits = 16;
+    /** Bytes of payload covered by the signature digest (real
+     *  protocols sign a digest of the session material, not the bulk
+     *  payload). */
+    static constexpr std::size_t kDigestBytes = 256;
 
-    CryptoFunction() : CryptoFunction(Config{}) {}
-    explicit CryptoFunction(Config cfg);
+    CryptoFunction();
 
     FunctionId id() const override { return FunctionId::Crypto; }
     bool stateful() const override { return false; }
@@ -110,7 +101,6 @@ class CryptoFunction : public NetworkFunction
     const alg::BigUint &modulus() const { return n_; }
 
   private:
-    Config cfg_;
     alg::BigUint n_;   //!< 512-bit prime modulus
     alg::BigUint g_;   //!< generator
     alg::BigUint e_;   //!< RSA-style public exponent
@@ -125,14 +115,10 @@ class CryptoFunction : public NetworkFunction
 class CompressFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        unsigned max_chain = 16;   //!< per-packet effort
-        std::uint64_t seed = 6;
-    };
+    static constexpr unsigned kMaxChain = 16;   //!< per-packet effort
+    static constexpr std::uint64_t kSeed = 6;
 
-    CompressFunction() : CompressFunction(Config{}) {}
-    explicit CompressFunction(Config cfg);
+    CompressFunction();
 
     FunctionId id() const override { return FunctionId::Compress; }
     /**
@@ -149,7 +135,6 @@ class CompressFunction : public NetworkFunction
     std::uint64_t bytesOut() const { return bytesOut_; }
 
   private:
-    Config cfg_;
     std::vector<std::uint8_t> corpus_;
     std::uint64_t bytesIn_ = 0;
     std::uint64_t bytesOut_ = 0;

@@ -2,16 +2,16 @@
 
 namespace halsim::funcs {
 
-NatFunction::NatFunction(Config cfg) : cfg_(cfg), table_(cfg.entries * 2)
+NatFunction::NatFunction() : table_(kEntries * 2)
 {
     // Preload the translation table: flows are (client base IP,
-    // one of `entries` source ports) -> distinct internal servers.
-    for (std::uint32_t i = 0; i < cfg_.entries; ++i) {
+    // one of kEntries source ports) -> distinct internal servers.
+    for (std::uint32_t i = 0; i < kEntries; ++i) {
         const auto port = static_cast<std::uint16_t>(1024 + i % 60000);
         const std::uint32_t ip =
             net::Ipv4Addr(10, 0, 0, 1).value + i / 60000;
         Mapping m;
-        m.ip = net::Ipv4Addr(cfg_.internal_base.value + 1 + i % 65534);
+        m.ip = net::Ipv4Addr(kInternalBase.value + 1 + i % 65534);
         m.port = static_cast<std::uint16_t>(2000 + i % 50000);
         table_.put(flowKey(ip, port), m);
     }
@@ -46,7 +46,7 @@ NatFunction::makeRequest(net::Packet &pkt, Rng &rng)
     // source port (and IP beyond 60 K entries) like the paper's
     // packet generator does.
     const std::uint32_t i =
-        static_cast<std::uint32_t>(rng.uniformInt(cfg_.entries));
+        static_cast<std::uint32_t>(rng.uniformInt(kEntries));
     pkt.ip().rewriteSrc(
         net::Ipv4Addr(net::Ipv4Addr(10, 0, 0, 1).value + i / 60000));
     pkt.udp().setSrcPort(static_cast<std::uint16_t>(1024 + i % 60000));

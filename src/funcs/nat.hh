@@ -26,14 +26,12 @@ namespace halsim::funcs {
 class NatFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        std::uint32_t entries = 10000;   //!< 1 K or 10 K in the paper
-        net::Ipv4Addr internal_base{192, 168, 0, 0};
-    };
+    /** Translation-table entries (1 K or 10 K in the paper). */
+    static constexpr std::uint32_t kEntries = 10000;
+    /** Internal server subnet the table maps flows into. */
+    static constexpr net::Ipv4Addr kInternalBase{192, 168, 0, 0};
 
-    NatFunction() : NatFunction(Config{}) {}
-    explicit NatFunction(Config cfg);
+    NatFunction();
 
     FunctionId id() const override { return FunctionId::Nat; }
     bool stateful() const override { return false; }
@@ -60,7 +58,6 @@ class NatFunction : public NetworkFunction
         return (std::uint64_t{ip} << 16) | port;
     }
 
-    Config cfg_;
     alg::FixedMap<std::uint64_t, Mapping> table_;
     std::uint64_t misses_ = 0;
 };

@@ -65,14 +65,14 @@ KvsFunction::makeRequest(net::Packet &pkt, Rng &rng)
     auto p = pkt.payload();
     const double pick = rng.uniform();
     std::uint8_t op;
-    if (pick < cfg_.get_fraction)
+    if (pick < kGetFraction)
         op = 0;
-    else if (pick < cfg_.get_fraction + cfg_.put_fraction)
+    else if (pick < kGetFraction + kPutFraction)
         op = 1;
     else
         op = 2;
     p[0] = op;
-    store64(p.data() + 1, rng.uniformInt(cfg_.key_space));
+    store64(p.data() + 1, rng.uniformInt(kKeySpace));
     for (int i = 0; i < 32; ++i)
         p[9 + i] = static_cast<std::uint8_t>(rng.next());
 }
@@ -102,9 +102,9 @@ void
 CountFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(cfg_.batch);
-    for (unsigned i = 0; i < cfg_.batch; ++i)
-        store64(p.data() + 1 + 8 * i, rng.uniformInt(cfg_.key_space));
+    p[0] = static_cast<std::uint8_t>(kBatch);
+    for (unsigned i = 0; i < kBatch; ++i)
+        store64(p.data() + 1 + 8 * i, rng.uniformInt(kKeySpace));
 }
 
 std::uint64_t
@@ -129,7 +129,7 @@ EmaFunction::process(net::Packet &pkt, coherence::StateContext &state)
     auto p = pkt.payload();
     const unsigned batch =
         std::min<unsigned>(p[0], static_cast<unsigned>((p.size() - 1) / 16));
-    const std::int64_t alpha = cfg_.alpha_milli;
+    const std::int64_t alpha = kAlphaMilli;
     for (unsigned i = 0; i < batch; ++i) {
         const std::uint64_t key = load64(p.data() + 1 + 16 * i);
         const auto sample =
@@ -152,9 +152,9 @@ void
 EmaFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(cfg_.batch);
-    for (unsigned i = 0; i < cfg_.batch; ++i) {
-        store64(p.data() + 1 + 16 * i, rng.uniformInt(cfg_.key_space));
+    p[0] = static_cast<std::uint8_t>(kBatch);
+    for (unsigned i = 0; i < kBatch; ++i) {
+        store64(p.data() + 1 + 16 * i, rng.uniformInt(kKeySpace));
         store64(p.data() + 9 + 16 * i, rng.uniformInt(1000000));
     }
 }

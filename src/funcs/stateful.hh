@@ -29,15 +29,11 @@ namespace halsim::funcs {
 class KvsFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        std::uint64_t key_space = 100000;  //!< distinct keys generated
-        double get_fraction = 0.5;
-        double put_fraction = 0.3;         //!< remainder are inserts
-    };
-
-    KvsFunction() : KvsFunction(Config{}) {}
-    explicit KvsFunction(Config cfg) : cfg_(cfg) {}
+    /** Distinct keys generated. */
+    static constexpr std::uint64_t kKeySpace = 100000;
+    /** Request mix: GETs, PUTs, and the remainder inserts. */
+    static constexpr double kGetFraction = 0.5;
+    static constexpr double kPutFraction = 0.3;
 
     FunctionId id() const override { return FunctionId::Kvs; }
     bool stateful() const override { return true; }
@@ -50,7 +46,6 @@ class KvsFunction : public NetworkFunction
   private:
     using Value = std::array<std::uint8_t, 32>;
 
-    Config cfg_;
     alg::FixedMap<std::uint64_t, Value> store_{1 << 12};
 };
 
@@ -64,14 +59,9 @@ class KvsFunction : public NetworkFunction
 class CountFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        unsigned batch = 8;                //!< keys per request (4 or 8)
-        std::uint64_t key_space = 65536;
-    };
-
-    CountFunction() : CountFunction(Config{}) {}
-    explicit CountFunction(Config cfg) : cfg_(cfg) {}
+    /** Keys per generated request (4 or 8 in the paper). */
+    static constexpr unsigned kBatch = 8;
+    static constexpr std::uint64_t kKeySpace = 65536;
 
     FunctionId id() const override { return FunctionId::Count; }
     bool stateful() const override { return true; }
@@ -86,7 +76,6 @@ class CountFunction : public NetworkFunction
     std::uint64_t totalCounted() const;
 
   private:
-    Config cfg_;
     alg::FixedMap<std::uint64_t, std::uint64_t> counts_{1 << 12};
 };
 
@@ -101,16 +90,11 @@ class CountFunction : public NetworkFunction
 class EmaFunction : public NetworkFunction
 {
   public:
-    struct Config
-    {
-        unsigned batch = 8;
-        std::uint64_t key_space = 4096;
-        /** Smoothing factor numerator over 1000 (alpha = 0.125). */
-        std::uint32_t alpha_milli = 125;
-    };
-
-    EmaFunction() : EmaFunction(Config{}) {}
-    explicit EmaFunction(Config cfg) : cfg_(cfg) {}
+    /** (key, sample) pairs per generated request. */
+    static constexpr unsigned kBatch = 8;
+    static constexpr std::uint64_t kKeySpace = 4096;
+    /** Smoothing factor numerator over 1000 (alpha = 0.125). */
+    static constexpr std::uint32_t kAlphaMilli = 125;
 
     FunctionId id() const override { return FunctionId::Ema; }
     bool stateful() const override { return true; }
@@ -122,7 +106,6 @@ class EmaFunction : public NetworkFunction
     std::int64_t emaOf(std::uint64_t key) const;
 
   private:
-    Config cfg_;
     alg::FixedMap<std::uint64_t, std::int64_t> ema_{1 << 12};
 };
 

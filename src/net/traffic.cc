@@ -152,7 +152,7 @@ TrafficGenerator::stop()
 void
 TrafficGenerator::resample()
 {
-    rateGbps_ = std::max(rate_->sample(rng_), cfg_.min_rate_gbps);
+    rateGbps_ = std::max(rate_->sample(rng_), kMinRateGbps);
     offered_.sample(rateGbps_);
     if (eq_.now() + cfg_.resample_epoch <= until_)
         eq_.scheduleIn(&resampleEvent_, cfg_.resample_epoch);

@@ -149,6 +149,10 @@ const char *traceName(TraceKind k);
 std::unique_ptr<RateProcess> makeTrace(TraceKind kind,
                                        double line_rate_gbps = 100.0);
 
+/** Progress floor for a sampled offered rate (Gbps): a source never
+ *  stalls on a zero draw. */
+inline constexpr double kMinRateGbps = 0.01;
+
 /**
  * The client-side packet source. Emits real UDP frames into a sink
  * at the rate dictated by a RateProcess, re-sampled every epoch.
@@ -166,7 +170,6 @@ class TrafficGenerator
         FlowEndpoints endpoints;
         std::size_t frame_bytes = kMtuFrameBytes;
         Tick resample_epoch = 1 * kMs;  //!< rate re-draw period
-        double min_rate_gbps = 0.01;    //!< progress floor
         std::uint64_t seed = 1;
     };
 

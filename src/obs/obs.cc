@@ -2,6 +2,19 @@
 
 namespace halsim::obs {
 
+namespace {
+
+/** Probe sampling period. */
+constexpr Tick kSampleEpoch = 1 * kMs;
+/** Trace ring capacity in records (trace or spans on). */
+constexpr std::uint32_t kTraceCapacity = 1u << 16;
+/** Flight-recorder capture window before a trigger. */
+constexpr Tick kFrPre = 200 * kUs;
+/** At most this many flight-recorder dumps per run. */
+constexpr std::uint32_t kFrMaxDumps = 4;
+
+} // namespace
+
 std::vector<std::string>
 ObsConfig::validate() const
 {
@@ -9,18 +22,11 @@ ObsConfig::validate() const
     auto fail = [&errors](std::string msg) {
         errors.push_back(std::move(msg));
     };
-    if (stats && sample_epoch == 0)
-        fail("obs.sample_epoch must be > 0 when obs.stats is on");
-    if ((trace || spans) && trace_capacity == 0)
-        fail("obs.trace_capacity must be > 0 when obs.trace or "
-             "obs.spans is on");
     if ((trace || spans) && trace_sample_every == 0)
         fail("obs.trace_sample_every must be > 0 when obs.trace or "
              "obs.spans is on");
     if (flightrec && fr_capacity == 0)
         fail("obs.fr_capacity must be > 0 when obs.flightrec is on");
-    if (flightrec && fr_max_dumps == 0)
-        fail("obs.fr_max_dumps must be > 0 when obs.flightrec is on");
     return errors;
 }
 
@@ -29,15 +35,15 @@ Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
 {
     if (cfg_.trace || cfg_.spans) {
         ring_ = std::make_unique<SpanTracer>(SpanTracer::Config{
-            cfg_.trace_capacity, cfg_.trace_sample_every});
+            kTraceCapacity, cfg_.trace_sample_every});
     }
     if (cfg_.flightrec) {
         FlightRecorder::Config fc;
         fc.capacity = cfg_.fr_capacity;
-        fc.pre = cfg_.fr_pre;
+        fc.pre = kFrPre;
         fc.post = cfg_.fr_post;
         fc.armed = cfg_.fr_armed;
-        fc.max_dumps = cfg_.fr_max_dumps;
+        fc.max_dumps = kFrMaxDumps;
         flightRec_ = std::make_unique<FlightRecorder>(eq_, fc);
     }
     sampleEvent_.setCallback([this] { onSample(); });
@@ -51,11 +57,11 @@ Observability::~Observability()
 void
 Observability::startSampling(Tick until)
 {
-    if (!cfg_.stats || cfg_.sample_epoch == 0)
+    if (!cfg_.stats)
         return;
     until_ = until;
-    if (eq_.now() + cfg_.sample_epoch <= until_)
-        eq_.reschedule(&sampleEvent_, eq_.now() + cfg_.sample_epoch);
+    if (eq_.now() + kSampleEpoch <= until_)
+        eq_.reschedule(&sampleEvent_, eq_.now() + kSampleEpoch);
 }
 
 void
@@ -107,8 +113,8 @@ void
 Observability::onSample()
 {
     reg_.sampleProbes();
-    if (eq_.now() + cfg_.sample_epoch <= until_)
-        eq_.schedule(&sampleEvent_, eq_.now() + cfg_.sample_epoch);
+    if (eq_.now() + kSampleEpoch <= until_)
+        eq_.schedule(&sampleEvent_, eq_.now() + kSampleEpoch);
 }
 
 } // namespace halsim::obs

@@ -44,12 +44,6 @@ struct ObsConfig
      *  same trace ring. */
     bool spans = false;
 
-    /** Probe sampling period. */
-    Tick sample_epoch = 1 * kMs;
-
-    /** Trace ring capacity in records (trace or spans on). */
-    std::uint32_t trace_capacity = 1u << 16;
-
     /** Trace packets and requests whose id is a multiple of this
      *  (1 = all). */
     std::uint64_t trace_sample_every = 64;
@@ -60,17 +54,11 @@ struct ObsConfig
     /** Flight-recorder ring capacity in records. */
     std::uint32_t fr_capacity = 1u << 14;
 
-    /** Flight-recorder capture window before a trigger. */
-    Tick fr_pre = 200 * kUs;
-
     /** Flight-recorder capture window after a trigger. */
     Tick fr_post = 100 * kUs;
 
     /** Bitmask of armed FrTrigger bits (frTriggerBit()). */
     std::uint32_t fr_armed = 0;
-
-    /** At most this many flight-recorder dumps per run. */
-    std::uint32_t fr_max_dumps = 4;
 
     bool
     enabled() const

@@ -33,10 +33,10 @@ SloMonitor::rollTo(Tick now)
     // Close every epoch that ended at or before @p now (empty ones
     // included: a silent epoch is still an epoch, and skipping it
     // would make the count depend on traffic timing).
-    while (epochStart_ + cfg_.epoch <= now &&
-           epochStart_ + cfg_.epoch <= windowEnd_) {
+    while (epochStart_ + kSloEpoch <= now &&
+           epochStart_ + kSloEpoch <= windowEnd_) {
         closeEpoch();
-        epochStart_ += cfg_.epoch;
+        epochStart_ += kSloEpoch;
     }
 }
 
@@ -49,7 +49,7 @@ SloMonitor::closeEpoch()
     if (p99_us > cfg_.target_p99_us) {
         ++violations_;
         if (onViolation_)
-            onViolation_(epochStart_ + cfg_.epoch, p99_us);
+            onViolation_(epochStart_ + kSloEpoch, p99_us);
     }
     worstP99Us_ = std::max(worstP99Us_, p99_us);
     epochHist_.reset();
@@ -65,7 +65,7 @@ SloMonitor::finishWindow()
     // window of length W always reports ceil(W / epoch) epochs.
     while (epochStart_ < windowEnd_) {
         closeEpoch();
-        epochStart_ += cfg_.epoch;
+        epochStart_ += kSloEpoch;
     }
 }
 

@@ -32,15 +32,15 @@ namespace halsim::obs {
 
 class SpanTracer;
 
+/** Tumbling violation-window length. */
+inline constexpr Tick kSloEpoch = 5 * kMs;
+
 /** Per-run SLO knobs (part of ServerConfig, independent of
  *  ObsConfig so RunResult SLO fields exist with obs off). */
 struct SloConfig
 {
     /** p99 latency target in microseconds; 0 disables monitoring. */
     double target_p99_us = 0.0;
-
-    /** Tumbling violation-window length. */
-    Tick epoch = 5 * kMs;
 
     bool enabled() const { return target_p99_us > 0.0; }
 };
@@ -94,7 +94,7 @@ class SloMonitor
     {
         if (now >= windowEnd_ || now < epochStart_)
             return;
-        if (now >= epochStart_ + cfg_.epoch)
+        if (now >= epochStart_ + kSloEpoch)
             rollTo(now);
         epochHist_.sample(static_cast<double>(latency));
     }

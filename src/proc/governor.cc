@@ -8,63 +8,6 @@
 
 namespace halsim::proc {
 
-std::vector<std::string>
-PowerPolicy::validate() const
-{
-    std::vector<std::string> errors;
-    auto fail = [&errors](std::string msg) {
-        errors.push_back(std::move(msg));
-    };
-
-    if (host_sleep.enabled) {
-        if (host_sleep.sleep_after <= 0)
-            fail("power.host_sleep.sleep_after must be > 0");
-        if (host_sleep.shallow_idle_frac < 0.0 ||
-            host_sleep.shallow_idle_frac > 1.0) {
-            fail("power.host_sleep.shallow_idle_frac must be in "
-                 "[0, 1], got " +
-                 std::to_string(host_sleep.shallow_idle_frac));
-        }
-    }
-
-    if (snic_dvfs.enabled) {
-        if (snic_dvfs.epoch <= 0)
-            fail("power.snic_dvfs.epoch must be > 0");
-        if (!(snic_dvfs.min_scale > 0.0 && snic_dvfs.min_scale <= 1.0))
-            fail("power.snic_dvfs.min_scale must be in (0, 1], got " +
-                 std::to_string(snic_dvfs.min_scale));
-        if (snic_dvfs.step <= 0.0)
-            fail("power.snic_dvfs.step must be > 0");
-        if (snic_dvfs.occ_low > snic_dvfs.occ_high)
-            fail("power.snic_dvfs.occ_low (" +
-                 std::to_string(snic_dvfs.occ_low) +
-                 ") must be <= occ_high (" +
-                 std::to_string(snic_dvfs.occ_high) + ")");
-    }
-
-    if (governor.enabled) {
-        if (governor.epoch <= 0)
-            fail("power.governor.epoch must be > 0");
-        if (governor.groups == 0)
-            fail("power.governor.groups must be > 0");
-        if (!(governor.busy_low >= 0.0 &&
-              governor.busy_low < governor.busy_high &&
-              governor.busy_high <= 1.0)) {
-            fail("power.governor watermarks must satisfy 0 <= "
-                 "busy_low (" +
-                 std::to_string(governor.busy_low) +
-                 ") < busy_high (" +
-                 std::to_string(governor.busy_high) + ") <= 1");
-        }
-        if (governor.min_active_cores == 0)
-            fail("power.governor.min_active_cores must be >= 1");
-        if (governor.imbalance_threshold < 0.0)
-            fail("power.governor.imbalance_threshold must be >= 0");
-    }
-
-    return errors;
-}
-
 FlowGroupTable::FlowGroupTable(std::uint32_t groups, std::uint32_t cores)
     : groupCore_(groups == 0 ? 1 : groups),
       groupPackets_(groups == 0 ? 1 : groups, 0)
@@ -98,24 +41,23 @@ FlowGroupTable::resetEpoch()
 }
 
 GovernorAction
-planConsolidation(const GovernorPolicy &cfg, double avg_busy,
-                  std::uint32_t max_occ, unsigned active, unsigned total,
-                  std::uint32_t dwell)
+planConsolidation(double avg_busy, std::uint32_t max_occ,
+                  unsigned active, unsigned total, std::uint32_t dwell)
 {
     // Pressure valve first: a backed-up ring costs p99 immediately,
     // so it overrides the hysteresis entirely.
-    if (max_occ >= cfg.occ_unpark && active < total)
+    if (max_occ >= kGovOccUnpark && active < total)
         return GovernorAction::UnparkAll;
-    if (avg_busy > cfg.busy_high && active < total)
+    if (avg_busy > kGovBusyHigh && active < total)
         return GovernorAction::UnparkOne;
-    if (avg_busy < cfg.busy_low && active > cfg.min_active_cores &&
-        dwell >= cfg.min_dwell_epochs)
+    if (avg_busy < kGovBusyLow && active > kGovMinActiveCores &&
+        dwell >= kGovMinDwellEpochs)
         return GovernorAction::Park;
     return GovernorAction::None;
 }
 
 std::vector<GroupMove>
-planRebalance(const GovernorPolicy &cfg, const std::vector<double> &load,
+planRebalance(const std::vector<double> &load,
               const std::vector<bool> &active,
               const std::vector<std::uint32_t> &group_core,
               const std::vector<std::uint64_t> &group_pkts)
@@ -138,7 +80,7 @@ planRebalance(const GovernorPolicy &cfg, const std::vector<double> &load,
         return moves;
     const double gap = load[static_cast<std::size_t>(donor)] -
                        load[static_cast<std::size_t>(receiver)];
-    if (gap <= cfg.imbalance_threshold)
+    if (gap <= kGovImbalanceThreshold)
         return moves;
 
     // The donor's groups, with its epoch packet total for load
@@ -176,11 +118,10 @@ planRebalance(const GovernorPolicy &cfg, const std::vector<double> &load,
     return moves;
 }
 
-CoreGovernor::CoreGovernor(EventQueue &eq, GovernorPolicy cfg,
-                           FlowGroupTable &table,
+CoreGovernor::CoreGovernor(EventQueue &eq, FlowGroupTable &table,
                            std::vector<PollCore *> cores,
                            std::vector<nic::DpdkRing *> rings)
-    : eq_(eq), cfg_(cfg), table_(table), cores_(std::move(cores)),
+    : eq_(eq), table_(table), cores_(std::move(cores)),
       rings_(std::move(rings)),
       parked_(cores_.size(), false),
       lastBusySeconds_(cores_.size(), 0.0),
@@ -188,7 +129,7 @@ CoreGovernor::CoreGovernor(EventQueue &eq, GovernorPolicy cfg,
       minActive_(active_), maxActive_(active_)
 {
     tickEvent_.setCallback([this] { tick(); });
-    eq_.scheduleIn(&tickEvent_, cfg_.epoch);
+    eq_.scheduleIn(&tickEvent_, kGovEpoch);
 }
 
 CoreGovernor::~CoreGovernor()
@@ -270,7 +211,7 @@ CoreGovernor::tick()
     ++epochs_;
     const std::uint64_t actsBefore = parks_ + unparks_;
     const double epoch_s =
-        static_cast<double>(cfg_.epoch) / static_cast<double>(kSec);
+        static_cast<double>(kGovEpoch) / static_cast<double>(kSec);
 
     // Per-core busy fraction this epoch (monotone busy-seconds
     // differencing: warmup resets cannot bias it) and the RSS++
@@ -301,9 +242,9 @@ CoreGovernor::tick()
         active_ > 0 ? busy_sum / static_cast<double>(active_) : 0.0;
 
     // --- COREIDLE consolidation --------------------------------------
-    const GovernorAction action = planConsolidation(
-        cfg_, avg_busy, max_occ, active_,
-        static_cast<unsigned>(cores_.size()), dwell_);
+    const GovernorAction action =
+        planConsolidation(avg_busy, max_occ, active_,
+                          static_cast<unsigned>(cores_.size()), dwell_);
     switch (action) {
       case GovernorAction::UnparkAll:
         for (unsigned i = 0; i < parked_.size(); ++i)
@@ -344,8 +285,8 @@ CoreGovernor::tick()
             gc[g] = table_.coreOfGroup(g);
         return gc;
     }();
-    const std::vector<GroupMove> moves = planRebalance(
-        cfg_, load, active, group_core, table_.epochPackets());
+    const std::vector<GroupMove> moves =
+        planRebalance(load, active, group_core, table_.epochPackets());
     if (!moves.empty()) {
         ++rebalances_;
         migrations_ += moves.size();
@@ -374,7 +315,7 @@ CoreGovernor::tick()
         stormActs_.fill(0);
     }
 
-    eq_.scheduleIn(&tickEvent_, cfg_.epoch);
+    eq_.scheduleIn(&tickEvent_, kGovEpoch);
 }
 
 } // namespace halsim::proc

@@ -28,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/packet.hh"
@@ -46,26 +45,33 @@ namespace halsim::proc {
 class PollCore;
 
 /**
- * Core-scaling governor policy knobs. One epoch does at most one
- * consolidation action (park one / unpark one / unpark all) plus one
- * rebalance pass over the active set.
+ * Core-scaling governor switch (the ServerConfig power.governor
+ * path). One epoch does at most one consolidation action (park one /
+ * unpark one / unpark all) plus one rebalance pass over the active
+ * set; the constants below fix its operating point.
  */
 struct GovernorPolicy
 {
     bool enabled = false;
-    Tick epoch = 200 * kUs;           //!< governor period
-    std::uint32_t groups = 256;       //!< indirection-table entries
-    double busy_low = 0.25;           //!< park below this avg busy frac
-    double busy_high = 0.85;          //!< unpark one above this
-    /** Emergency pressure valve: any ring above this occupancy
-     *  unparks every core at once (burst p99 protection). */
-    std::uint32_t occ_unpark = 32;
-    /** Epochs the active set must dwell before the next park. */
-    std::uint32_t min_dwell_epochs = 5;
-    unsigned min_active_cores = 1;
-    /** Rebalance when max-min active-core load exceeds this. */
-    double imbalance_threshold = 0.10;
 };
+
+/** Governor period. */
+inline constexpr Tick kGovEpoch = 200 * kUs;
+/** Flow-group indirection-table entries. */
+inline constexpr std::uint32_t kGovGroups = 256;
+/** Park one core below this average busy fraction. */
+inline constexpr double kGovBusyLow = 0.25;
+/** Unpark one core above this average busy fraction. */
+inline constexpr double kGovBusyHigh = 0.85;
+/** Emergency pressure valve: any ring above this occupancy unparks
+ *  every core at once (burst p99 protection). */
+inline constexpr std::uint32_t kGovOccUnpark = 32;
+/** Epochs the active set must dwell before the next park. */
+inline constexpr std::uint32_t kGovMinDwellEpochs = 5;
+/** Never park below this many active cores. */
+inline constexpr unsigned kGovMinActiveCores = 1;
+/** Rebalance when max-min active-core load exceeds this. */
+inline constexpr double kGovImbalanceThreshold = 0.10;
 
 /**
  * The flow-group indirection table (RSS++ / fastclick
@@ -150,8 +156,7 @@ enum class GovernorAction : std::uint8_t
  * active and configured core counts, @p dwell the epochs since the
  * active set last changed.
  */
-GovernorAction planConsolidation(const GovernorPolicy &cfg,
-                                 double avg_busy, std::uint32_t max_occ,
+GovernorAction planConsolidation(double avg_busy, std::uint32_t max_occ,
                                  unsigned active, unsigned total,
                                  std::uint32_t dwell);
 
@@ -165,7 +170,7 @@ struct GroupMove
 
 /**
  * RSS++ rebalance: when the spread between the most- and
- * least-loaded *active* cores exceeds cfg.imbalance_threshold, move
+ * least-loaded *active* cores exceeds kGovImbalanceThreshold, move
  * the fewest groups (largest packet counts first, ascending group
  * index on ties) from the donor to the receiver until half the gap
  * is covered, estimating each group's load share from its epoch
@@ -177,7 +182,7 @@ struct GroupMove
  * @p group_pkts per-group packets this epoch
  */
 std::vector<GroupMove>
-planRebalance(const GovernorPolicy &cfg, const std::vector<double> &load,
+planRebalance(const std::vector<double> &load,
               const std::vector<bool> &active,
               const std::vector<std::uint32_t> &group_core,
               const std::vector<std::uint64_t> &group_pkts);
@@ -197,8 +202,7 @@ class CoreGovernor
     static constexpr std::uint32_t kStormWindow = 8;
     static constexpr std::uint32_t kStormThreshold = 4;
 
-    CoreGovernor(EventQueue &eq, GovernorPolicy cfg,
-                 FlowGroupTable &table,
+    CoreGovernor(EventQueue &eq, FlowGroupTable &table,
                  std::vector<PollCore *> cores,
                  std::vector<nic::DpdkRing *> rings);
     ~CoreGovernor();
@@ -240,7 +244,6 @@ class CoreGovernor
     void evacuate(unsigned idx);
 
     EventQueue &eq_;
-    GovernorPolicy cfg_;
     FlowGroupTable &table_;
     std::vector<PollCore *> cores_;
     std::vector<nic::DpdkRing *> rings_;

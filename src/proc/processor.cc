@@ -10,6 +10,31 @@ namespace halsim::proc {
 namespace {
 
 /**
+ * DPDK power management (§V-B): a core enters deep sleep after
+ * kSleepAfter idle and pays kWakeLatency on the next packet. The
+ * paper enables this for the host CPU under HAL to stop busy-waiting
+ * from burning power at low rates.
+ */
+constexpr Tick kSleepAfter = 20 * kUs;
+constexpr Tick kWakeLatency = 5 * kUs;
+/**
+ * Power fraction while waiting between packets with the power API
+ * active (umonitor/umwait pauses the core instead of spinning); deep
+ * sleep after kSleepAfter drops to zero, at the cost of kWakeLatency.
+ * Without power management a polling core burns full power at all
+ * times.
+ */
+constexpr double kShallowIdleFrac = 0.25;
+
+/** SNIC DVFS governor (DvfsPolicy): period, frequency floor and step,
+ *  and the ring-occupancy watermarks that scale up / down. */
+constexpr Tick kDvfsEpoch = 500 * kUs;
+constexpr double kDvfsMinScale = 0.4;
+constexpr double kDvfsStep = 0.2;
+constexpr std::uint32_t kDvfsOccHigh = 16;
+constexpr std::uint32_t kDvfsOccLow = 2;
+
+/**
  * Turn a processed request into its response frame: reply-to
  * addressing from the packet metadata, source identity of the
  * processing service. Host-sourced responses carry the host IP here;
@@ -51,8 +76,8 @@ PollCore::PollCore(EventQueue &eq, Config cfg, nic::DpdkRing &ring,
     // the start (§III-B: DPDK busy-waiting keeps the CPU hot even
     // when idle); with it, waiting costs only the umwait fraction.
     setPowerLevel(idleLevel());
-    if (cfg_.sleep.enabled)
-        eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+    if (cfg_.sleep)
+        eq_.scheduleIn(&sleepEvent_, kSleepAfter);
 }
 
 double
@@ -84,7 +109,7 @@ PollCore::joulesNow() const
 double
 PollCore::idleLevel() const
 {
-    return cfg_.sleep.enabled ? cfg_.sleep.shallow_idle_frac : 1.0;
+    return cfg_.sleep ? kShallowIdleFrac : 1.0;
 }
 
 PollCore::~PollCore()
@@ -137,8 +162,8 @@ PollCore::setParked(bool parked)
         return;
     parked_ = parked;
     if (parked && !busy_ && ring_.empty()) {
-        // Idle and empty: deep sleep right now, independent of the
-        // SleepPolicy (the governor IS the sleep decision here). A
+        // Idle and empty: deep sleep right now, independent of power
+        // management (the governor IS the sleep decision here). A
         // busy or backlogged core keeps serving; finish() drops it
         // into deep sleep once the ring drains.
         if (sleepEvent_.scheduled())
@@ -178,7 +203,7 @@ PollCore::startNext()
     Tick extra = 0;
     if (sleeping_) {
         sleeping_ = false;
-        extra = cfg_.sleep.wake_latency;
+        extra = kWakeLatency;
     }
     if (sleepEvent_.scheduled())
         eq_.deschedule(&sleepEvent_);
@@ -239,8 +264,8 @@ PollCore::finish(net::PacketPtr pkt)
 void
 PollCore::goIdle()
 {
-    if (cfg_.sleep.enabled && !sleeping_ && !sleepEvent_.scheduled())
-        eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+    if (cfg_.sleep && !sleeping_ && !sleepEvent_.scheduled())
+        eq_.scheduleIn(&sleepEvent_, kSleepAfter);
 }
 
 double
@@ -277,7 +302,7 @@ Accelerator::Accelerator(EventQueue &eq, Config cfg,
                          coherence::CoherenceDomain *domain,
                          net::PacketSink &tx, PowerMeter &power)
     : eq_(eq), cfg_(std::move(cfg)), fn_(fn), domain_(domain), tx_(tx),
-      power_(power), queue_(cfg_.queue_depth)
+      power_(power), queue_(kQueueDepth)
 {
     queue_.setNotify([this] { pump(); });
     sleepEvent_.setCallback([this] {
@@ -287,8 +312,8 @@ Accelerator::Accelerator(EventQueue &eq, Config cfg,
         }
     });
     setPowerLevel(idleLevel());
-    if (cfg_.sleep.enabled)
-        eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+    if (cfg_.sleep)
+        eq_.scheduleIn(&sleepEvent_, kSleepAfter);
 }
 
 Accelerator::~Accelerator()
@@ -345,7 +370,7 @@ Accelerator::setFailed(bool failed)
 double
 Accelerator::idleLevel() const
 {
-    return cfg_.sleep.enabled ? cfg_.sleep.shallow_idle_frac : 1.0;
+    return cfg_.sleep ? kShallowIdleFrac : 1.0;
 }
 
 void
@@ -368,7 +393,7 @@ Accelerator::pump()
         busyPipeline_ = true;
         if (deepSleep_) {
             deepSleep_ = false;
-            extra = cfg_.sleep.wake_latency;
+            extra = kWakeLatency;
         }
         if (sleepEvent_.scheduled())
             eq_.deschedule(&sleepEvent_);
@@ -384,7 +409,7 @@ Accelerator::pump()
     // Software fallback after a failure serializes at a fraction of
     // the accelerated rate on the feeding cores.
     const double rate = failed_
-                            ? cfg_.profile.max_tp_gbps * cfg_.fallback_frac
+                            ? cfg_.profile.max_tp_gbps * kFallbackFrac
                             : cfg_.profile.max_tp_gbps;
     const Tick ser =
         transferTicks(pkt->size(), rate) + ctx.latency() + extra;
@@ -404,8 +429,8 @@ Accelerator::pump()
             } else {
                 busyPipeline_ = false;
                 setPowerLevel(idleLevel());
-                if (cfg_.sleep.enabled && !sleepEvent_.scheduled())
-                    eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+                if (cfg_.sleep && !sleepEvent_.scheduled())
+                    eq_.scheduleIn(&sleepEvent_, kSleepAfter);
             }
         },
         ser);
@@ -446,7 +471,6 @@ Processor::Processor(EventQueue &eq, Config cfg,
         ac.service_mac = cfg_.service_mac;
         ac.service_ip = cfg_.service_ip;
         ac.sleep = cfg_.sleep;
-        ac.fallback_frac = cfg_.accel_fallback_frac;
         ac.fallback_tag = cfg_.node == coherence::NodeId::Snic
                               ? net::Processor::SnicCpu
                               : net::Processor::HostCpu;
@@ -471,12 +495,12 @@ Processor::Processor(EventQueue &eq, Config cfg,
 
     if (cfg_.governor.enabled) {
         groupTable_ = std::make_unique<FlowGroupTable>(
-            cfg_.governor.groups, cfg_.cores);
+            kGovGroups, cfg_.cores);
     }
 
     for (unsigned i = 0; i < cfg_.cores; ++i) {
         rings_.push_back(
-            std::make_unique<nic::DpdkRing>(cfg_.ring_descriptors));
+            std::make_unique<nic::DpdkRing>(kRingDescriptors));
         cores_.push_back(std::make_unique<PollCore>(
             eq, cc, *rings_.back(), fn, domain, tx, power_));
         nic::DpdkRing *ring = rings_.back().get();
@@ -498,22 +522,22 @@ Processor::Processor(EventQueue &eq, Config cfg,
         for (const auto &r : rings_)
             gov_rings.push_back(r.get());
         governor_ = std::make_unique<CoreGovernor>(
-            eq, cfg_.governor, *groupTable_, std::move(gov_cores),
+            eq, *groupTable_, std::move(gov_cores),
             std::move(gov_rings));
     }
 
     if (cfg_.dvfs.enabled) {
-        freqScale_ = cfg_.dvfs.min_scale;
+        freqScale_ = kDvfsMinScale;
         dvfsEvent_.setCallback([this] {
             const std::uint32_t occ = maxRingOccupancy();
-            if (occ > cfg_.dvfs.occ_high)
-                freqScale_ = std::min(1.0, freqScale_ + cfg_.dvfs.step);
-            else if (occ < cfg_.dvfs.occ_low)
-                freqScale_ = std::max(cfg_.dvfs.min_scale,
-                                      freqScale_ - cfg_.dvfs.step);
-            eq_.scheduleIn(&dvfsEvent_, cfg_.dvfs.epoch);
+            if (occ > kDvfsOccHigh)
+                freqScale_ = std::min(1.0, freqScale_ + kDvfsStep);
+            else if (occ < kDvfsOccLow)
+                freqScale_ =
+                    std::max(kDvfsMinScale, freqScale_ - kDvfsStep);
+            eq_.scheduleIn(&dvfsEvent_, kDvfsEpoch);
         });
-        eq_.scheduleIn(&dvfsEvent_, cfg_.dvfs.epoch);
+        eq_.scheduleIn(&dvfsEvent_, kDvfsEpoch);
     }
 }
 
@@ -806,8 +830,7 @@ Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                 1.0, static_cast<double>(cfg_.cores), 16});
     }
     const double ring_hi =
-        static_cast<double>(std::max<std::uint32_t>(
-            cfg_.ring_descriptors, 2));
+        static_cast<double>(kRingDescriptors);
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const std::string n = std::to_string(i);
         PollCore *core = cores_[i].get();

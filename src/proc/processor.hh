@@ -35,65 +35,35 @@ class StatsRegistry;
 namespace halsim::proc {
 
 /**
- * DPDK power-management policy (§V-B): cores enter a sleep state
- * after an idle interval and pay a wake-up penalty on the next
- * packet. The paper enables this for the host CPU under HAL to stop
- * busy-waiting from burning power at low rates.
- */
-struct SleepPolicy
-{
-    bool enabled = false;
-    Tick sleep_after = 20 * kUs;
-    Tick wake_latency = 5 * kUs;
-    /**
-     * Power fraction while waiting between packets with the power
-     * API active (umonitor/umwait pauses the core instead of
-     * spinning); deep sleep after sleep_after drops to zero, at the
-     * cost of wake_latency. Without the policy a polling core burns
-     * full power at all times.
-     */
-    double shallow_idle_frac = 0.25;
-};
-
-/**
- * Dynamic voltage/frequency scaling policy for the SNIC CPU (§VIII
- * "Impact of SNIC processor's DVFS on the effectiveness of LBP").
- * A simple occupancy-driven governor: scale frequency down while the
- * rings stay near-empty, up when they back up. Service time scales
- * as 1/f, dynamic power as f^2 (voltage tracks frequency).
+ * Dynamic voltage/frequency scaling for the SNIC CPU (§VIII "Impact
+ * of SNIC processor's DVFS on the effectiveness of LBP"). A simple
+ * occupancy-driven governor: scale frequency down while the rings
+ * stay near-empty, up when they back up. Service time scales as 1/f,
+ * dynamic power as f^2 (voltage tracks frequency). Its epoch, step
+ * and watermarks are processor.cc constants.
  */
 struct DvfsPolicy
 {
     bool enabled = false;
-    Tick epoch = 500 * kUs;
-    double min_scale = 0.4;
-    double step = 0.2;
-    std::uint32_t occ_high = 16;   //!< scale up above this occupancy
-    std::uint32_t occ_low = 2;     //!< scale down below this occupancy
 };
 
 /**
- * The server's complete power-management policy, grouped in one
- * sub-struct: host-CPU sleep states (§V-B), SNIC-CPU DVFS (§VIII),
- * and the adaptive core-scaling governor (ROADMAP item 3). One
- * validate() reports every violation in a single pass; ServerConfig
- * splices the messages into its own report.
+ * The server's switchable power management, grouped in one
+ * sub-struct: SNIC-CPU DVFS (§VIII) and the adaptive core-scaling
+ * governor (ROADMAP item 3). Host-CPU sleep states (§V-B) are not a
+ * switch: the host sleeps under HAL and busy-polls otherwise.
  */
 struct PowerPolicy
 {
-    /** Host-CPU sleep policy; applied under HAL mode (the paper
-     *  enables the DPDK power API on the host side). */
-    SleepPolicy host_sleep{true, 20 * kUs, 5 * kUs};
-
     /** Occupancy-driven DVFS on the SNIC CPU (off by default). */
     DvfsPolicy snic_dvfs;
 
     /** Core-scaling governor, armed on both processors when enabled. */
     GovernorPolicy governor;
-
-    /** Every violation in one pass; empty means valid. */
-    std::vector<std::string> validate() const;
 };
+
+/** DPDK Rx descriptors per poll-core ring (a power of two). */
+inline constexpr std::uint32_t kRingDescriptors = 512;
 
 /**
  * Aggregated dynamic-power meter (W) for one processor.
@@ -136,7 +106,9 @@ class PollCore
     struct Config
     {
         funcs::FunctionProfile profile;
-        SleepPolicy sleep;
+        /** DPDK power management (§V-B): sleep after an idle spell
+         *  and pay a wake-up penalty on the next packet. */
+        bool sleep = false;
         coherence::NodeId node = coherence::NodeId::Snic;
         net::Processor tag = net::Processor::SnicCpu;
         net::MacAddr service_mac;
@@ -186,7 +158,7 @@ class PollCore
     /**
      * Governor hook (COREIDLE mechanism): a parked core drops into
      * deep sleep — zero watts — as soon as it is idle with an empty
-     * ring, even without a SleepPolicy; a busy or backlogged core
+     * ring, even without power management; a busy or backlogged core
      * drains its ring first, then sleeps. Stray packets still wake
      * it (with the wake penalty), so nothing is ever stranded.
      * Unparking is completed by the governor's forceWake() call.
@@ -283,20 +255,22 @@ class PollCore
 class Accelerator
 {
   public:
+    /** Input queue depth in descriptors. */
+    static constexpr std::uint32_t kQueueDepth = 1024;
+    /** Throughput fraction the feeding cores sustain in software
+     *  when the accelerator fails (§ fault model). */
+    static constexpr double kFallbackFrac = 0.15;
+
     struct Config
     {
         funcs::FunctionProfile profile;
-        std::uint32_t queue_depth = 1024;
         coherence::NodeId node = coherence::NodeId::Snic;
         net::Processor tag = net::Processor::SnicAccel;
         net::MacAddr service_mac;
         net::Ipv4Addr service_ip;
-        SleepPolicy sleep;      //!< applied to the feeding cores
+        bool sleep = false;     //!< applied to the feeding cores
         /** Power of the polling cores feeding the accelerator (W). */
         double feed_power_w = 0.0;
-        /** Throughput fraction the feeding cores sustain in software
-         *  when the accelerator fails (§ fault model). */
-        double fallback_frac = 0.15;
         /** Response attribution while running the software fallback. */
         net::Processor fallback_tag = net::Processor::SnicCpu;
     };
@@ -320,7 +294,7 @@ class Accelerator
 
     /**
      * Fault hook: the accelerator pipeline dies and the feeding cores
-     * take over in software at fallback_frac of the accelerated rate
+     * take over in software at kFallbackFrac of the accelerated rate
      * (no fixed pipeline latency, responses tagged as CPU-processed,
      * the dead unit draws nothing while the cores stay hot).
      */
@@ -404,8 +378,8 @@ class Processor
         funcs::Platform platform = funcs::Platform::SnicBf2;
         funcs::FunctionProfile profile;
         unsigned cores = 8;
-        std::uint32_t ring_descriptors = 512;
-        SleepPolicy sleep;
+        /** DPDK power management on the cores (see PollCore). */
+        bool sleep = false;
         DvfsPolicy dvfs;
         /** Core-scaling governor; ignored in accelerator mode (a
          *  pipeline has no core count to scale). */
@@ -413,8 +387,6 @@ class Processor
         coherence::NodeId node = coherence::NodeId::Snic;
         net::MacAddr service_mac;
         net::Ipv4Addr service_ip;
-        /** Software-fallback rate fraction after accelerator failure. */
-        double accel_fallback_frac = 0.15;
     };
 
     Processor(EventQueue &eq, Config cfg, funcs::NetworkFunction &fn,

@@ -15,72 +15,65 @@ using namespace halsim::coherence;
 
 namespace {
 
-CoherenceDomain::Config
-testCfg()
-{
-    CoherenceDomain::Config cfg;
-    cfg.local_hit = 10;
-    cfg.memory_fetch = 100;
-    cfg.remote_transfer = 1000;
-    cfg.line_bytes = 64;
-    return cfg;
-}
+constexpr Tick kHit = CoherenceDomain::kLocalHit;
+constexpr Tick kFetch = CoherenceDomain::kMemoryFetch;
+constexpr Tick kTransfer = CoherenceDomain::kRemoteTransfer;
 
 } // namespace
 
 TEST(Coherence, ColdReadFetchesFromMemory)
 {
-    CoherenceDomain d(testCfg());
-    EXPECT_EQ(d.access(0x1000, NodeId::Snic, false), 100u);
+    CoherenceDomain d;
+    EXPECT_EQ(d.access(0x1000, NodeId::Snic, false), kFetch);
     EXPECT_EQ(d.stats().memoryFetches, 1u);
 }
 
 TEST(Coherence, RepeatReadHitsLocally)
 {
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     d.access(0x1000, NodeId::Snic, false);
-    EXPECT_EQ(d.access(0x1000, NodeId::Snic, false), 10u);
-    EXPECT_EQ(d.access(0x1040, NodeId::Snic, false), 100u)
+    EXPECT_EQ(d.access(0x1000, NodeId::Snic, false), kHit);
+    EXPECT_EQ(d.access(0x1040, NodeId::Snic, false), kFetch)
         << "adjacent line is a separate fetch";
-    EXPECT_EQ(d.access(0x1008, NodeId::Snic, false), 10u)
+    EXPECT_EQ(d.access(0x1008, NodeId::Snic, false), kHit)
         << "same 64-byte line hits";
 }
 
 TEST(Coherence, WriteAfterWriteIsLocal)
 {
-    CoherenceDomain d(testCfg());
-    EXPECT_EQ(d.access(0x2000, NodeId::Host, true), 100u);
-    EXPECT_EQ(d.access(0x2000, NodeId::Host, true), 10u);
+    CoherenceDomain d;
+    EXPECT_EQ(d.access(0x2000, NodeId::Host, true), kFetch);
+    EXPECT_EQ(d.access(0x2000, NodeId::Host, true), kHit);
 }
 
 TEST(Coherence, RemoteDirtyReadTransfers)
 {
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     d.access(0x3000, NodeId::Snic, true);   // SNIC owns dirty
-    EXPECT_EQ(d.access(0x3000, NodeId::Host, false), 1000u)
+    EXPECT_EQ(d.access(0x3000, NodeId::Host, false), kTransfer)
         << "dirty line must cross the UPI/CXL interconnect";
     // Now shared: both read locally.
-    EXPECT_EQ(d.access(0x3000, NodeId::Host, false), 10u);
-    EXPECT_EQ(d.access(0x3000, NodeId::Snic, false), 10u);
+    EXPECT_EQ(d.access(0x3000, NodeId::Host, false), kHit);
+    EXPECT_EQ(d.access(0x3000, NodeId::Snic, false), kHit);
 }
 
 TEST(Coherence, WriteInvalidatesRemoteSharer)
 {
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     d.access(0x4000, NodeId::Snic, false);
     d.access(0x4000, NodeId::Host, false);
-    EXPECT_EQ(d.access(0x4000, NodeId::Host, true), 1000u)
+    EXPECT_EQ(d.access(0x4000, NodeId::Host, true), kTransfer)
         << "upgrading with a remote sharer costs an invalidation";
     EXPECT_EQ(d.stats().invalidations, 1u);
     // The SNIC's copy is gone: its next read transfers the dirty line.
-    EXPECT_EQ(d.access(0x4000, NodeId::Snic, false), 1000u);
+    EXPECT_EQ(d.access(0x4000, NodeId::Snic, false), kTransfer);
 }
 
 TEST(Coherence, LocalUpgradeFromSharedIsCheap)
 {
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     d.access(0x5000, NodeId::Snic, false);
-    EXPECT_EQ(d.access(0x5000, NodeId::Snic, true), 10u)
+    EXPECT_EQ(d.access(0x5000, NodeId::Snic, true), kHit)
         << "S->M with no remote sharer is a local operation";
 }
 
@@ -88,18 +81,18 @@ TEST(Coherence, PingPongWritesAlwaysTransfer)
 {
     // The pathological stateful pattern: both nodes writing the same
     // counter. Every write after the first must cross the link.
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     d.access(0x6000, NodeId::Snic, true);
     for (int i = 0; i < 10; ++i) {
         const NodeId n = i % 2 ? NodeId::Snic : NodeId::Host;
-        EXPECT_EQ(d.access(0x6000, n, true), 1000u) << "round " << i;
+        EXPECT_EQ(d.access(0x6000, n, true), kTransfer) << "round " << i;
     }
     EXPECT_EQ(d.stats().remoteTransfers, 10u);
 }
 
 TEST(Coherence, SingleWriterInvariantUnderRandomChurn)
 {
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     Rng rng(42);
     for (int i = 0; i < 100000; ++i) {
         const std::uint64_t addr = rng.uniformInt(64) * 64;
@@ -116,13 +109,15 @@ TEST(Coherence, SingleWriterInvariantUnderRandomChurn)
 
 TEST(StateContext, ExposedLatencyIsMaxPlusResidual)
 {
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     StateContext ctx(&d, NodeId::Snic);
-    ctx.touch(0x100, true);    // memory fetch: 100
-    ctx.touch(0x100, true);    // local: 10
-    // Out-of-order overlap: longest access (100) + 15% of the rest.
+    ctx.touch(0x100, true);    // memory fetch
+    ctx.touch(0x100, true);    // local hit
+    // Out-of-order overlap: longest access (the fetch) + 15% of the
+    // rest.
     EXPECT_EQ(ctx.latency(),
-              100u + static_cast<Tick>(0.15 * 10.0));
+              kFetch +
+                  static_cast<Tick>(0.15 * static_cast<double>(kHit)));
     EXPECT_EQ(ctx.accesses(), 2u);
     EXPECT_TRUE(ctx.coherent());
 }
@@ -142,7 +137,7 @@ TEST(Coherence, SkewedSharingIsMostlyLocal)
     // HAL's common case: the SNIC handles the low-rate steady state,
     // the host only bursts. With key-partitioned access the remote
     // traffic should stay a small fraction.
-    CoherenceDomain d(testCfg());
+    CoherenceDomain d;
     Rng rng(7);
     for (int i = 0; i < 50000; ++i) {
         // 95% of accesses from the SNIC.

@@ -64,26 +64,26 @@ TEST(FaultConfig, ZeroHostCoresFineWhenHostUnused)
     EXPECT_NO_THROW(ServerSystem(eq, cfg));
 }
 
-TEST(FaultConfig, RejectsBadRingDescriptors)
+TEST(FaultConfig, RejectsWatermarkAboveRingSize)
 {
+    // WM_High counts ring descriptors, so a watermark above the ring
+    // size could never trip.
     EventQueue eq;
     auto cfg = cfgFor(Mode::Hal);
-    cfg.ring_descriptors = 500; // not a power of two
+    cfg.lbp.wm_high = proc::kRingDescriptors + 1;
     EXPECT_THROW(ServerSystem(eq, cfg), std::invalid_argument);
-    cfg.ring_descriptors = 0;
-    EXPECT_THROW(ServerSystem(eq, cfg), std::invalid_argument);
-    cfg.ring_descriptors = 32; // below wm_high = 48
-    EXPECT_THROW(ServerSystem(eq, cfg), std::invalid_argument);
+    cfg.lbp.wm_high = proc::kRingDescriptors;
+    EXPECT_NO_THROW(ServerSystem(eq, cfg));
 }
 
 TEST(FaultConfig, RejectsInvertedThresholds)
 {
     EventQueue eq;
     auto cfg = cfgFor(Mode::Hal);
-    cfg.lbp.initial_fwd_gbps = 0.1; // below min_fwd = 0.5
+    cfg.lbp.initial_fwd_gbps = 0.1; // below kMinFwdGbps = 0.5
     EXPECT_THROW(ServerSystem(eq, cfg), std::invalid_argument);
     cfg = cfgFor(Mode::Hal);
-    cfg.lbp.initial_fwd_gbps = 200.0; // above max_fwd = 100
+    cfg.lbp.initial_fwd_gbps = 200.0; // above kMaxFwdGbps = 100
     EXPECT_THROW(ServerSystem(eq, cfg), std::invalid_argument);
 }
 
@@ -91,34 +91,20 @@ TEST(FaultConfig, ValidationMessageNamesField)
 {
     EventQueue eq;
     auto cfg = cfgFor(Mode::Hal);
-    cfg.ring_descriptors = 100;
+    cfg.lbp.wm_low = 100; // above wm_high = 48
     try {
         ServerSystem sys(eq, cfg);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("ring_descriptors"),
+        EXPECT_NE(std::string(e.what()).find("lbp.wm_low"),
                   std::string::npos)
             << e.what();
     }
 }
 
-TEST(FaultConfig, RejectsNonPositiveSloEpochEvenWhenUnarmed)
+TEST(ConfigValidation, DefaultServerConfigIsValid)
 {
-    // slo.epoch is validated unconditionally: a run can arm the SLO
-    // monitor later (--slo-p99), so an unarmed config must not smuggle
-    // a zero epoch past validation.
-    EventQueue eq;
-    auto cfg = cfgFor(Mode::Hal);
-    cfg.slo.target_p99_us = 0.0; // monitor unarmed
-    cfg.slo.epoch = 0;
-    try {
-        ServerSystem sys(eq, cfg);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("slo.epoch"),
-                  std::string::npos)
-            << e.what();
-    }
+    EXPECT_TRUE(ServerConfig{}.validate().empty());
 }
 
 // --- satellite: director clamps at the device boundary ---------------
@@ -427,6 +413,22 @@ TEST(FaultDrill, SwitchPortDownBlackholesAreCountedAsDrops)
     EXPECT_GE(r.drops, blackholed);
     EXPECT_LT(r.in_flight_at_window_end, blackholed);
     EXPECT_GT(r.lossFraction(), 0.1);
+}
+
+TEST(FaultDrill, WarmupPortDownDropsStayOutOfTheWindow)
+{
+    // The port is down only during warmup: its blackholed frames are
+    // warmup losses, so the measurement window reports no drops.
+    EventQueue eq;
+    auto cfg = cfgFor(Mode::Hal);
+    cfg.faults.switchPortDown(fault::FaultTarget::Host, 0, 5 * kMs);
+    ServerSystem sys(eq, cfg);
+    const auto r = runConstant(sys, 60.0, 5 * kMs, 10 * kMs);
+
+    ASSERT_GT(sys.eswitch()->blackholed(), 0u);
+    EXPECT_EQ(r.drops, 0u);
+    EXPECT_EQ(r.lossFraction(), 0.0);
+    EXPECT_GE(r.responses, r.sent);
 }
 
 // --- core-level faults ------------------------------------------------

@@ -165,17 +165,22 @@ TEST(HealthChecker, FlapShorterThanFallIsAbsorbed)
     EventQueue eq;
     NullSink out;
     Backend b(eq, lightBackend(), out);
-    HealthChecker h(eq, {1 * kMs, 3, 2}, {&b});
+    HealthChecker h(eq, {&b});
 
-    // Stall for 2 probe epochs out of every 4: consecutive failures
-    // never reach fall=3, so the verdict must never change.
-    for (Tick t = 0; t < 40 * kMs; t += 4 * kMs) {
-        eq.scheduleFn([&b] { b.setStalled(true); }, t + 500 * kUs);
-        eq.scheduleFn([&b] { b.setStalled(false); }, t + 2500 * kUs);
+    // Stall for kFall - 1 probe epochs out of every kFall + 1:
+    // consecutive failures never reach kFall, so the verdict must
+    // never change.
+    constexpr Tick epoch = HealthChecker::kEpoch;
+    constexpr Tick cycle = (HealthChecker::kFall + 1) * epoch;
+    const Tick horizon = 10 * cycle;
+    for (Tick t = 0; t < horizon; t += cycle) {
+        eq.scheduleFn([&b] { b.setStalled(true); }, t + epoch / 2);
+        eq.scheduleFn([&b] { b.setStalled(false); },
+                      t + (HealthChecker::kFall - 1) * epoch + epoch / 2);
     }
 
-    h.start(40 * kMs);
-    eq.runUntil(41 * kMs);
+    h.start(horizon);
+    eq.runUntil(horizon + epoch);
 
     EXPECT_GT(h.probesFailed(), 0u);
     EXPECT_EQ(h.downTransitions(), 0u);
@@ -188,27 +193,30 @@ TEST(HealthChecker, TransitionRateBoundedByHysteresis)
     EventQueue eq;
     NullSink out;
     Backend b(eq, lightBackend(), out);
-    const HealthChecker::Config hc{1 * kMs, 3, 2};
-    HealthChecker h(eq, hc, {&b});
+    HealthChecker h(eq, {&b});
 
-    // Worst-case flap for fall=3/rise=2: down exactly long enough to
-    // trip the fall threshold, up exactly long enough to rise. Each
-    // 5 ms cycle costs one down + one up transition — the maximum the
-    // hysteresis permits.
-    const Tick horizon = 50 * kMs;
-    for (Tick t = 0; t < horizon; t += 5 * kMs) {
-        eq.scheduleFn([&b] { b.setStalled(true); }, t + 500 * kUs);
-        eq.scheduleFn([&b] { b.setStalled(false); }, t + 3500 * kUs);
+    // Worst-case flap: down exactly long enough to trip the fall
+    // threshold, up exactly long enough to rise. Each (kFall + kRise)
+    // epoch cycle costs one down + one up transition — the maximum
+    // the hysteresis permits.
+    constexpr unsigned fall = HealthChecker::kFall;
+    constexpr unsigned rise = HealthChecker::kRise;
+    constexpr Tick epoch = HealthChecker::kEpoch;
+    const Tick horizon = 10 * (fall + rise) * epoch;
+    for (Tick t = 0; t < horizon; t += (fall + rise) * epoch) {
+        eq.scheduleFn([&b] { b.setStalled(true); }, t + epoch / 2);
+        eq.scheduleFn([&b] { b.setStalled(false); },
+                      t + fall * epoch + epoch / 2);
     }
 
     h.start(horizon);
-    eq.runUntil(horizon + 1 * kMs);
+    eq.runUntil(horizon + epoch);
 
     const std::uint64_t probes = h.probesSent();
-    ASSERT_EQ(probes, 50u);
+    ASSERT_EQ(probes, 10u * (fall + rise));
     // The documented bound: at most 1 transition (each way) per
     // (fall + rise) probe epochs.
-    const std::uint64_t bound = probes / (hc.fall + hc.rise);
+    const std::uint64_t bound = probes / (fall + rise);
     EXPECT_EQ(h.downTransitions(), bound);
     EXPECT_EQ(h.upTransitions(), bound);
     EXPECT_LE(h.downTransitions() + h.upTransitions(), 2 * bound);
@@ -303,7 +311,7 @@ TEST(Backend, StallHoldsQueueAndDrawsFullPower)
         b.accept(testPacket());
     EXPECT_FALSE(b.probeOk());
     EXPECT_EQ(b.occupancy(), 5u); // nothing dispatched while hung
-    EXPECT_NEAR(b.currentW(), bc.cores * bc.core_active_w, 1e-12);
+    EXPECT_NEAR(b.currentW(), bc.cores * Backend::kCoreActiveW, 1e-12);
 
     eq.run();
     EXPECT_EQ(b.served(), 0u);
@@ -328,7 +336,7 @@ TEST(FleetConfig, ValidateNamesEveryOffendingField)
     cfg.backends = 0;
     cfg.frontend.vnodes = 0;
     cfg.backend.ring_capacity = 0;
-    cfg.health.epoch = 0;
+    cfg.backend.cores = 0;
     cfg.client.flows = 0;
     const auto errors = cfg.validate();
     ASSERT_EQ(errors.size(), 5u);
@@ -341,7 +349,7 @@ TEST(FleetConfig, ValidateNamesEveryOffendingField)
     EXPECT_TRUE(contains("backends"));
     EXPECT_TRUE(contains("frontend.vnodes"));
     EXPECT_TRUE(contains("backend.ring_capacity"));
-    EXPECT_TRUE(contains("health.epoch"));
+    EXPECT_TRUE(contains("backend.cores"));
     EXPECT_TRUE(contains("client.flows"));
 }
 
@@ -376,7 +384,7 @@ TEST(FleetConfig, ConstructorThrowsJoiningAllErrors)
     EventQueue eq;
     FleetConfig cfg;
     cfg.backends = 200;
-    cfg.slo.epoch = 0;
+    cfg.slo.target_p99_us = -1.0;
     try {
         FleetSystem sys(eq, cfg);
         FAIL() << "expected std::invalid_argument";
@@ -384,8 +392,36 @@ TEST(FleetConfig, ConstructorThrowsJoiningAllErrors)
         const std::string what = e.what();
         EXPECT_NE(what.find("FleetConfig:"), std::string::npos) << what;
         EXPECT_NE(what.find("backends"), std::string::npos) << what;
-        EXPECT_NE(what.find("slo.epoch"), std::string::npos) << what;
+        EXPECT_NE(what.find("slo.target_p99_us"), std::string::npos)
+            << what;
     }
+}
+
+TEST(ConfigValidation, DefaultFleetConfigIsValid)
+{
+    EXPECT_TRUE(fleet::FleetConfig{}.validate().empty());
+}
+
+TEST(ConfigValidation, FleetRejectsZeroBackends)
+{
+    fleet::FleetConfig cfg;
+    cfg.backends = 0;
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("backends"), std::string::npos);
+
+    EventQueue eq;
+    EXPECT_THROW(fleet::FleetSystem(eq, cfg), std::invalid_argument);
+}
+
+TEST(ConfigValidation, FleetRejectsRetryBudgetWithZeroTimeout)
+{
+    fleet::FleetConfig cfg;
+    cfg.client.retry.timeout = 0;
+    cfg.client.retry.max_retries = 3;
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("retry budget"), std::string::npos);
 }
 
 // --- end-to-end drills ------------------------------------------------

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
+#include <vector>
 
+#include "alg/corpus.hh"
 #include "alg/sha256.hh"
 #include "coherence/domain.hh"
 #include "funcs/analytics.hh"
@@ -153,7 +158,7 @@ TEST(Count, CountsAreConserved)
 
 TEST(Count, ResponseCarriesRunningCount)
 {
-    CountFunction count(CountFunction::Config{4, 16});
+    CountFunction count;
     auto st = nullState();
     auto pkt = blankPacket();
     auto p = pkt->payload();
@@ -169,7 +174,7 @@ TEST(Count, ResponseCarriesRunningCount)
 
 TEST(Ema, ConvergesTowardConstantInput)
 {
-    EmaFunction ema(EmaFunction::Config{1, 4, 125});
+    EmaFunction ema;
     auto st = nullState();
     for (int i = 0; i < 200; ++i) {
         auto pkt = blankPacket();
@@ -197,7 +202,7 @@ TEST(Ema, FirstSampleInitializes)
 
 TEST(Nat, TranslatesKnownFlowAndPatchesChecksum)
 {
-    NatFunction nat(NatFunction::Config{1000, net::Ipv4Addr(192, 168, 0, 0)});
+    NatFunction nat;
     auto pkt = blankPacket();
     // Flow 5 from the preloaded table.
     pkt->ip().rewriteSrc(net::Ipv4Addr(10, 0, 0, 1));
@@ -217,7 +222,7 @@ TEST(Nat, TranslatesKnownFlowAndPatchesChecksum)
 
 TEST(Nat, UnknownFlowCountsMiss)
 {
-    NatFunction nat(NatFunction::Config{100, net::Ipv4Addr(192, 168, 0, 0)});
+    NatFunction nat;
     auto pkt = blankPacket();
     pkt->udp().setSrcPort(9);   // below the table's port base
     auto st = nullState();
@@ -317,8 +322,7 @@ TEST(Bayes, SelfConsistentAndBetterThanChance)
 
 TEST(Rem, CountsPlantedMatches)
 {
-    RemFunction rem(RemFunction::Config{alg::RulesetKind::Teakettle, 500,
-                                        0.8, 5});
+    RemFunction rem;
     auto st = nullState();
     Rng rng(7);
     std::uint64_t matches = 0;
@@ -334,13 +338,18 @@ TEST(Rem, CountsPlantedMatches)
 
 TEST(Rem, SnortRulesetCleanTrafficHasNoMatches)
 {
-    RemFunction rem(RemFunction::Config{alg::RulesetKind::SnortLiterals,
-                                        300, 0.0, 9});
+    RemFunction rem(alg::RulesetKind::SnortLiterals);
+    // Background text with no planted hits, built against the same
+    // ruleset the function compiled.
+    const auto rules = alg::makeRuleset(alg::RulesetKind::SnortLiterals,
+                                        RemFunction::kRules,
+                                        RemFunction::kSeed);
+    const auto clean = alg::makeScanStream(1 << 16, rules, 0.0, 9);
     auto st = nullState();
-    Rng rng(8);
-    for (int i = 0; i < 30; ++i) {
+    for (std::size_t off = 0; off + 1500 <= clean.size(); off += 1500) {
         auto pkt = blankPacket();
-        rem.makeRequest(*pkt, rng);
+        auto p = pkt->payload();
+        std::memcpy(p.data(), clean.data() + off, p.size());
         rem.process(*pkt, st);
         EXPECT_EQ(load64(pkt->payload().data()), 0u);
     }
@@ -534,3 +543,250 @@ TEST(Calibration, PkaRatiosInPaperRange)
         EXPECT_LE(lat_cut, 0.99) << rows[i].op;
     }
 }
+
+// --- Table IV configurations -------------------------------------------
+//
+// Table IV publishes two configurations per function (batch 4/8, NAT
+// 1 K/10 K entries, BM25 2 K/4 K terms, KNN sets of 8/16, Bayes
+// 128/256 features, REM teakettle/snort_literals). The simulator
+// runs one per function, the constant its class names, and only REM
+// still chooses its ruleset; each suite checks the configuration a
+// run actually builds.
+
+class CountBatchTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(CountBatchTest, ConservationHoldsForBatchSize)
+{
+    CountFunction count;
+    auto st = nullState();
+    Rng rng(GetParam());
+    std::uint64_t keys = 0;
+    for (int i = 0; i < 300; ++i) {
+        auto pkt = blankPacket();
+        count.makeRequest(*pkt, rng);
+        EXPECT_EQ(pkt->payload()[0], GetParam());
+        keys += pkt->payload()[0];
+        count.process(*pkt, st);
+    }
+    EXPECT_EQ(count.totalCounted(), keys);
+    EXPECT_EQ(st.accesses(), keys)
+        << "one coherent access per counted key";
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperBatches, CountBatchTest,
+                         ::testing::Values(CountFunction::kBatch));
+
+class EmaBatchTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(EmaBatchTest, ConvergesForBatchSize)
+{
+    EmaFunction ema;
+    auto st = nullState();
+    // Feed the same key a constant sample through full batches.
+    for (int round = 0; round < 400; ++round) {
+        auto pkt = blankPacket();
+        auto p = pkt->payload();
+        p[0] = static_cast<std::uint8_t>(GetParam());
+        for (unsigned i = 0; i < GetParam(); ++i) {
+            net::store64(p.data() + 1 + 16 * i, 3);
+            net::store64(p.data() + 9 + 16 * i, 777000);
+        }
+        ema.process(*pkt, st);
+    }
+    EXPECT_NEAR(static_cast<double>(ema.emaOf(3)), 777000.0, 7800.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperBatches, EmaBatchTest,
+                         ::testing::Values(EmaFunction::kBatch));
+
+class NatEntriesTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(NatEntriesTest, AllGeneratedFlowsTranslate)
+{
+    NatFunction nat;
+    auto st = nullState();
+    Rng rng(GetParam());
+    for (int i = 0; i < 3000; ++i) {
+        auto pkt = blankPacket();
+        nat.makeRequest(*pkt, rng);
+        nat.process(*pkt, st);
+        EXPECT_TRUE(pkt->ip().checksumOk());
+    }
+    EXPECT_EQ(nat.misses(), 0u);
+}
+
+TEST_P(NatEntriesTest, DistinctFlowsGetDistinctMappings)
+{
+    NatFunction nat;
+    const auto *a = nat.lookup(net::Ipv4Addr(10, 0, 0, 1).value, 1024);
+    const auto *b = nat.lookup(net::Ipv4Addr(10, 0, 0, 1).value, 1025);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_FALSE(a->ip == b->ip && a->port == b->port);
+    // The last preloaded flow is in the table; one past it is not.
+    const auto flow = [&nat](std::uint32_t i) {
+        return nat.lookup(net::Ipv4Addr(10, 0, 0, 1).value + i / 60000,
+                          static_cast<std::uint16_t>(1024 + i % 60000));
+    };
+    EXPECT_NE(flow(GetParam() - 1), nullptr);
+    EXPECT_EQ(flow(GetParam()), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperTables, NatEntriesTest,
+                         ::testing::Values(NatFunction::kEntries));
+
+class Bm25VocabTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(Bm25VocabTest, WinnerIsOptimalAmongSampledDocs)
+{
+    Bm25Function bm25;
+    auto st = nullState();
+    Rng rng(GetParam());
+    for (int trial = 0; trial < 8; ++trial) {
+        auto pkt = blankPacket();
+        bm25.makeRequest(*pkt, rng);
+        std::vector<std::uint16_t> terms;
+        for (unsigned i = 0; i < pkt->payload()[0]; ++i) {
+            terms.push_back(
+                net::load16(pkt->payload().data() + 1 + 2 * i));
+            EXPECT_LT(terms.back(), GetParam());
+        }
+        bm25.process(*pkt, st);
+        const std::uint32_t winner = net::load32(pkt->payload().data());
+        const double best = bm25.score(winner, terms);
+        for (std::uint32_t d = 0; d < 1024; d += 61)
+            EXPECT_LE(bm25.score(d, terms), best + 1e-9);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperVocabs, Bm25VocabTest,
+                         ::testing::Values(Bm25Function::kVocabulary));
+
+class KnnSetTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(KnnSetTest, CentroidsClassifyToThemselves)
+{
+    KnnFunction knn;
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(knn.classify(knn.centroid(c)), c)
+            << "set size " << GetParam();
+}
+
+TEST_P(KnnSetTest, NoisyQueriesMostlyRecoverTheirClass)
+{
+    KnnFunction knn;
+    Rng rng(GetParam() * 7);
+    int correct = 0;
+    const int trials = 300;
+    for (int i = 0; i < trials; ++i) {
+        const unsigned c = static_cast<unsigned>(rng.uniformInt(4));
+        std::uint8_t q[KnnFunction::kDims];
+        for (unsigned d = 0; d < KnnFunction::kDims; ++d) {
+            const int v = knn.centroid(c)[d] +
+                          static_cast<int>(rng.normal(0.0, 5.0));
+            q[d] = static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+        }
+        correct += knn.classify(q) == c;
+    }
+    EXPECT_GT(correct, trials * 8 / 10) << "set size " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperSets, KnnSetTest,
+                         ::testing::Values(KnnFunction::kSetSize));
+
+class BayesFeatureTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(BayesFeatureTest, DeterministicAndUsesAllClasses)
+{
+    BayesFunction bayes;
+    auto st = nullState();
+    Rng rng(GetParam() * 3);
+    std::array<int, 4> hist{};
+    for (int i = 0; i < 300; ++i) {
+        auto pkt = blankPacket();
+        bayes.makeRequest(*pkt, rng);
+        std::uint8_t bits[32];
+        std::memcpy(bits, pkt->payload().data(), (GetParam() + 7) / 8);
+        bayes.process(*pkt, st);
+        EXPECT_EQ(pkt->payload()[0], bayes.classify(bits));
+        ++hist[pkt->payload()[0] % 4];
+    }
+    for (int c = 0; c < 4; ++c)
+        EXPECT_GT(hist[c], 20) << "features " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperFeatures, BayesFeatureTest,
+                         ::testing::Values(BayesFunction::kFeatures));
+
+class RemRulesetTest : public ::testing::TestWithParam<alg::RulesetKind>
+{
+};
+
+TEST_P(RemRulesetTest, CountsMatchStandaloneAutomaton)
+{
+    RemFunction rem(GetParam());
+    auto st = nullState();
+    Rng rng(17);
+    std::uint64_t reported = 0;
+    std::uint64_t recomputed = 0;
+    for (int i = 0; i < 40; ++i) {
+        auto pkt = blankPacket();
+        rem.makeRequest(*pkt, rng);
+        std::vector<std::uint8_t> payload(pkt->payload().begin(),
+                                          pkt->payload().end());
+        rem.process(*pkt, st);
+        reported += net::load64(pkt->payload().data());
+        recomputed += rem.automaton().countMatches(payload);
+    }
+    EXPECT_EQ(reported, recomputed);
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperRulesets, RemRulesetTest,
+                         ::testing::Values(alg::RulesetKind::Teakettle,
+                                           alg::RulesetKind::SnortLiterals));
+
+class KvsMixTest
+    : public ::testing::TestWithParam<std::pair<double, double>>
+{
+};
+
+TEST_P(KvsMixTest, MixObeysConfiguredFractions)
+{
+    KvsFunction kvs;
+    auto st = nullState();
+    Rng rng(23);
+    int gets = 0, puts = 0, inserts = 0;
+    const int n = 4000;
+    for (int i = 0; i < n; ++i) {
+        auto pkt = blankPacket();
+        kvs.makeRequest(*pkt, rng);
+        switch (pkt->payload()[0]) {
+          case 0: ++gets; break;
+          case 1: ++puts; break;
+          default: ++inserts; break;
+        }
+        kvs.process(*pkt, st);
+    }
+    EXPECT_NEAR(static_cast<double>(gets) / n, GetParam().first, 0.03);
+    EXPECT_NEAR(static_cast<double>(puts) / n, GetParam().second, 0.03);
+    EXPECT_GT(kvs.storeSize(), 0u);
+    // Only PUTs and INSERTs create keys.
+    EXPECT_LE(kvs.storeSize(), static_cast<std::size_t>(puts + inserts));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, KvsMixTest,
+    ::testing::Values(std::pair{KvsFunction::kGetFraction,
+                                KvsFunction::kPutFraction}));

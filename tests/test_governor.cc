@@ -2,7 +2,7 @@
  * @file
  * Core-scaling governor unit + integration tests: the pure per-epoch
  * planning functions against an exact reference, the flow-group
- * indirection mechanism, PowerPolicy validation, and full-system runs
+ * indirection mechanism, and full-system runs
  * proving the governor parks/unparks under load swings without
  * breaking the energy ledger.
  */
@@ -50,8 +50,7 @@ packetWithFlowHash(std::uint32_t flow_hash)
  * one group on the donor.
  */
 std::vector<GroupMove>
-referenceRebalance(const GovernorPolicy &cfg,
-                   const std::vector<double> &load,
+referenceRebalance(const std::vector<double> &load,
                    const std::vector<bool> &active,
                    const std::vector<std::uint32_t> &group_core,
                    const std::vector<std::uint64_t> &group_pkts)
@@ -71,7 +70,7 @@ referenceRebalance(const GovernorPolicy &cfg,
         return moves;
     const double gap = load[static_cast<std::size_t>(donor)] -
                        load[static_cast<std::size_t>(receiver)];
-    if (gap <= cfg.imbalance_threshold)
+    if (gap <= kGovImbalanceThreshold)
         return moves;
     std::vector<std::uint32_t> owned;
     std::uint64_t total_pkts = 0;
@@ -128,58 +127,6 @@ runGoverned(double rate_gbps, bool governed, Tick measure = 40 * kMs)
 
 } // namespace
 
-TEST(PowerPolicy, ValidateAcceptsDefaults)
-{
-    PowerPolicy p;
-    EXPECT_TRUE(p.validate().empty());
-    p.governor.enabled = true;
-    p.snic_dvfs.enabled = true;
-    EXPECT_TRUE(p.validate().empty());
-}
-
-TEST(PowerPolicy, ValidateReportsEveryViolationInOnePass)
-{
-    PowerPolicy p;
-    p.host_sleep.enabled = true;
-    p.host_sleep.shallow_idle_frac = 1.5;    // violation 1
-    p.snic_dvfs.enabled = true;
-    p.snic_dvfs.min_scale = 0.0;             // violation 2
-    p.snic_dvfs.occ_low = 50;
-    p.snic_dvfs.occ_high = 10;               // violation 3
-    p.governor.enabled = true;
-    p.governor.groups = 0;                   // violation 4
-    p.governor.busy_low = 0.9;
-    p.governor.busy_high = 0.5;              // violation 5
-    p.governor.min_active_cores = 0;         // violation 6
-
-    const std::vector<std::string> errors = p.validate();
-    EXPECT_EQ(errors.size(), 6u);
-    auto contains = [&errors](const std::string &needle) {
-        for (const std::string &e : errors)
-            if (e.find(needle) != std::string::npos)
-                return true;
-        return false;
-    };
-    EXPECT_TRUE(contains("shallow_idle_frac"));
-    EXPECT_TRUE(contains("min_scale"));
-    EXPECT_TRUE(contains("occ_low"));
-    EXPECT_TRUE(contains("governor.groups"));
-    EXPECT_TRUE(contains("busy_low"));
-    EXPECT_TRUE(contains("min_active_cores"));
-}
-
-TEST(PowerPolicy, ServerConfigSplicesPowerErrors)
-{
-    ServerConfig cfg;
-    cfg.power.governor.enabled = true;
-    cfg.power.governor.groups = 0;
-    const std::vector<std::string> errors = cfg.validate();
-    bool found = false;
-    for (const std::string &e : errors)
-        found = found || e.find("governor.groups") != std::string::npos;
-    EXPECT_TRUE(found);
-}
-
 TEST(FlowGroupTable, HashIsDeterministicAndStriped)
 {
     FlowGroupTable a(64, 4), b(64, 4);
@@ -218,36 +165,31 @@ TEST(FlowGroupTable, AcceptFollowsIndirectionAndCountsPackets)
 
 TEST(Governor, ConsolidationHysteresis)
 {
-    GovernorPolicy cfg;
-    cfg.min_dwell_epochs = 5;
+    ASSERT_EQ(kGovMinDwellEpochs, 5u);
+    ASSERT_EQ(kGovMinActiveCores, 1u);
 
     // Idle but not yet dwelled: hold.
-    EXPECT_EQ(planConsolidation(cfg, 0.1, 0, 8, 8, 4),
-              GovernorAction::None);
+    EXPECT_EQ(planConsolidation(0.1, 0, 8, 8, 4), GovernorAction::None);
     // Dwell satisfied: park.
-    EXPECT_EQ(planConsolidation(cfg, 0.1, 0, 8, 8, 5),
-              GovernorAction::Park);
-    // Floor reached: never park below min_active_cores.
-    EXPECT_EQ(planConsolidation(cfg, 0.0, 0, 1, 8, 100),
-              GovernorAction::None);
+    EXPECT_EQ(planConsolidation(0.1, 0, 8, 8, 5), GovernorAction::Park);
+    // Floor reached: never park below kGovMinActiveCores.
+    EXPECT_EQ(planConsolidation(0.0, 0, 1, 8, 100), GovernorAction::None);
     // Between the watermarks: hold regardless of dwell.
-    EXPECT_EQ(planConsolidation(cfg, 0.5, 0, 4, 8, 100),
-              GovernorAction::None);
+    EXPECT_EQ(planConsolidation(0.5, 0, 4, 8, 100), GovernorAction::None);
     // Hot: unpark one — unless already at full size.
-    EXPECT_EQ(planConsolidation(cfg, 0.95, 0, 4, 8, 0),
+    EXPECT_EQ(planConsolidation(0.95, 0, 4, 8, 0),
               GovernorAction::UnparkOne);
-    EXPECT_EQ(planConsolidation(cfg, 0.95, 0, 8, 8, 0),
-              GovernorAction::None);
+    EXPECT_EQ(planConsolidation(0.95, 0, 8, 8, 0), GovernorAction::None);
     // Occupancy pressure valve beats everything, even mid-dwell idle.
-    EXPECT_EQ(planConsolidation(cfg, 0.1, cfg.occ_unpark, 4, 8, 0),
+    EXPECT_EQ(planConsolidation(0.1, kGovOccUnpark, 4, 8, 0),
               GovernorAction::UnparkAll);
-    EXPECT_EQ(planConsolidation(cfg, 0.1, cfg.occ_unpark, 8, 8, 0),
+    EXPECT_EQ(planConsolidation(0.1, kGovOccUnpark, 8, 8, 0),
               GovernorAction::None);
 }
 
 TEST(Governor, RebalanceHandFixtures)
 {
-    GovernorPolicy cfg;   // imbalance_threshold = 0.10
+    ASSERT_DOUBLE_EQ(kGovImbalanceThreshold, 0.10);
 
     // 4 cores, 8 groups striped %4; core 0 hot with most load in
     // group 0: one move (group 0 -> core 1) already covers half the
@@ -262,21 +204,21 @@ TEST(Governor, RebalanceHandFixtures)
     pkts[4] = 10;
 
     const auto moves =
-        planRebalance(cfg, load, active, group_core, pkts);
+        planRebalance(load, active, group_core, pkts);
     ASSERT_EQ(moves.size(), 1u);
     EXPECT_EQ(moves[0].group, 0u);
     EXPECT_EQ(moves[0].from, 0u);
     EXPECT_EQ(moves[0].to, 1u);
 
     // Balanced within the threshold: no plan.
-    EXPECT_TRUE(planRebalance(cfg, {0.5, 0.45, 0.48, 0.52}, active,
+    EXPECT_TRUE(planRebalance({0.5, 0.45, 0.48, 0.52}, active,
                               group_core, pkts)
                     .empty());
 
     // A parked core is never the donor or the receiver.
-    const auto parked_moves = planRebalance(
-        cfg, {9.0, 0.2, 0.5, 0.0}, {false, true, true, false},
-        group_core, pkts);
+    const auto parked_moves =
+        planRebalance({9.0, 0.2, 0.5, 0.0}, {false, true, true, false},
+                      group_core, pkts);
     for (const GroupMove &m : parked_moves) {
         EXPECT_NE(m.from, 0u);
         EXPECT_NE(m.to, 3u);
@@ -285,11 +227,10 @@ TEST(Governor, RebalanceHandFixtures)
     // A single-group donor is left alone (nothing to split).
     std::vector<std::uint32_t> lone(8, 1);
     lone[0] = 0;
-    EXPECT_TRUE(
-        planRebalance(cfg, load, active, lone, pkts).empty());
+    EXPECT_TRUE(planRebalance(load, active, lone, pkts).empty());
 
     // A donor that saw no packets this epoch yields no estimate.
-    EXPECT_TRUE(planRebalance(cfg, load, active, group_core,
+    EXPECT_TRUE(planRebalance(load, active, group_core,
                               std::vector<std::uint64_t>(8, 0))
                     .empty());
 }
@@ -298,7 +239,6 @@ TEST(Governor, RebalanceMatchesExactReference)
 {
     // Deterministic pseudo-random battery against the independent
     // reference implementation above.
-    GovernorPolicy cfg;
     std::uint64_t state = 0x1234567ull;
     auto next = [&state] {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -328,8 +268,8 @@ TEST(Governor, RebalanceMatchesExactReference)
         }
         SCOPED_TRACE(iter);
         expectSamePlan(
-            planRebalance(cfg, load, active, group_core, pkts),
-            referenceRebalance(cfg, load, active, group_core, pkts));
+            planRebalance(load, active, group_core, pkts),
+            referenceRebalance(load, active, group_core, pkts));
     }
 }
 
@@ -339,7 +279,7 @@ TEST(Governor, ParksAtLowLoadWithinBounds)
     EXPECT_GT(r.gov_epochs, 0u);
     EXPECT_GT(r.gov_parks, 0u);
     // Both processors (8 cores each) consolidate, but never below
-    // min_active_cores = 1 per processor; the RunResult carries the
+    // kGovMinActiveCores = 1 per processor; the RunResult carries the
     // sum of the per-processor extremes.
     EXPECT_GE(r.gov_min_active_cores, 2u);
     EXPECT_LT(r.gov_min_active_cores, 16u);

@@ -89,15 +89,16 @@ offer(EventQueue &eq, TrafficDirector &dir, double gbps_rate, Tick dur)
 TEST(TrafficMonitor, EstimatesRatePerEpoch)
 {
     EventQueue eq;
-    TrafficMonitor mon(eq, {.epoch = 10 * kUs});
+    TrafficMonitor mon(eq);
+    ASSERT_EQ(TrafficMonitor::kEpoch, 10 * kUs);
     mon.start();
     // 100 MTU frames in 10 us = 120 Gbps... use 10 frames = 12 Gbps.
     for (int i = 0; i < 10; ++i)
         mon.onFrame(1500);
-    eq.runUntil(10 * kUs);
+    eq.runUntil(TrafficMonitor::kEpoch);
     EXPECT_NEAR(mon.rateRxGbps(), 12.0, 0.01);
     // Next epoch with nothing received: rate falls to zero.
-    eq.runUntil(20 * kUs);
+    eq.runUntil(2 * TrafficMonitor::kEpoch);
     EXPECT_EQ(mon.rateRxGbps(), 0.0);
     mon.stop();
 }
@@ -106,7 +107,7 @@ TEST(TrafficDirector, AllToSnicBelowThreshold)
 {
     EventQueue eq;
     Capture out;
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 50.0),
                         mon, out);
     offer(eq, dir, 30.0, 5 * kMs);
@@ -119,7 +120,7 @@ TEST(TrafficDirector, SplitsExcessAboveThreshold)
 {
     EventQueue eq;
     Capture out;
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 30.0),
                         mon, out);
     offer(eq, dir, 80.0, 10 * kMs);
@@ -136,7 +137,7 @@ TEST(TrafficDirector, RoundRobinSplitsExcess)
 {
     EventQueue eq;
     Capture out;
-    TrafficMonitor mon(eq, {.epoch = 10 * kUs});
+    TrafficMonitor mon(eq);
     mon.start();
     TrafficDirector dir(eq, directorCfg(SplitMode::RoundRobin, 30.0),
                         mon, out);
@@ -157,7 +158,7 @@ TEST(TrafficDirector, FlowAffinityKeepsFlowsTogether)
 {
     EventQueue eq;
     Capture out;
-    TrafficMonitor mon(eq, {.epoch = 10 * kUs});
+    TrafficMonitor mon(eq);
     mon.start();
     TrafficDirector dir(eq, directorCfg(SplitMode::FlowAffinity, 30.0),
                         mon, out);
@@ -192,7 +193,7 @@ TEST(TrafficDirector, DivertedPacketsAreMarkedAndRetargeted)
 {
     EventQueue eq;
     Capture out;
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 0.0),
                         mon, out);
     dir.accept(requestPacket());
@@ -206,7 +207,7 @@ TEST(TrafficDirector, ThresholdUpdateTakesEffect)
 {
     EventQueue eq;
     Capture out;
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 100.0),
                         mon, out);
     offer(eq, dir, 50.0, 2 * kMs);
@@ -262,7 +263,7 @@ TEST(Lbp, RaisesThresholdWhenSnicUnderutilized)
     pc.service_ip = kSnicIp;
     proc::Processor snic(eq, pc, *nat, nullptr, out);
 
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 5.0), mon,
                         snic.input());
     LoadBalancingPolicy::Config lc;
@@ -301,7 +302,7 @@ TEST(Lbp, LowersThresholdWhenRingsFill)
     pc.service_ip = kSnicIp;
     proc::Processor snic(eq, pc, *nat, nullptr, out);
 
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 43.0),
                         mon, snic.input());
     LoadBalancingPolicy::Config lc;
@@ -335,7 +336,7 @@ TEST(Lbp, IdleWhenThresholdFarAboveThroughput)
     pc.service_mac = kSnicMac;
     pc.service_ip = kSnicIp;
     proc::Processor snic(eq, pc, *nat, nullptr, out);
-    TrafficMonitor mon(eq, {});
+    TrafficMonitor mon(eq);
     TrafficDirector dir(eq, directorCfg(SplitMode::TokenBucket, 60.0),
                         mon, snic.input());
     LoadBalancingPolicy::Config lc;

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hh"
 #include "core/sweep.hh"
 #include "net/link.hh"
 #include "net/traffic.hh"
@@ -247,17 +246,14 @@ TEST(ParseSweepArgs, WellFormedFlagsParse)
     char tv[] = "3";
     char j[] = "--json";
     char jv[] = "/tmp/out.json";
-    char g[] = "--gov-epoch";
-    char gv[] = "250";
     char l[] = "--slo-p99";
     char lv[] = "300";
-    char *argv[] = {prog, t, tv, j, jv, g, gv, l, lv, nullptr};
+    char *argv[] = {prog, t, tv, j, jv, l, lv, nullptr};
     const core::SweepOptions opts =
-        core::parseSweepArgs(9, argv, "bench_x");
+        core::parseSweepArgs(7, argv, "bench_x");
     EXPECT_EQ(opts.threads, 3u);
     EXPECT_EQ(opts.json_path, "/tmp/out.json");
     EXPECT_EQ(opts.bench_name, "bench_x");
-    EXPECT_EQ(opts.gov_epoch, 250 * kUs);
     EXPECT_EQ(opts.slo_p99_us, 300.0);
 }
 
@@ -319,11 +315,9 @@ TEST(ParseNumberArg, AcceptsOneValuePerKind)
 
 TEST(ArgRegistrarDeathTest, NonFiniteOrHugeDurationsExit2)
 {
-    const char *cases[][2] = {{"--gov-epoch", "inf"},
-                              {"--gov-epoch", "nan"},
-                              {"--gov-epoch", "1e300"},
-                              {"--slo-p99", "inf"},
+    const char *cases[][2] = {{"--slo-p99", "inf"},
                               {"--slo-p99", "nan"},
+                              {"--slo-p99", "1e300"},
                               {"--slo-p99", "0"}};
     for (const auto &c : cases) {
         char prog[] = "bench";

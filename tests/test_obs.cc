@@ -404,16 +404,6 @@ TEST(ObsConfigValidation, EachRejectedFieldThrowsFromServerAndFleet)
         void (*breakIt)(ObsConfig &);
     };
     const Case cases[] = {
-        {"obs.sample_epoch",
-         [](ObsConfig &o) {
-             o.stats = true;
-             o.sample_epoch = 0;
-         }},
-        {"obs.trace_capacity",
-         [](ObsConfig &o) {
-             o.trace = true;
-             o.trace_capacity = 0;
-         }},
         {"obs.trace_sample_every",
          [](ObsConfig &o) {
              o.spans = true;
@@ -423,11 +413,6 @@ TEST(ObsConfigValidation, EachRejectedFieldThrowsFromServerAndFleet)
          [](ObsConfig &o) {
              o.flightrec = true;
              o.fr_capacity = 0;
-         }},
-        {"obs.fr_max_dumps",
-         [](ObsConfig &o) {
-             o.flightrec = true;
-             o.fr_max_dumps = 0;
          }},
     };
     const auto throwsNaming = [](const auto &construct,
@@ -465,8 +450,8 @@ TEST(ObsConfigValidation, EachRejectedFieldThrowsFromServerAndFleet)
     }
     // A field of a feature that is off is not checked.
     ObsConfig off;
-    off.trace_capacity = 0;
-    off.fr_max_dumps = 0;
+    off.trace_sample_every = 0;
+    off.fr_capacity = 0;
     EXPECT_TRUE(off.validate().empty());
 }
 
@@ -634,9 +619,8 @@ TEST(SloMonitor, MatchesExactReferencePerEpoch)
 {
     SloConfig cfg;
     cfg.target_p99_us = 100.0;
-    cfg.epoch = 1 * kMs;
     SloMonitor mon(cfg);
-    mon.beginWindow(0, 10 * kMs);
+    mon.beginWindow(0, 10 * kSloEpoch);
 
     // Epochs 0-4: 50 us latencies (compliant); epochs 5-9: 200 us
     // (violating). Identically-binned reference histograms give the
@@ -645,8 +629,8 @@ TEST(SloMonitor, MatchesExactReferencePerEpoch)
     for (int e = 0; e < 10; ++e) {
         const Tick lat = (e < 5 ? 50 : 200) * kUs;
         for (int i = 0; i < 20; ++i) {
-            const Tick now = static_cast<Tick>(e) * kMs +
-                             static_cast<Tick>(i) * 40 * kUs;
+            const Tick now = static_cast<Tick>(e) * kSloEpoch +
+                             static_cast<Tick>(i) * (kSloEpoch / 25);
             mon.record(now, lat);
             (e < 5 ? ref_low : ref_high)
                 .sample(static_cast<double>(lat));
@@ -670,14 +654,13 @@ TEST(SloMonitor, CountsEmptyEpochsAndClampsOutsideWindow)
 {
     SloConfig cfg;
     cfg.target_p99_us = 10.0;
-    cfg.epoch = 1 * kMs;
     SloMonitor mon(cfg);
-    mon.beginWindow(2 * kMs, 7 * kMs);
+    mon.beginWindow(2 * kSloEpoch, 7 * kSloEpoch);
 
     // Before the window and at/after its end: ignored.
-    mon.record(1 * kMs, 500 * kUs);
-    mon.record(7 * kMs, 500 * kUs);
-    mon.record(9 * kMs, 500 * kUs);
+    mon.record(1 * kSloEpoch, 500 * kUs);
+    mon.record(7 * kSloEpoch, 500 * kUs);
+    mon.record(9 * kSloEpoch, 500 * kUs);
     mon.finishWindow();
 
     EXPECT_EQ(mon.epochs(), 5u);   // silent epochs still count
@@ -689,12 +672,11 @@ TEST(SloMonitor, PartialTrailingEpochIsClosed)
 {
     SloConfig cfg;
     cfg.target_p99_us = 10.0;
-    cfg.epoch = 2 * kMs;
     SloMonitor mon(cfg);
-    mon.beginWindow(0, 5 * kMs);   // 2.5 epochs
-    mon.record(4500 * kUs, 50 * kUs);
+    mon.beginWindow(0, 5 * kSloEpoch / 2);   // 2.5 epochs
+    mon.record(9 * kSloEpoch / 4, 50 * kUs);
     mon.finishWindow();
-    EXPECT_EQ(mon.epochs(), 3u);   // ceil(5 / 2)
+    EXPECT_EQ(mon.epochs(), 3u);   // ceil(2.5)
     EXPECT_EQ(mon.violationEpochs(), 1u);
 }
 

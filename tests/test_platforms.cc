@@ -220,7 +220,7 @@ TEST(Platforms, DvfsScalesUpUnderLoad)
 TEST(Platforms, DirectorBucketBoundsBurstIntoSnic)
 {
     // After an idle stretch the token bucket may hold at most
-    // bucket_depth_us worth of Fwd_Th; a line-rate burst must still
+    // kBucketDepthUs worth of Fwd_Th; a line-rate burst must still
     // divert most packets instead of drowning the SNIC.
     ServerConfig cfg;
     cfg.mode = Mode::Hal;

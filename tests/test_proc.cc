@@ -217,11 +217,11 @@ TEST(Processor, SleepCutsIdlePower)
     Collector out(eq);
     auto nat = funcs::makeFunction(funcs::FunctionId::Nat);
     auto cfg = natConfig(funcs::Platform::HostSkylake, 8);
-    cfg.sleep = SleepPolicy{true, 1 * kMs, 5 * kUs};
+    cfg.sleep = true;
     Processor proc(eq, cfg, *nat, nullptr, out);
     eq.scheduleFn([] {}, 100 * kMs);
     eq.run();
-    // Awake for the first ms, asleep for the other 99.
+    // Shallow idle for the first 20 us, in deep sleep for the rest.
     EXPECT_LT(proc.averageDynamicW(), 8 * cfg.profile.core_active_w * 0.05);
 }
 
@@ -231,22 +231,22 @@ TEST(Processor, WakePenaltyDelaysFirstPacket)
     Collector out(eq);
     auto nat = funcs::makeFunction(funcs::FunctionId::Nat);
     auto cfg = natConfig(funcs::Platform::HostSkylake, 1);
-    cfg.sleep = SleepPolicy{true, 1 * kMs, 50 * kUs};
+    cfg.sleep = true;
     Processor proc(eq, cfg, *nat, nullptr, out);
 
     // Let the core fall deeply asleep, deliver one packet, then a
-    // second one 50 us after the first — before the core can sleep
-    // again (sleep_after is 1 ms).
+    // second one 10 us after the first — before the core can sleep
+    // again (it sleeps after 20 us idle; waking costs 5 us).
     eq.scheduleFn(
         [&] { proc.input().accept(mtuPacket(eq.now())); }, 10 * kMs);
     eq.scheduleFn(
         [&] { proc.input().accept(mtuPacket(eq.now())); },
-        10 * kMs + 100 * kUs);
+        10 * kMs + 10 * kUs);
     eq.run();
     ASSERT_EQ(out.count, 2u);
-    EXPECT_GE(out.latencies[0], 50 * kUs)
+    EXPECT_GE(out.latencies[0], 5 * kUs)
         << "the wake-up penalty must show up in latency";
-    EXPECT_LT(out.latencies[1], out.latencies[0] - 40 * kUs)
+    EXPECT_LT(out.latencies[1], out.latencies[0] - 4 * kUs)
         << "an awake core must not pay the penalty";
 }
 
