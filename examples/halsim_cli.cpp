@@ -21,6 +21,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/server.hh"
@@ -208,11 +209,17 @@ main(int argc, char **argv)
     applyPowerFlags(power, cfg);
 
     EventQueue eq;
-    ServerSystem sys(eq, cfg);
+    std::unique_ptr<ServerSystem> sys;
+    try {
+        sys = std::make_unique<ServerSystem>(eq, cfg);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 2;
+    }
     const RunResult r =
-        trace ? sys.run(net::makeTrace(*trace), warmup, measure, 2 * kMs)
-              : sys.run(std::make_unique<net::ConstantRate>(rate), warmup,
-                        measure);
+        trace ? sys->run(net::makeTrace(*trace), warmup, measure, 2 * kMs)
+              : sys->run(std::make_unique<net::ConstantRate>(rate), warmup,
+                         measure);
 
     std::printf("mode=%s function=%s%s%s traffic=%s\n",
                 modeName(cfg.mode), funcs::functionName(cfg.function),
@@ -289,14 +296,14 @@ main(int argc, char **argv)
                     r.slo_target_p99_us, r.slo_worst_p99_us);
     }
 
-    if (!stats_out.empty() && sys.obs() != nullptr) {
+    if (!stats_out.empty() && sys->obs() != nullptr) {
         std::ofstream os(stats_out);
         if (!os) {
             std::fprintf(stderr, "cannot write %s\n",
                          stats_out.c_str());
             return 1;
         }
-        sys.obs()->writeStatsJson(os);
+        sys->obs()->writeStatsJson(os);
         os << "\n";
         std::printf("stats written to %s\n", stats_out.c_str());
     }

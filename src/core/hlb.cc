@@ -108,7 +108,6 @@ TrafficDirector::refill()
     lastRefill_ = now;
 }
 
-// halint: hotpath
 bool
 TrafficDirector::shouldDivert(const net::Packet &pkt)
 {
@@ -150,7 +149,6 @@ TrafficDirector::shouldDivert(const net::Packet &pkt)
     return false;
 }
 
-// halint: hotpath
 void
 TrafficDirector::accept(net::PacketPtr pkt)
 {

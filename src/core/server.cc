@@ -58,6 +58,15 @@ ServerConfig::validate() const
         if (slb_cores == 0)
             fail("slb_cores must be > 0 in mode " +
                  std::string(modeName(mode)));
+        // The balancer's cores come out of one processor's budget,
+        // which must keep at least one core for the function.
+        const bool on_snic = mode == Mode::Slb;
+        const unsigned budget = on_snic ? snic_cores : host_cores;
+        if (slb_cores >= budget)
+            fail("slb_cores (" + std::to_string(slb_cores) +
+                 ") must be < " + (on_snic ? "snic_cores" : "host_cores") +
+                 " (" + std::to_string(budget) + ") in mode " +
+                 std::string(modeName(mode)));
         if (slb_fwd_th_gbps < 0.0)
             fail("slb_fwd_th_gbps must be >= 0");
     }
@@ -217,8 +226,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         proc::Processor::Config hc;
         hc.platform = cfg_.host_platform;
         hc.profile = profileFor(cfg_.host_platform);
-        hc.cores = cfg_.mode == Mode::HostSlb &&
-                           cfg_.host_cores > cfg_.slb_cores
+        hc.cores = cfg_.mode == Mode::HostSlb
                        ? cfg_.host_cores - cfg_.slb_cores
                        : cfg_.host_cores;
         // Host cores sleep only under HAL (§V-B); the host baseline
@@ -244,7 +252,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         if (cfg_.mode == Mode::Hal && cores > 1)
             cores -= 1;
         if (cfg_.mode == Mode::Slb)
-            cores = cores > cfg_.slb_cores ? cores - cfg_.slb_cores : 1;
+            cores -= cfg_.slb_cores;
         sc.cores = cores;
         sc.dvfs = cfg_.power.snic_dvfs;
         sc.governor = cfg_.power.governor;

@@ -5,7 +5,6 @@
 
 namespace halsim::net {
 
-// halint: hotpath
 std::uint16_t
 onesComplementSum(const std::uint8_t *data, std::size_t len)
 {
@@ -59,14 +58,12 @@ onesComplementSum(const std::uint8_t *data, std::size_t len)
     return static_cast<std::uint16_t>(folded);
 }
 
-// halint: hotpath
 std::uint16_t
 internetChecksum(const std::uint8_t *data, std::size_t len)
 {
     return static_cast<std::uint16_t>(~onesComplementSum(data, len));
 }
 
-// halint: hotpath
 std::uint16_t
 checksumUpdate16(std::uint16_t hc, std::uint16_t old_word,
                  std::uint16_t new_word)

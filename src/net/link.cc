@@ -7,7 +7,6 @@
 
 namespace halsim::net {
 
-// halint: hotpath
 void
 Link::send(PacketPtr pkt)
 {

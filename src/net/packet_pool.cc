@@ -9,25 +9,21 @@ PacketPool::local()
     return pool;
 }
 
-// halint: hotpath
 std::vector<std::uint8_t>
 PacketPool::acquire(std::size_t n)
 {
     if (enabled_ && !free_.empty()) {
         std::vector<std::uint8_t> buf = std::move(free_.back());
         free_.pop_back();
-        ++hits_;
         // assign() zero-fills without reallocating while n fits the
         // retained capacity, making a recycled buffer bit-identical
         // to a fresh vector(n, 0).
         buf.assign(n, 0);
         return buf;
     }
-    ++misses_;
     return std::vector<std::uint8_t>(n, 0);
 }
 
-// halint: hotpath
 void
 PacketPool::release(std::vector<std::uint8_t> buf)
 {
@@ -35,8 +31,9 @@ PacketPool::release(std::vector<std::uint8_t> buf)
         buf.capacity() == 0 || buf.capacity() > kMaxKeepCapacity) {
         return;   // let it free normally
     }
-    // halint: allow(HAL-W004) freelist push, bounded by kMaxPooled;
-    free_.push_back(std::move(buf)); // reuses capacity after warmup
+    // Freelist push, bounded by kMaxPooled; reuses capacity after
+    // warmup.
+    free_.push_back(std::move(buf));
 }
 
 void

@@ -51,13 +51,7 @@ class PacketPool
     /** Buffers currently held for reuse. */
     std::size_t pooled() const { return free_.size(); }
 
-    /** acquire() calls served from the freelist. */
-    std::uint64_t hits() const { return hits_; }
-
-    /** acquire() calls that had to allocate. */
-    std::uint64_t misses() const { return misses_; }
-
-    /** Drop every pooled buffer (stats are kept). */
+    /** Drop every pooled buffer. */
     void clear();
 
   private:
@@ -68,8 +62,6 @@ class PacketPool
 
     std::vector<std::vector<std::uint8_t>> free_;
     bool enabled_ = true;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace halsim::net

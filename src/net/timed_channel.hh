@@ -44,7 +44,6 @@ class TimedChannel : public Event
 
     /** Append a delivery at @p when, reserving its order slot now.
      *  @pre when >= eq.now() and nondecreasing per channel. */
-    // halint: hotpath
     void
     push(Tick when, PacketPtr pkt)
     {
@@ -61,7 +60,6 @@ class TimedChannel : public Event
     /** Entries waiting for delivery (including the armed head). */
     std::size_t pending() const { return count_; }
 
-    // halint: hotpath
     void
     execute() override
     {
@@ -88,7 +86,6 @@ class TimedChannel : public Event
     Slot front() { return ring_[head_]; }
     Slot back() { return at(count_ - 1); }
 
-    // halint: hotpath
     void
     append(Slot s)
     {
@@ -98,7 +95,6 @@ class TimedChannel : public Event
         ++count_;
     }
 
-    // halint: hotpath
     Slot
     popFront()
     {
@@ -111,8 +107,8 @@ class TimedChannel : public Event
     void
     grow()
     {
-        // halint: allow(HAL-W004) doubling cold path; capacity
-        // settles after warmup like the heap's
+        // Doubling cold path; capacity settles after warmup like the
+        // heap's.
         const std::size_t cap = ring_.empty() ? 8 : ring_.size() * 2;
         std::vector<Slot> next(cap);
         for (std::size_t i = 0; i < count_; ++i)

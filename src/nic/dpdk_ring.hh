@@ -53,7 +53,6 @@ class DpdkRing : public net::PacketSink
         traceEq_ = eq;
     }
 
-    // halint: hotpath
     void
     accept(net::PacketPtr pkt) override
     {

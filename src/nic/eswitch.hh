@@ -72,7 +72,6 @@ class ESwitch : public net::PacketSink
         traceEq_ = eq;
     }
 
-    // halint: hotpath
     void
     accept(net::PacketPtr pkt) override
     {
@@ -147,7 +146,6 @@ class FixedDelay : public net::PacketSink
         : eq_(eq), delay_(delay), chan_(eq, next)
     {}
 
-    // halint: hotpath
     void
     accept(net::PacketPtr pkt) override
     {
@@ -169,7 +167,6 @@ class RssDistributor : public net::PacketSink
   public:
     void addQueue(net::PacketSink *q) { queues_.push_back(q); }
 
-    // halint: hotpath
     void
     accept(net::PacketPtr pkt) override
     {

@@ -7,9 +7,7 @@
  * requested; each hook then costs one perfectly-predicted branch per
  * sink. Packet stages and request spans write into the same ring, so
  * its records stay in tick order. When enabled, the sampling test is one
- * modulo and the record is one indexed POD store — no allocation, so
- * call sites inside `// halint: hotpath` functions stay HAL-W004
- * clean.
+ * modulo and the record is one indexed POD store — no allocation.
  */
 
 #ifndef HALSIM_OBS_HOOKS_HH

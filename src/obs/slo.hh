@@ -88,7 +88,6 @@ class SloMonitor
     void beginWindow(Tick start, Tick end);
 
     /** Record one response latency observed at @p now. */
-    // halint: hotpath
     void
     record(Tick now, Tick latency)
     {

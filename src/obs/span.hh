@@ -17,7 +17,7 @@
  *
  * The hot-path surface is two inline calls — wants() (one modulo)
  * and record() (one indexed POD store) — so instrumented components
- * stay allocation-free and halint HAL-W004 clean.
+ * stay allocation-free.
  *
  * Export is Chrome trace_event JSON: one viewer row (tid) per lane
  * from one static lane table, async "b"/"e" pairs per span keyed by
@@ -147,7 +147,6 @@ class SpanTracer
         return id % sampleEvery_ == 0;
     }
 
-    // halint: hotpath
     void
     record(Tick t, std::uint64_t id, SpanKind k, SpanPhase ph,
            std::uint8_t lane, std::uint32_t a = 0, std::uint32_t b = 0)
@@ -164,7 +163,6 @@ class SpanTracer
     }
 
     /** A packet lifecycle point: a Stage instant keyed by @p pkt. */
-    // halint: hotpath
     void
     record(Tick t, std::uint64_t pkt, TracePoint p, std::uint8_t lane,
            std::uint32_t arg = 0)
@@ -276,7 +274,6 @@ class FlightRecorder
 
     const Config &config() const { return cfg_; }
 
-    // halint: hotpath
     void
     record(Tick t, std::uint64_t id, SpanKind k, SpanPhase ph,
            std::uint8_t lane, std::uint32_t a = 0, std::uint32_t b = 0)

@@ -88,7 +88,6 @@ class FlowGroupTable : public net::PacketSink
     /** Register core @p ring; rings index in registration order. */
     void addQueue(nic::DpdkRing *ring) { queues_.push_back(ring); }
 
-    // halint: hotpath
     void
     accept(net::PacketPtr pkt) override
     {

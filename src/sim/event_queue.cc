@@ -32,8 +32,8 @@ class EventQueue::OneShot : public Event
         // nested scheduleFn can reuse it immediately; the callable
         // itself is already safe on the stack.
         UniqueFn fn = std::move(fn_);
-        // halint: allow(HAL-W004) freelist push reuses retained
-        q_.pool_.push_back(this); // capacity after warmup (DESIGN.md §8)
+        // Freelist push reuses retained capacity after warmup.
+        q_.pool_.push_back(this);
         fn();
     }
 
@@ -57,7 +57,6 @@ EventQueue::~EventQueue()
         delete os;
 }
 
-// halint: hotpath
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
@@ -78,7 +77,6 @@ EventQueue::schedule(Event *ev, Tick when)
     ++live_;
 }
 
-// halint: hotpath
 void
 EventQueue::scheduleKeyed(Event *ev, Tick when, std::uint64_t key)
 {
@@ -139,7 +137,6 @@ EventQueue::maybeCompact()
     dead_ = 0;
 }
 
-// halint: hotpath
 void
 EventQueue::scheduleFn(UniqueFn fn, Tick when)
 {
@@ -148,14 +145,14 @@ EventQueue::scheduleFn(UniqueFn fn, Tick when)
         os = pool_.back();
         pool_.pop_back();
     } else {
-        // halint: allow(HAL-W004) pool-miss cold path; steady state
-        os = new OneShot(*this); // is served from the freelist
+        // Pool-miss cold path; steady state is served from the
+        // freelist.
+        os = new OneShot(*this);
     }
     os->arm(std::move(fn));
     schedule(os, when);
 }
 
-// halint: hotpath
 bool
 EventQueue::step()
 {
@@ -201,16 +198,15 @@ EventQueue::runUntil(Tick until)
     return executed_ - before;
 }
 
-// halint: hotpath
 void
 EventQueue::heapPush(Entry e)
 {
-    // halint: allow(HAL-W004) amortized heap growth; compaction keeps
-    heap_.push_back(e); // slots within 2x of live so capacity settles
+    // Amortized heap growth; compaction keeps slots within 2x of
+    // live, so capacity settles.
+    heap_.push_back(e);
     siftUp(heap_.size() - 1);
 }
 
-// halint: hotpath
 EventQueue::Entry
 EventQueue::heapPop()
 {

@@ -102,6 +102,27 @@ TEST(FaultConfig, ValidationMessageNamesField)
     }
 }
 
+TEST(FaultConfig, RejectsSlbCoresThatLeaveNoFunctionCore)
+{
+    // The SNIC-side SLB takes its cores from snic_cores, the host-side
+    // one from host_cores; each must leave the function one core.
+    EventQueue eq;
+    for (const Mode mode : {Mode::Slb, Mode::HostSlb}) {
+        auto cfg = cfgFor(mode);
+        cfg.slb_cores = 8;
+        try {
+            ServerSystem sys(eq, cfg);
+            ADD_FAILURE() << modeName(mode) << ": expected rejection";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("slb_cores"),
+                      std::string::npos)
+                << e.what();
+        }
+        cfg.slb_cores = 7;
+        EXPECT_NO_THROW(ServerSystem(eq, cfg)) << modeName(mode);
+    }
+}
+
 TEST(ConfigValidation, DefaultServerConfigIsValid)
 {
     EXPECT_TRUE(ServerConfig{}.validate().empty());

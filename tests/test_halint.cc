@@ -14,7 +14,6 @@
 
 #include "halint.hh"
 
-using halint::analyzeSources;
 using halint::Diagnostic;
 using halint::lintSource;
 
@@ -143,43 +142,6 @@ TEST(HalintW003, ScopedToSrcAndIgnoresComments)
     EXPECT_TRUE(lint("src/a.cc", "// unlike unordered_map, FixedMap\n"
                                  "int x;\n")
                     .empty());
-}
-
-// ---- HAL-W004 ------------------------------------------------------
-
-TEST(HalintW004, FlagsAllocationOnlyInsideAnnotatedFunction)
-{
-    const auto d = lint("src/sim/a.cc",
-                        "void cold() { v.push_back(1); }\n"
-                        "// halint: hotpath\n"
-                        "void hot() {\n"
-                        "    v.push_back(1);\n"
-                        "    T *p = new T;\n"
-                        "    q->reserve(8);\n"
-                        "    auto u = std::make_unique<T>();\n"
-                        "}\n"
-                        "void cold2() { T *p = new T; }\n");
-    EXPECT_EQ(linesOf(d, halint::kRuleHotpathAlloc),
-              (std::vector<int>{4, 5, 6, 7}));
-}
-
-TEST(HalintW004, PlacementNewAndPopBackAreFine)
-{
-    const auto d = lint("src/sim/a.cc",
-                        "// halint: hotpath\n"
-                        "void hot() {\n"
-                        "    ::new (storage) T(std::move(x));\n"
-                        "    v.pop_back();\n"
-                        "    buf.assign(n, 0);\n"
-                        "}\n");
-    EXPECT_TRUE(d.empty());
-}
-
-TEST(HalintW004, AnnotationWithoutBodyIsDiagnosed)
-{
-    const auto d = lint("src/sim/a.cc", "// halint: hotpath\n");
-    EXPECT_EQ(linesOf(d, halint::kRuleDirective),
-              (std::vector<int>{1}));
 }
 
 // ---- HAL-W005 ------------------------------------------------------
@@ -343,11 +305,21 @@ TEST(HalintSuppress, ReasonIsMandatory)
 
 TEST(HalintSuppress, RetiredRuleIdIsMalformed)
 {
-    // HAL-W009 (wheel-partition escapes) went with the partitioned
-    // engine; naming it in allow() is now an unknown rule id.
-    EXPECT_EQ(linesOf(lint("src/a.cc", "// halint: allow(HAL-W009) x\n"),
-                      halint::kRuleDirective),
-              (std::vector<int>{1}));
+    // Retired rules are unknown ids: W009 (wheel-partition escapes)
+    // went with the partitioned engine, W010 with the schema-drift
+    // pass, and the two allocation rules and their annotation with
+    // the allocation lint (the EngineCost ratchet counts allocations).
+    for (const char *retired : {
+             "// halint: allow(HAL-W009) x\n",
+             "// halint: allow(HAL-W010) x\n",
+             "// halint: allow(HAL-W004) x\n",
+             "// halint: allow(HAL-W008) x\n",
+             "// halint: hotpath\nvoid f() { v.push_back(1); }\n",
+         })
+        EXPECT_EQ(linesOf(lint("src/a.cc", retired),
+                          halint::kRuleDirective),
+                  (std::vector<int>{1}))
+            << retired;
 }
 
 TEST(HalintSuppress, MalformedDirectivesDiagnosed)
@@ -392,142 +364,6 @@ TEST(HalintLexer, LineNumbersSurviveMultilineConstructs)
                         "   spanning lines */\n"
                         "int f() { return std::rand(); }\n");
     EXPECT_EQ(linesOf(d, halint::kRuleRng), (std::vector<int>{4}));
-}
-
-// ---- HAL-W008: transitive hotpath allocation -----------------------
-
-namespace {
-
-/** All diagnostics for one rule in one file. */
-std::vector<Diagnostic>
-diagsOf(const std::vector<Diagnostic> &diags, const std::string &rule)
-{
-    std::vector<Diagnostic> out;
-    for (const Diagnostic &d : diags)
-        if (d.rule == rule)
-            out.push_back(d);
-    return out;
-}
-
-} // namespace
-
-TEST(HalintW008, DepthThreeChainReportedWithWhyChain)
-{
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "void leaf() { buf.push_back(1); }\n"
-         "void mid() { leaf(); }\n"
-         "void top() { mid(); }\n"
-         "// halint: hotpath\n"
-         "void drive() { top(); }\n"},
-    });
-    const auto w = diagsOf(d, halint::kRuleTransitiveAlloc);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_EQ(w[0].line, 1);
-    // The why-chain names every frame from the root to the allocator.
-    EXPECT_NE(w[0].message.find("drive"), std::string::npos);
-    EXPECT_NE(w[0].message.find("top"), std::string::npos);
-    EXPECT_NE(w[0].message.find("mid"), std::string::npos);
-    EXPECT_NE(w[0].message.find("leaf"), std::string::npos);
-    EXPECT_NE(w[0].message.find("call chain"), std::string::npos);
-}
-
-TEST(HalintW008, ChainCrossesTranslationUnits)
-{
-    const auto d = analyzeSources({
-        {"src/sim/hot.cc",
-         "// halint: hotpath\n"
-         "void drive() { helper(); }\n"},
-        {"src/net/helper.cc", "void helper() { T *p = new T; }\n"},
-    });
-    const auto w = diagsOf(d, halint::kRuleTransitiveAlloc);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_EQ(w[0].file, "src/net/helper.cc");
-    EXPECT_EQ(w[0].line, 1);
-    EXPECT_NE(w[0].message.find("src/sim/hot.cc"), std::string::npos);
-}
-
-TEST(HalintW008, RecursionTerminatesAndReportsOnce)
-{
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "void ping() { pong(); }\n"
-         "void pong() { v.push_back(1); ping(); }\n"
-         "// halint: hotpath\n"
-         "void drive() { ping(); }\n"},
-    });
-    const auto w = diagsOf(d, halint::kRuleTransitiveAlloc);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_EQ(w[0].line, 2);
-}
-
-TEST(HalintW008, FunctionPointersDegradeGracefully)
-{
-    // Calls through a pointer produce no edge (documented limit):
-    // the allocation behind fp() stays unreported, and nothing
-    // crashes or misattributes.
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "void target() { v.push_back(1); }\n"
-         "// halint: hotpath\n"
-         "void drive(void (*fp)()) { fp(); }\n"},
-    });
-    EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
-}
-
-TEST(HalintW008, RootOwnAllocationsStayW004)
-{
-    // Depth-0 allocations are the per-file W004 rule's; W008 only
-    // adds the transitive ones, so one site never double-reports.
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "// halint: hotpath\n"
-         "void drive() { v.push_back(1); }\n"},
-    });
-    EXPECT_EQ(diagsOf(d, halint::kRuleHotpathAlloc).size(), 1u);
-    EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
-}
-
-TEST(HalintW008, AllowAtAllocationSiteSuppresses)
-{
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "// halint: allow(HAL-W008) warmup-only growth\n"
-         "void leaf() { buf.push_back(1); }\n"
-         "// halint: hotpath\n"
-         "void drive() { leaf(); }\n"},
-    });
-    EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
-}
-
-TEST(HalintW008, AllowW004AlsoCoversTransitivePass)
-{
-    // One justification per allocation site: a W004 allow() on a
-    // shared helper also silences W008 chains that reach it.
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "// halint: allow(HAL-W004) bounded by capacity_\n"
-         "void leaf() { buf.push_back(1); }\n"
-         "// halint: hotpath\n"
-         "void drive() { leaf(); }\n"},
-    });
-    EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
-}
-
-TEST(HalintW008, HotpathCalleeOwnsItsSubtree)
-{
-    // A callee that is itself a hotpath root reports its own body
-    // (W004) and subtree under its own shorter chain, so the outer
-    // root does not descend into it.
-    const auto d = analyzeSources({
-        {"src/sim/a.cc",
-         "// halint: hotpath\n"
-         "void inner() { v.push_back(1); }\n"
-         "// halint: hotpath\n"
-         "void outer() { inner(); }\n"},
-    });
-    EXPECT_EQ(diagsOf(d, halint::kRuleHotpathAlloc).size(), 1u);
-    EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
 }
 
 // ---- output formats ------------------------------------------------

@@ -1,10 +1,8 @@
 /**
  * @file
- * halint engine core: per-file rule scanners (HAL-W001..W007), the
- * suppression/directive machinery, and the analyzeSources()
- * orchestration that adds the cross-TU pass (HAL-W008, see
- * passes.cc). The lexer lives in lexer.cc, the repo indexer in
- * index.cc, the report formats in output.cc.
+ * halint engine core: per-file rule scanners (HAL-W001..W003,
+ * W005..W007) and the suppression/directive machinery. The lexer
+ * lives in lexer.cc, the report formats in output.cc.
  */
 
 #include "halint.hh"
@@ -17,16 +15,14 @@
 #include <sstream>
 #include <tuple>
 
-#include "index.hh"
 #include "lexer.hh"
-#include "passes.hh"
 
 namespace halint {
 
 namespace {
 
 // --------------------------------------------------------------------
-// Per-file rule scanners (the v1 single-pass rules)
+// Per-file rule scanners
 // --------------------------------------------------------------------
 
 struct Scanner
@@ -189,47 +185,6 @@ struct Scanner
         }
     }
 
-    // ---- HAL-W004: allocation in `// halint: hotpath` functions -----
-    void
-    hotpathAlloc()
-    {
-        for (const Directive &d : lx.directives) {
-            if (!d.hotpath)
-                continue;
-            // The annotation precedes the function; its body is the
-            // next brace-balanced block.
-            std::size_t i = d.tokenIndexAfter;
-            while (i < lx.toks.size() &&
-                   !(lx.toks[i].kind == TokKind::Punct &&
-                     lx.toks[i].text == "{"))
-                ++i;
-            if (i == lx.toks.size()) {
-                add(kRuleDirective, d.line,
-                    "hotpath annotation with no function body after it");
-                continue;
-            }
-            std::size_t end = i;
-            int depth = 0;
-            for (; end < lx.toks.size(); ++end) {
-                const Tok &t = lx.toks[end];
-                if (t.kind != TokKind::Punct)
-                    continue;
-                if (t.text == "{")
-                    ++depth;
-                else if (t.text == "}" && --depth == 0)
-                    break;
-            }
-            for (const AllocSite &a : findAllocations(lx, i, end))
-                add(kRuleHotpathAlloc, a.line,
-                    a.what +
-                        " in a '// halint: hotpath' function — "
-                        "hot paths must be allocation-free at "
-                        "steady state; preallocate, pool, or "
-                        "justify the cold path with an allow() "
-                        "(DESIGN.md §8, §9)");
-        }
-    }
-
     // ---- HAL-W005: impure parallelFor / runSweep callbacks ----------
     void
     parallelPurity()
@@ -350,7 +305,6 @@ runScanners(const std::string &path, const Lexed &lx)
     s.wallClock();
     s.rng();
     s.unordered();
-    s.hotpathAlloc();
     s.parallelPurity();
     s.headerHygiene();
     s.threadPrimitive();
@@ -360,8 +314,6 @@ runScanners(const std::string &path, const Lexed &lx)
 /**
  * Per-file suppression map: an allow(HAL-Wnnn) covers its own line
  * (trailing comment) and the next line (comment above the statement).
- * allow(HAL-W004) at an allocation site also covers HAL-W008 there —
- * one justification per site, whichever pass reached it first.
  * Malformed directives are appended to @p diags as HAL-W000.
  */
 std::map<int, std::set<std::string>>
@@ -378,10 +330,6 @@ directiveMap(const std::string &path, const Lexed &lx,
         for (const std::string &r : d.allow) {
             allowAt[d.line].insert(r);
             allowAt[d.line + 1].insert(r);
-            if (r == kRuleHotpathAlloc) {
-                allowAt[d.line].insert(kRuleTransitiveAlloc);
-                allowAt[d.line + 1].insert(kRuleTransitiveAlloc);
-            }
         }
     }
     return allowAt;
@@ -418,39 +366,6 @@ lintSource(const std::string &path, std::string_view content)
     return kept;
 }
 
-std::vector<Diagnostic>
-analyzeSources(const std::vector<SourceFile> &files)
-{
-    const RepoIndex idx = buildIndex(files);
-
-    std::vector<Diagnostic> diags;
-    std::map<std::string, std::map<int, std::set<std::string>>> allow;
-    for (const Unit &u : idx.units) {
-        for (Diagnostic &d : runScanners(u.path, u.lx))
-            diags.push_back(std::move(d));
-        allow[u.path] = directiveMap(u.path, u.lx, diags);
-    }
-
-    passTransitiveHotpath(idx, diags);
-
-    std::vector<Diagnostic> kept;
-    for (Diagnostic &d : diags) {
-        bool suppressed = false;
-        if (d.rule != kRuleDirective) {
-            const auto fit = allow.find(d.file);
-            if (fit != allow.end()) {
-                const auto it = fit->second.find(d.line);
-                suppressed = it != fit->second.end() &&
-                             it->second.count(d.rule) != 0;
-            }
-        }
-        if (!suppressed)
-            kept.push_back(std::move(d));
-    }
-    sortDiags(kept);
-    return kept;
-}
-
 std::string
 ruleTable()
 {
@@ -458,13 +373,10 @@ ruleTable()
            "HAL-W001  wall-clock/host time source (simulated time only)\n"
            "HAL-W002  stdlib/unseeded RNG in src/ (use halsim::Rng)\n"
            "HAL-W003  unordered container in src/ (use alg::FixedMap)\n"
-           "HAL-W004  allocation inside a '// halint: hotpath' function\n"
            "HAL-W005  impure parallelFor/runSweep callback\n"
            "HAL-W006  header hygiene (guard, 'using namespace')\n"
            "HAL-W007  thread primitive in the DES core (src/sim, "
            "src/net)\n"
-           "HAL-W008  allocation transitively reachable from a "
-           "'// halint: hotpath' root (call-graph pass)\n"
            "Suppress with: // halint: allow(HAL-Wnnn) <reason>\n";
 }
 
@@ -499,7 +411,6 @@ lintPaths(const std::string &base, const std::vector<std::string> &roots)
 
     const std::string prefix =
         base.empty() || base == "." ? "" : base + "/";
-    std::vector<SourceFile> sources;
     for (const std::string &f : files) {
         std::ifstream in(f, std::ios::binary);
         std::ostringstream buf;
@@ -508,13 +419,11 @@ lintPaths(const std::string &base, const std::vector<std::string> &roots)
             diags.push_back({f, 0, kRuleDirective, "cannot read file"});
             continue;
         }
-        SourceFile sf{f, buf.str()};
-        if (!prefix.empty() && sf.path.rfind(prefix, 0) == 0)
-            sf.path = sf.path.substr(prefix.size());
-        sources.push_back(std::move(sf));
+        const bool under = !prefix.empty() && f.rfind(prefix, 0) == 0;
+        for (Diagnostic &d :
+             lintSource(under ? f.substr(prefix.size()) : f, buf.str()))
+            diags.push_back(std::move(d));
     }
-    for (Diagnostic &d : analyzeSources(sources))
-        diags.push_back(std::move(d));
     sortDiags(diags);
     return diags;
 }

@@ -1,23 +1,22 @@
 /**
  * @file
- * halint: the repo-native determinism & concurrency analysis engine.
+ * halint: the repo-native determinism & concurrency linter.
  *
  * The simulator's headline guarantee — bit-identical RunResult across
  * seeds, pooling modes, and sweep thread counts — depends on coding
  * invariants (no wall clock, no unseeded RNG, no unordered iteration,
- * allocation-free hot paths, pure parallelFor callbacks, no thread
- * primitives in the single-threaded engine) that a compiler cannot check. halint promotes
- * them from DESIGN.md prose to named, suppressible diagnostics. See
- * DESIGN.md §9 for the per-file rule table and §14 for the v2
- * multi-pass engine (indexer, call graph).
+ * pure parallelFor callbacks, no thread primitives in the
+ * single-threaded engine) that a compiler cannot check. halint
+ * promotes them from DESIGN.md prose to named, suppressible
+ * diagnostics; DESIGN.md §9 has the rule table. Heap allocation is
+ * measured, not linted: the EngineCost ratchet
+ * (tests/test_engine_cost.cc) counts it exactly.
  *
  * The engine is deliberately not a C++ front end: a small lexer
- * strips comments/strings/preprocessor lines into a token stream;
- * per-rule scanners pattern-match on it, and a heuristic repo indexer
- * (tools/halint/index.hh) recovers enough structure — functions, call
- * sites — for the cross-TU pass (HAL-W008).
- * That keeps the tool dependency-free and fast enough to run as a
- * tier-1 ctest on every build (< 5 s over the whole repo).
+ * strips comments/strings/preprocessor lines into a token stream and
+ * per-rule scanners pattern-match on it, one file at a time. That
+ * keeps the tool dependency-free and fast enough to run as a tier-1
+ * ctest on every build.
  */
 
 #ifndef HALSIM_TOOLS_HALINT_HH
@@ -43,38 +42,20 @@ inline constexpr const char *kRuleDirective = "HAL-W000";
 inline constexpr const char *kRuleWallClock = "HAL-W001";
 inline constexpr const char *kRuleRng = "HAL-W002";
 inline constexpr const char *kRuleUnordered = "HAL-W003";
-inline constexpr const char *kRuleHotpathAlloc = "HAL-W004";
 inline constexpr const char *kRuleParallelPurity = "HAL-W005";
 inline constexpr const char *kRuleHeaderHygiene = "HAL-W006";
 inline constexpr const char *kRuleThreadPrimitive = "HAL-W007";
-inline constexpr const char *kRuleTransitiveAlloc = "HAL-W008";
-
-/** One input file handed to the engine (path decides rule scope). */
-struct SourceFile
-{
-    std::string path;
-    std::string content;
-};
 
 /**
- * Lint one translation unit with the per-file rules only. @p path
- * decides which rules apply (HAL-W002/W003 fire only under "src/",
- * HAL-W006 only on headers), so tests can pass synthetic paths like
- * "src/x.cc" with fixture strings as @p content. Suppressions
+ * Lint one translation unit. @p path decides which rules apply
+ * (HAL-W002/W003 fire only under "src/", HAL-W006 only on headers),
+ * so tests can pass synthetic paths like "src/x.cc" with fixture
+ * strings as @p content. Suppressions
  * (`// halint: allow(...)`) are already applied; malformed
  * directives come back as HAL-W000.
  */
 std::vector<Diagnostic> lintSource(const std::string &path,
                                    std::string_view content);
-
-/**
- * Full engine over a set of in-memory sources: per-file rules plus
- * the cross-TU pass (HAL-W008 transitive hotpath allocation).
- * Diagnostics come back suppression-filtered and sorted by (file,
- * line, rule).
- */
-std::vector<Diagnostic>
-analyzeSources(const std::vector<SourceFile> &files);
 
 /** Human-readable one-line summary of every rule (for --list-rules). */
 std::string ruleTable();
@@ -82,9 +63,8 @@ std::string ruleTable();
 /**
  * Lint every C++ source under @p roots (files, or directories walked
  * recursively for .cc/.hh/.cpp/.h), with paths reported relative to
- * @p base when they fall under it, then run the cross-TU pass.
- * Unreadable paths produce a HAL-W000 diagnostic rather than a
- * crash.
+ * @p base when they fall under it. Unreadable paths produce a
+ * HAL-W000 diagnostic rather than a crash.
  */
 std::vector<Diagnostic> lintPaths(const std::string &base,
                                   const std::vector<std::string> &roots);

@@ -21,15 +21,14 @@ identChar(char c)
  * (the whole comment is the directive; block comments and prose that
  * merely mention the tag are ignored):
  *
- *   halint: hotpath [note]
  *   halint: allow(HAL-Wnnn[, HAL-Wnnn...]) <reason>
  *
  * The reason after allow(...) is mandatory: a suppression that does
- * not say why is itself a diagnostic (HAL-W000).
+ * not say why is itself a diagnostic (HAL-W000). Any other directive,
+ * including the retired `hotpath` annotation, is HAL-W000 too.
  */
 void
-parseDirective(std::string_view text, int line, std::size_t tokenIndex,
-               std::vector<Directive> &out)
+parseDirective(std::string_view text, int line, std::vector<Directive> &out)
 {
     const std::string_view kTag = "halint:";
     const std::string lead = trim(text);
@@ -37,11 +36,8 @@ parseDirective(std::string_view text, int line, std::size_t tokenIndex,
         return;
     Directive d;
     d.line = line;
-    d.tokenIndexAfter = tokenIndex;
     std::string rest = trim(lead.substr(kTag.size()));
-    if (rest.rfind("hotpath", 0) == 0) {
-        d.hotpath = true;
-    } else if (rest.rfind("allow", 0) == 0) {
+    if (rest.rfind("allow", 0) == 0) {
         const std::size_t open = rest.find('(');
         const std::size_t close = rest.find(')');
         if (open == std::string::npos || close == std::string::npos ||
@@ -96,9 +92,8 @@ validRuleId(const std::string &r)
 {
     static const std::set<std::string> kKnown{
         kRuleDirective,      kRuleWallClock,     kRuleRng,
-        kRuleUnordered,      kRuleHotpathAlloc,
-        kRuleParallelPurity, kRuleHeaderHygiene, kRuleThreadPrimitive,
-        kRuleTransitiveAlloc};
+        kRuleUnordered,      kRuleParallelPurity, kRuleHeaderHygiene,
+        kRuleThreadPrimitive};
     return kKnown.count(r) != 0;
 }
 
@@ -132,8 +127,7 @@ lex(std::string_view src)
             std::size_t e = i;
             while (e < n && src[e] != '\n')
                 ++e;
-            parseDirective(src.substr(i + 2, e - i - 2), line,
-                           out.toks.size(), out.directives);
+            parseDirective(src.substr(i + 2, e - i - 2), line, out.directives);
             i = e;
             continue;
         }

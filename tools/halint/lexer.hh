@@ -1,20 +1,19 @@
 /**
  * @file
  * halint lexer: turns one C++ translation unit into the token stream
- * the rule scanners and the repo indexer share. Comments and string
- * and char literals are dropped, and preprocessor logical lines are
- * kept whole as PP tokens, so a forbidden name inside a string (or
- * halint's own rule tables) cannot trip a rule.
+ * the rule scanners share. Comments and string and char literals are
+ * dropped, and preprocessor logical lines are kept whole as PP tokens,
+ * so a forbidden name inside a string (or halint's own rule tables)
+ * cannot trip a rule.
  *
- * The lexer also parses `// halint: ...` control comments into
- * Directive records (hotpath/allow), which the engine attaches to
- * the following function or line.
+ * The lexer also parses `// halint: allow(...)` control comments into
+ * Directive records, which the engine applies to their own line and
+ * the next.
  */
 
 #ifndef HALSIM_TOOLS_HALINT_LEXER_HH
 #define HALSIM_TOOLS_HALINT_LEXER_HH
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,11 +33,9 @@ struct Tok
 struct Directive
 {
     int line = 0;
-    bool hotpath = false;
     std::vector<std::string> allow; //!< rule ids for allow(...)
     bool malformed = false;
     std::string error;
-    std::size_t tokenIndexAfter = 0; //!< tokens emitted before it
 };
 
 struct Lexed

@@ -1,8 +1,8 @@
 /**
  * @file
  * halint CLI. Scans the repo's C++ trees (default: src/ bench/
- * examples/ tools/ relative to --root), runs the per-file rules plus
- * the cross-TU pass (HAL-W008), and reports diagnostics:
+ * examples/ tools/ relative to --root), runs the per-file rules, and
+ * reports diagnostics:
  *
  *   src/sim/foo.cc:123: HAL-W002: non-deterministic RNG 'rand' — ...
  *
@@ -119,7 +119,7 @@ main(int argc, char **argv)
             std::printf(
                 "halint: %zu diagnostic(s); suppress a justified one "
                 "with '// halint: allow(HAL-Wnnn) <reason>' "
-                "(see DESIGN.md §9, §14)\n",
+                "(see DESIGN.md §9)\n",
                 diags.size());
     }
     return diags.empty() ? 0 : 1;

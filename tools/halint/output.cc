@@ -65,12 +65,9 @@ formatSarif(const std::vector<Diagnostic> &diags)
         {"HAL-W001", "wall-clock time source in simulation code"},
         {"HAL-W002", "unseeded or non-deterministic RNG"},
         {"HAL-W003", "unordered container iteration in src/"},
-        {"HAL-W004", "allocation inside a hotpath-annotated body"},
         {"HAL-W005", "impure parallelFor callback"},
         {"HAL-W006", "header hygiene (using namespace, etc.)"},
         {"HAL-W007", "thread primitive in the single-threaded DES core"},
-        {"HAL-W008",
-         "allocation transitively reachable from a hotpath root"},
     };
     std::set<std::string> used;
     for (const Diagnostic &d : diags)
