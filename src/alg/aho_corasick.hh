@@ -10,9 +10,11 @@
 #ifndef HALSIM_ALG_AHO_CORASICK_HH
 #define HALSIM_ALG_AHO_CORASICK_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace halsim::alg {
@@ -32,7 +34,24 @@ struct Match
 
 /**
  * Byte-alphabet Aho-Corasick automaton with goto/fail links flattened
- * into a dense delta table for scan speed.
+ * into a DFA over byte classes.
+ *
+ * Every byte that occurs in some pattern is its own class; all other
+ * bytes share one "other" class, on which every state behaves alike.
+ * The REM rulesets use 27 (teakettle) and 67 (snort) classes, so a
+ * state's row is a quarter of a 256-column one or less. A row holds
+ * the next state for each class, premultiplied by the row stride, and
+ * ends with the state's match count.
+ *
+ * countMatches() cuts a payload into kStreams contiguous chunks and
+ * advances their state chains in one loop, so the table loads of the
+ * four chains overlap instead of waiting on each other. Chunk k > 0
+ * restarts at the root maxlen - 1 bytes before its boundary and counts
+ * only matches that end inside it: a match ending at byte q starts no
+ * earlier than q - maxlen + 1, so the count is exact. Below
+ * kStreams * (maxlen - 1) bytes that warm-up would reach back past the
+ * previous chunk's start, and the scan stays one stream; short frames
+ * such as the Table V traces' are scanned that way.
  */
 class AhoCorasick
 {
@@ -41,9 +60,7 @@ class AhoCorasick
     explicit AhoCorasick(const std::vector<std::string> &patterns);
 
     /** Number of automaton states (hardware-cost proxy). */
-    std::size_t stateCount() const { return delta_.size() / 256; }
-
-    std::size_t patternCount() const { return patternLengths_.size(); }
+    std::size_t stateCount() const { return outputs_.size(); }
 
     /** Count all matches (including overlaps) in @p data. */
     std::uint64_t countMatches(std::span<const std::uint8_t> data) const;
@@ -51,18 +68,25 @@ class AhoCorasick
     /** Collect all matches; order is by end offset, then pattern. */
     std::vector<Match> findAll(std::span<const std::uint8_t> data) const;
 
-    /** True when any pattern occurs in @p data (early exit). */
-    bool contains(std::span<const std::uint8_t> data) const;
-
   private:
+    /** Interleaved chains in countMatches(). */
+    static constexpr std::size_t kStreams = 4;
+
     void build(const std::vector<std::string> &patterns);
 
-    /** delta_[state * 256 + byte] -> next state. */
+    /** classOf_[byte] -> column of that byte's class in a row. */
+    std::array<std::uint8_t, 256> classOf_{};
+    /** Row length: one column per class, then the match count. */
+    std::uint32_t stride_ = 1;
+    /** Bytes a chunk's chain replays before its boundary: maxlen - 1.
+     *  Payloads of kStreams * warmup_ bytes or more are interleaved. */
+    std::size_t warmup_ = 0;
+    /** delta_[s + class] -> next state s' (state index * stride_);
+     *  delta_[s + stride_ - 1] -> matches ending in state s. */
     std::vector<std::uint32_t> delta_;
-    /** outputs_[state] -> indices into matchList_ (begin, end). */
+    /** outputs_[state index] -> indices into matchList_ (begin, end). */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> outputs_;
     std::vector<std::uint32_t> matchList_;   //!< pattern ids, grouped
-    std::vector<std::uint32_t> patternLengths_;
 };
 
 } // namespace halsim::alg

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "funcs/content.hh"
+
 namespace halsim::core {
 
 /**
@@ -134,9 +136,12 @@ modeName(Mode m)
 funcs::FunctionPtr
 ServerSystem::makeFn(const ServerConfig &cfg)
 {
-    return cfg.pipeline_second
-               ? funcs::makePipeline(cfg.function, *cfg.pipeline_second)
-               : funcs::makeFunction(cfg.function);
+    if (cfg.pipeline_second)
+        return funcs::makePipeline(cfg.function, *cfg.pipeline_second);
+    // The same case in which profileFor() applies remProfile().
+    if (cfg.function == funcs::FunctionId::Rem)
+        return std::make_unique<funcs::RemFunction>(cfg.rem_ruleset);
+    return funcs::makeFunction(cfg.function);
 }
 
 ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)

@@ -70,7 +70,9 @@ struct ServerConfig
     funcs::FunctionId function = funcs::FunctionId::Nat;
     /** Second stage for the pipelined compositions of §VII-B. */
     std::optional<funcs::FunctionId> pipeline_second;
-    /** REM ruleset variant (affects the host profile, §III-A). */
+    /** REM ruleset when REM runs alone (§III-A): selects both the
+     *  calibrated profile and the automaton the payloads are scanned
+     *  with. Pipelines keep teakettle for both. */
     alg::RulesetKind rem_ruleset = alg::RulesetKind::Teakettle;
 
     funcs::Platform host_platform = funcs::Platform::HostSkylake;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,11 @@ naiveFindAll(const std::vector<std::string> &patterns,
             if (p.size() > i + 1)
                 continue;
             const std::size_t start = i + 1 - p.size();
-            if (std::equal(p.begin(), p.end(), text.begin() + start))
+            // Compare as bytes: char may be signed.
+            if (std::equal(p.begin(), p.end(), text.begin() + start,
+                           [](char a, std::uint8_t b) {
+                               return static_cast<std::uint8_t>(a) == b;
+                           }))
                 out.push_back(Match{pi, i + 1});
         }
     }
@@ -54,6 +59,39 @@ sortMatches(std::vector<Match> &m)
     });
 }
 
+/**
+ * countMatches and findAll against naiveFindAll on every prefix of
+ * @p text up to 4 * maxlen + 8 bytes, which covers 0..3 * maxlen and
+ * the one-stream/four-stream cutover at 4 * (maxlen - 1), and on the
+ * whole text.
+ */
+void
+expectAgreesWithNaive(const std::vector<std::string> &patterns,
+                      const std::vector<std::uint8_t> &text)
+{
+    const AhoCorasick ac(patterns);
+    std::size_t maxlen = 0;
+    for (const auto &p : patterns)
+        maxlen = std::max(maxlen, p.size());
+    const auto all = naiveFindAll(patterns, text);
+
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 4 * maxlen + 8 && n < text.size(); ++n)
+        lengths.push_back(n);
+    lengths.push_back(text.size());
+    for (std::size_t n : lengths) {
+        const std::span<const std::uint8_t> prefix(text.data(), n);
+        std::vector<Match> want;
+        for (const Match &m : all)
+            if (m.end <= n)
+                want.push_back(m);
+        auto got = ac.findAll(prefix);
+        sortMatches(got);
+        ASSERT_EQ(got, want) << "length " << n;
+        ASSERT_EQ(ac.countMatches(prefix), want.size()) << "length " << n;
+    }
+}
+
 } // namespace
 
 TEST(AhoCorasick, SinglePattern)
@@ -61,8 +99,6 @@ TEST(AhoCorasick, SinglePattern)
     AhoCorasick ac({"abc"});
     const auto text = bytesOf("xxabcxxabc");
     EXPECT_EQ(ac.countMatches(text), 2u);
-    EXPECT_TRUE(ac.contains(text));
-    EXPECT_FALSE(ac.contains(bytesOf("xxabxcx")));
 }
 
 TEST(AhoCorasick, OverlappingPatterns)
@@ -116,13 +152,50 @@ TEST(AhoCorasick, MatchesAgainstNaiveRandomized)
         for (auto &c : text)
             c = static_cast<std::uint8_t>('a' + rng.uniformInt(3));
 
-        AhoCorasick ac(patterns);
-        auto got = ac.findAll(text);
-        auto want = naiveFindAll(patterns, text);
-        sortMatches(got);
-        sortMatches(want);
-        ASSERT_EQ(got, want) << "trial " << trial;
-        EXPECT_EQ(ac.countMatches(text), want.size());
+        SCOPED_TRACE("small alphabet, trial " + std::to_string(trial));
+        expectAgreesWithNaive(patterns, text);
+    }
+
+    for (int trial = 0; trial < 20; ++trial) {
+        // Full byte alphabet; trial 0 uses all 256 values, so no byte
+        // falls in the "other" class.
+        std::vector<std::string> patterns;
+        if (trial == 0) {
+            for (int b = 0; b < 256; b += 16) {
+                std::string p;
+                for (int j = 0; j < 16; ++j)
+                    p.push_back(static_cast<char>(b + j));
+                patterns.push_back(std::move(p));
+            }
+        }
+        const std::size_t npat = 1 + rng.uniformInt(12);
+        for (std::size_t i = 0; i < npat; ++i) {
+            std::string p;
+            const std::size_t len = 1 + rng.uniformInt(20);
+            for (std::size_t j = 0; j < len; ++j)
+                p.push_back(static_cast<char>(rng.uniformInt(256)));
+            patterns.push_back(std::move(p));
+        }
+        // Nested and duplicate patterns: substrings and exact copies
+        // of earlier ones.
+        for (std::size_t i = 0; i < npat; ++i) {
+            const std::string p = patterns[rng.uniformInt(patterns.size())];
+            const std::size_t from = rng.uniformInt(p.size());
+            const std::size_t len = 1 + rng.uniformInt(p.size() - from);
+            patterns.push_back(rng.chance(0.25) ? p : p.substr(from, len));
+        }
+        // Random bytes with planted, often overlapping, occurrences.
+        std::vector<std::uint8_t> text(1459);
+        for (auto &c : text)
+            c = static_cast<std::uint8_t>(rng.uniformInt(256));
+        for (int k = 0; k < 60; ++k) {
+            const std::string &p = patterns[rng.uniformInt(patterns.size())];
+            const std::size_t at = rng.uniformInt(text.size() - p.size());
+            std::copy(p.begin(), p.end(), text.begin() + at);
+        }
+
+        SCOPED_TRACE("full alphabet, trial " + std::to_string(trial));
+        expectAgreesWithNaive(patterns, text);
     }
 }
 

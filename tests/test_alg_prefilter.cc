@@ -12,6 +12,8 @@
 
 #include "alg/aho_corasick.hh"
 #include "alg/corpus.hh"
+#include "funcs/content.hh"
+#include "net/packet.hh"
 #include "support/prefilter.hh"
 #include "sim/rng.hh"
 
@@ -19,6 +21,10 @@ using namespace halsim;
 using namespace halsim::alg;
 
 namespace {
+
+/** Matches in 300 MTU slices of each REM corpus (seed 41). */
+constexpr std::uint64_t kTeakettleTotal = 460;
+constexpr std::uint64_t kSnortTotal = 374;
 
 std::vector<std::uint8_t>
 bytesOf(const std::string &s)
@@ -66,6 +72,42 @@ TEST(Prefilter, AgreesWithAhoCorasickOnRulesets)
         const auto text = makeScanStream(100000, rules, 0.2, 32);
         EXPECT_EQ(pf.countMatches(text), ac.countMatches(text))
             << rulesetName(kind);
+    }
+}
+
+TEST(Prefilter, AgreesWithRemFunctionOnMtuSlices)
+{
+    // Each paper ruleset's REM corpus, sliced into MTU payloads by
+    // RemFunction::makeRequest. The totals were taken with the
+    // dense-table scanner the byte-class automaton replaced.
+    const std::pair<RulesetKind, std::uint64_t> cases[] = {
+        {RulesetKind::Teakettle, kTeakettleTotal},
+        {RulesetKind::SnortLiterals, kSnortTotal},
+    };
+    for (const auto &[kind, pinned] : cases) {
+        funcs::RemFunction rem(kind);
+        const PrefilterMatcher pf(makeRuleset(
+            kind, funcs::RemFunction::kRules, funcs::RemFunction::kSeed));
+        Rng rng(41);
+        std::uint64_t total = 0;
+        for (int i = 0; i < 300; ++i) {
+            auto pkt = net::makeUdpPacket(
+                net::MacAddr::fromUint(1), net::MacAddr::fromUint(2),
+                net::Ipv4Addr(10, 0, 0, 1), net::Ipv4Addr(10, 0, 0, 2),
+                40000, 9000, {}, net::kMtuFrameBytes);
+            rem.makeRequest(*pkt, rng);
+            const auto payload = pkt->payload();
+            const std::uint64_t n = rem.automaton().countMatches(payload);
+            ASSERT_EQ(pf.countMatches(payload), n)
+                << rulesetName(kind) << " slice " << i;
+            auto a = rem.automaton().findAll(payload);
+            auto b = pf.findAll(payload);
+            sortMatches(a);
+            sortMatches(b);
+            ASSERT_EQ(a, b) << rulesetName(kind) << " slice " << i;
+            total += n;
+        }
+        EXPECT_EQ(total, pinned) << rulesetName(kind);
     }
 }
 

@@ -10,7 +10,10 @@
 
 #include <memory>
 
+#include "alg/corpus.hh"
 #include "core/server.hh"
+#include "funcs/content.hh"
+#include "funcs/pipeline.hh"
 
 using namespace halsim;
 using namespace halsim::core;
@@ -253,6 +256,41 @@ TEST(System, RemAccelConstantTailWhenSaturated)
     const auto r90 = runConstant(sys, 90.0, 10 * kMs, 60 * kMs);
     EXPECT_NEAR(r60.delivered_gbps, r90.delivered_gbps, 2.0);
     EXPECT_NEAR(r90.p99_us / r60.p99_us, 1.0, 0.35);
+}
+
+TEST(System, RemScansTheConfiguredRuleset)
+{
+    // rem_ruleset picks the automaton exactly where it picks the
+    // profile: REM alone. A pipeline keeps teakettle for both.
+    auto states = [](alg::RulesetKind kind) {
+        return alg::AhoCorasick(
+                   alg::makeRuleset(kind, funcs::RemFunction::kRules,
+                                    funcs::RemFunction::kSeed))
+            .stateCount();
+    };
+    const std::size_t snort = states(alg::RulesetKind::SnortLiterals);
+    const std::size_t tea = states(alg::RulesetKind::Teakettle);
+    EXPECT_EQ(snort, 24549u);
+    EXPECT_EQ(tea, 6653u);
+
+    EventQueue eq1, eq2;
+    auto cfg = cfgFor(Mode::Hal, funcs::FunctionId::Rem);
+    cfg.rem_ruleset = alg::RulesetKind::SnortLiterals;
+    ServerSystem alone(eq1, cfg);
+    EXPECT_EQ(dynamic_cast<funcs::RemFunction &>(alone.function())
+                  .automaton()
+                  .stateCount(),
+              snort);
+
+    cfg.function = funcs::FunctionId::Nat;
+    cfg.pipeline_second = funcs::FunctionId::Rem;
+    ServerSystem piped(eq2, cfg);
+    const auto &pipe =
+        dynamic_cast<const funcs::PipelineFunction &>(piped.function());
+    EXPECT_EQ(dynamic_cast<const funcs::RemFunction &>(pipe.second())
+                  .automaton()
+                  .stateCount(),
+              tea);
 }
 
 TEST(System, WindowedMaxAtLeastAverage)
