@@ -170,20 +170,18 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
     if (fn_->stateful() && cooperative && cfg_.coherent_state)
         domain_ = std::make_unique<coherence::CoherenceDomain>();
 
-    // --- Egress: processors -> (merger) -> return link -> client ----
-    returnLink_ = std::make_unique<net::Link>(
-        eq_, net::Link::Config{100.0, 500 * kNs, 4096, "return"},
-        client_);
+    // Under HAL both directions also cross the HLB FPGA (§V-A). Each
+    // crossing is a fixed hop folded into the adjacent link rather
+    // than an event of its own (see net::Link).
+    const Tick hlb_hop =
+        cfg_.mode == Mode::Hal ? paths.hlb_per_direction : 0;
 
-    net::PacketSink *egress = returnLink_.get();
-    if (cfg_.mode == Mode::Hal) {
-        // Responses also traverse the HLB FPGA on the way out.
-        mergerDelay_ = std::make_unique<nic::FixedDelay>(
-            eq_, paths.hlb_per_direction, *returnLink_);
-        egress = mergerDelay_.get();
-    }
+    // --- Egress: processors -> merger -> (HLB) return link -> client
+    net::Link::Config rc{100.0, 500 * kNs, 4096, "return"};
+    rc.hop_before = hlb_hop;
+    returnLink_ = std::make_unique<net::Link>(eq_, rc, client_);
     merger_ = std::make_unique<TrafficMerger>(
-        TrafficMerger::Config{snicIp_, hostIp_, snicMac_}, *egress);
+        TrafficMerger::Config{snicIp_, hostIp_, snicMac_}, *returnLink_);
 
     // Host responses cross PCIe back to the eSwitch first.
     hostTxDelay_ = std::make_unique<nic::FixedDelay>(
@@ -304,9 +302,6 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         dc.initial_fwd_th_gbps = cfg_.lbp.initial_fwd_gbps;
         director_ = std::make_unique<TrafficDirector>(
             eq_, dc, *monitor_, *eswitch_);
-        hlbDelay_ = std::make_unique<nic::FixedDelay>(
-            eq_, funcs::pathLatencies().hlb_per_direction,
-            *director_);
         lbp_ = std::make_unique<LoadBalancingPolicy>(eq_, cfg_.lbp,
                                                      *snic_, *director_);
         if (snic_->hasGovernor()) {
@@ -329,7 +324,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
             funcs::profile(cfg_.snic_platform, cfg_.function)
                 .core_active_w +
             kHlbPowerW);
-        ingress_ = hlbDelay_.get();
+        ingress_ = director_.get();
         break;
       }
       case Mode::Slb: {
@@ -385,10 +380,10 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
       }
     }
 
-    // --- Client link ----------------------------------------------------
-    clientLink_ = std::make_unique<net::Link>(
-        eq_, net::Link::Config{100.0, 500 * kNs, 4096, "client"},
-        *ingress_);
+    // --- Client link (-> HLB) --------------------------------------------
+    net::Link::Config cc{100.0, 500 * kNs, 4096, "client"};
+    cc.hop_after = hlb_hop;
+    clientLink_ = std::make_unique<net::Link>(eq_, cc, *ingress_);
 
     // --- Energy ledger (§V-B / Fig. 3) -------------------------------
     // Dynamic accounts bind the processors' monotone per-component

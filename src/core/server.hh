@@ -352,7 +352,6 @@ class ServerSystem
     // Egress path (server -> client).
     std::unique_ptr<net::Link> returnLink_;
     std::unique_ptr<TrafficMerger> merger_;
-    std::unique_ptr<nic::FixedDelay> mergerDelay_;    //!< HLB egress hop
     std::unique_ptr<nic::FixedDelay> hostTxDelay_;    //!< PCIe back-hop
 
     // Processors.
@@ -365,7 +364,6 @@ class ServerSystem
     std::unique_ptr<nic::FixedDelay> hostPathDelay_;
     std::unique_ptr<TrafficMonitor> monitor_;
     std::unique_ptr<TrafficDirector> director_;
-    std::unique_ptr<nic::FixedDelay> hlbDelay_;
     std::unique_ptr<LoadBalancingPolicy> lbp_;
     std::unique_ptr<SoftwareLoadBalancer> slb_;
     std::unique_ptr<net::Link> clientLink_;

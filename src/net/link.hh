@@ -3,14 +3,15 @@
  * Point-to-point link model: serialization at line rate, fixed
  * propagation delay, FIFO contention, bounded transmit queue.
  *
- * Used for the client<->server Ethernet cable, the FPGA<->SNIC cable,
- * and (with different constants) the PCIe and UPI hops inside the
- * server.
+ * Used for the client<->server Ethernet cables (which also carry the
+ * HLB FPGA's fixed hop in each direction under HAL) and the fleet's
+ * client, uplink and downlink cables.
  */
 
 #ifndef HALSIM_NET_LINK_HH
 #define HALSIM_NET_LINK_HH
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -29,8 +30,20 @@ namespace halsim::net {
 /**
  * Unidirectional link. Packets serialize back-to-back at the line
  * rate; each is delivered to the sink after serialization plus
- * propagation. When the backlog waiting to serialize exceeds the
- * configured budget the link tail-drops, modeling a bounded Tx FIFO.
+ * propagation. The Tx FIFO is bounded: a frame offered while
+ * max_queue frames are queued or on the wire (serialized but not yet
+ * propagated) is tail-dropped.
+ *
+ * A fixed-latency element next to the link folds into it instead of
+ * costing its own event per frame. A hop behind the wire is more
+ * propagation. A hop in front of the link commutes with its FIFO:
+ * serializing at arrival and delivering the hop later lands every
+ * frame on the tick it would have reached after the hop, since each
+ * departure shifts by the same constant. Frames inside either hop
+ * are not on the link, so they do not count against max_queue; a
+ * frame whose wire end falls on the current tick still counts until
+ * its position in the (tick, key) order has passed, as it would with
+ * a separate hop element.
  */
 class Link : public PacketSink
 {
@@ -41,11 +54,20 @@ class Link : public PacketSink
         Tick propagation = 500 * kNs;   //!< cable/interconnect latency
         std::uint32_t max_queue = 4096; //!< max packets queued for Tx
         std::string name = "link";
+        /** Fixed hop folded in front of the link; must be shorter
+         *  than propagation, which keeps same-tick ties exact. */
+        Tick hop_before = 0;
+        Tick hop_after = 0;   //!< fixed hop folded behind the wire
     };
 
     Link(EventQueue &eq, Config cfg, PacketSink &sink)
         : eq_(eq), cfg_(std::move(cfg)), chan_(eq, sink)
-    {}
+    {
+        assert((cfg_.hop_before == 0 ||
+                cfg_.hop_before < cfg_.propagation) &&
+               "a hop in front of the link must be shorter than its "
+               "propagation");
+    }
 
     /** Offer a packet to the link; may tail-drop. */
     void send(PacketPtr pkt);
@@ -111,10 +133,14 @@ class Link : public PacketSink
     }
 
   private:
+    /** Frames queued or on the wire: chan_ minus the frames that have
+     *  entered a folded hop. */
+    std::size_t queued() const;
+
     EventQueue &eq_;
     Config cfg_;
-    TimedChannel chan_; //!< frames in the Tx FIFO or on the wire
-    Tick busyUntil_ = 0;
+    TimedChannel chan_; //!< frames in the Tx FIFO, on the wire or in a hop
+    Tick busyUntil_ = 0; //!< shifted earlier by hop_before
     std::uint64_t drops_ = 0;
     std::uint64_t deliveredBytes_ = 0;
     std::uint64_t deliveredFrames_ = 0;

@@ -3,16 +3,19 @@
  * TimedChannel: a keyed FIFO of timed packet deliveries that keeps
  * only its head in the event heap.
  *
- * The hot pipeline stages (link propagation, fixed path delays) all
- * schedule deliveries in nondecreasing time order. Before this
- * existed, each delivery was its own one-shot heap entry; now a stage
- * pushes into its channel, the channel holds one intrusive event for
- * the head, and each entry re-arms the next on execution.
+ * The hot pipeline stages (link serialization and propagation, fixed
+ * path delays) all schedule deliveries in nondecreasing time order,
+ * so a stage pushes into its channel, the channel holds one intrusive
+ * event for the head, and each entry re-arms the next on execution.
+ * The heap then holds one entry per stage, not one per packet in
+ * flight.
  *
  * Order is preserved *exactly*: push() reserves the queue's next key
  * at the call site, so every entry occupies the same slot in the
  * (tick, key) total order it would have had as an individual
- * schedule() — results are bit-identical to the per-event engine.
+ * schedule(). Each slot keeps that key, so an owner can ask the queue
+ * whether a slot's position has passed (net::Link counts the frames
+ * still on its wire that way).
  */
 
 #ifndef HALSIM_NET_TIMED_CHANNEL_HH
@@ -60,6 +63,12 @@ class TimedChannel : public Event
     /** Entries waiting for delivery (including the armed head). */
     std::size_t pending() const { return count_; }
 
+    /** Delivery tick of the entry @p i places behind the head. */
+    Tick whenAt(std::size_t i) const { return at(i).when; }
+
+    /** Order key reserved for the entry @p i places behind the head. */
+    std::uint64_t keyAt(std::size_t i) const { return at(i).key; }
+
     void
     execute() override
     {
@@ -82,6 +91,11 @@ class TimedChannel : public Event
     };
 
     Slot &at(std::size_t i) { return ring_[(head_ + i) & mask()]; }
+    const Slot &
+    at(std::size_t i) const
+    {
+        return ring_[(head_ + i) & mask()];
+    }
     std::size_t mask() const { return ring_.size() - 1; }
     Slot front() { return ring_[head_]; }
     Slot back() { return at(count_ - 1); }

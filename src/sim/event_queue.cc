@@ -44,14 +44,12 @@ class EventQueue::OneShot : public Event
 
 EventQueue::~EventQueue()
 {
-    // Drop tombstones and orphan any still-scheduled events so their
-    // destructors don't assert; delete owned one-shot wrappers.
+    // Orphan any still-scheduled events so their destructors don't
+    // assert; delete owned one-shot wrappers.
     for (Entry &e : heap_) {
-        if (e.ev != nullptr) {
-            e.ev->scheduled_ = false;
-            if (dynamic_cast<OneShot *>(e.ev) != nullptr)
-                delete e.ev;
-        }
+        e.ev->scheduled_ = false;
+        if (dynamic_cast<OneShot *>(e.ev) != nullptr)
+            delete e.ev;
     }
     for (OneShot *os : pool_)
         delete os;
@@ -59,6 +57,12 @@ EventQueue::~EventQueue()
 
 void
 EventQueue::schedule(Event *ev, Tick when)
+{
+    scheduleKeyed(ev, when, ++seq_);
+}
+
+void
+EventQueue::scheduleKeyed(Event *ev, Tick when, std::uint64_t key)
 {
     assert(ev != nullptr);
     assert(!ev->scheduled_ && "event already scheduled");
@@ -71,28 +75,9 @@ EventQueue::schedule(Event *ev, Tick when)
     }
 
     ev->when_ = when;
-    ev->seq_ = ++seq_;
-    ev->scheduled_ = true;
-    heapPush(Entry{when, ev->seq_, ev});
-    ++live_;
-}
-
-void
-EventQueue::scheduleKeyed(Event *ev, Tick when, std::uint64_t key)
-{
-    assert(ev != nullptr);
-    assert(!ev->scheduled_ && "event already scheduled");
-    assert(when >= now_ && "scheduling into the past");
-    if (when < now_) {
-        ++pastClamps_;
-        when = now_;
-    }
-
-    ev->when_ = when;
     ev->seq_ = key;
     ev->scheduled_ = true;
     heapPush(Entry{when, key, ev});
-    ++live_;
 }
 
 void
@@ -101,40 +86,21 @@ EventQueue::deschedule(Event *ev)
     assert(ev != nullptr);
     if (!ev->scheduled_)
         return;
-    // Lazy removal in O(1): the event knows its heap slot, so
-    // tombstone it in place and let pops (or compaction) reclaim it.
+    // Eager removal in O(log n): the event knows its heap slot, so
+    // the last entry moves into it and sifts whichever way it must.
     const std::size_t idx = ev->heapIndex_;
     assert(idx < heap_.size() && heap_[idx].ev == ev &&
            heap_[idx].seq == ev->seq_ && "heap index out of sync");
-    heap_[idx].ev = nullptr;
     ev->scheduled_ = false;
-    --live_;
-    ++dead_;
     ++descheduled_;
-    maybeCompact();
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Rebuilding costs O(n); triggering only when tombstones exceed
-    // live entries keeps the amortized cost per deschedule constant
-    // and the heap within 2x of its live size.
-    constexpr std::size_t kMinSlots = 64;
-    if (dead_ <= live_ || heap_.size() < kMinSlots)
-        return;
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [](const Entry &e) {
-                                   return e.ev == nullptr;
-                               }),
-                heap_.end());
-    // Pop order is fully determined by the (when, seq) total order,
-    // so rebuilding the heap cannot change execution order.
-    std::make_heap(heap_.begin(), heap_.end(),
-                   [](const Entry &a, const Entry &b) { return a > b; });
-    for (std::size_t i = 0; i < heap_.size(); ++i)
-        setIndex(i);
-    dead_ = 0;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (idx == heap_.size())
+        return;   // it was the last entry
+    if (idx > 0 && last < heap_[(idx - 1) / kArity])
+        siftUp(idx, last);
+    else
+        siftDown(idx, last);
 }
 
 void
@@ -156,106 +122,88 @@ EventQueue::scheduleFn(UniqueFn fn, Tick when)
 bool
 EventQueue::step()
 {
-    while (!heap_.empty()) {
-        Entry top = heapPop();
-        if (top.ev == nullptr) {
-            --dead_;
-            continue;   // tombstone
-        }
-        assert(top.when >= now_);
-        now_ = top.when;
-        Event *ev = top.ev;
-        ev->scheduled_ = false;
-        --live_;
-        ++executed_;
-        ev->execute();
-        return true;
-    }
-    return false;
+    if (heap_.empty())
+        return false;
+    const Entry top = heapPop();
+    assert(top.when >= now_);
+    now_ = top.when;
+    curKey_ = top.seq;
+    top.ev->scheduled_ = false;
+    ++executed_;
+    top.ev->execute();
+    return true;
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     const std::uint64_t before = executed_;
-    while (!heap_.empty()) {
-        // Peek past tombstones.
-        while (!heap_.empty() && heap_.front().ev == nullptr) {
-            heapPop();
-            --dead_;
-        }
-        if (heap_.empty())
-            break;
-        if (heap_.front().when > until) {
-            if (until != kTickNever)
-                now_ = until;
-            return executed_ - before;
-        }
+    while (!heap_.empty() && heap_.front().when <= until)
         step();
-    }
-    if (until != kTickNever && until > now_)
+    if (until != kTickNever && until >= now_) {
+        // Every event at or before the bound has run, so the whole
+        // of tick `until` counts as passed.
         now_ = until;
+        curKey_ = ~std::uint64_t{0};
+    }
     return executed_ - before;
 }
 
 void
 EventQueue::heapPush(Entry e)
 {
-    // Amortized heap growth; compaction keeps slots within 2x of
-    // live, so capacity settles.
-    heap_.push_back(e);
-    siftUp(heap_.size() - 1);
+    // Amortized growth; capacity settles at the peak pending count.
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, e);
 }
 
 EventQueue::Entry
 EventQueue::heapPop()
 {
-    Entry top = heap_.front();
-    Entry last = heap_.back();
+    const Entry top = heap_.front();
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_[0] = last;
-        setIndex(0);
-        siftDown(0);
-    }
+    if (!heap_.empty())
+        siftDown(0, last);
     return top;
 }
 
 void
-EventQueue::siftUp(std::size_t i)
+EventQueue::siftUp(std::size_t i, Entry e)
 {
-    Entry e = heap_[i];
+    // Move parents down into the hole until e's slot is found.
     while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!(heap_[parent] > e))
+        const std::size_t parent = (i - 1) / kArity;
+        if (!(e < heap_[parent]))
             break;
-        heap_[i] = heap_[parent];
-        setIndex(i);
+        place(i, heap_[parent]);
         i = parent;
     }
-    heap_[i] = e;
-    setIndex(i);
+    place(i, e);
 }
 
 void
-EventQueue::siftDown(std::size_t i)
+EventQueue::siftDown(std::size_t i, Entry e)
 {
+    // Move the earliest child up into the hole until e's slot is
+    // found.
     const std::size_t n = heap_.size();
-    Entry e = heap_[i];
     for (;;) {
-        std::size_t c = 2 * i + 1;
-        if (c >= n)
+        const std::size_t first = kArity * i + 1;
+        if (first >= n)
             break;
-        if (c + 1 < n && heap_[c] > heap_[c + 1])
-            ++c;   // right child is earlier
-        if (!(e > heap_[c]))
+        const std::size_t end = std::min(first + kArity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (heap_[c] < heap_[best])
+                best = c;
+        }
+        if (!(heap_[best] < e))
             break;
-        heap_[i] = heap_[c];
-        setIndex(i);
-        i = c;
+        place(i, heap_[best]);
+        i = best;
     }
-    heap_[i] = e;
-    setIndex(i);
+    place(i, e);
 }
 
 } // namespace halsim

@@ -172,14 +172,15 @@ class UniqueFn
 };
 
 /**
- * Binary-heap event queue with deterministic same-tick ordering.
+ * 4-ary-heap event queue with deterministic same-tick ordering.
  *
  * Events scheduled at the same tick execute in schedule order (FIFO),
  * which keeps runs bit-reproducible regardless of heap internals.
- * Descheduling is lazy: a descheduled event stays in the heap but is
- * skipped on pop, which keeps deschedule O(1) at the cost of a little
- * heap slack — the right trade for rate-limiter retimers that
- * reschedule often.
+ * Removal is eager: each event knows its heap slot, so deschedule()
+ * moves the last entry into the freed slot and sifts it, and the heap
+ * holds exactly the live events. A 4-ary heap is half as deep as a
+ * binary one and a node's children share a cache line or two, which
+ * is what the pop-dominated simulator loop pays for.
  *
  * Ordering is the total order (when, key) where a key is reserved at
  * schedule time. Keys can also be reserved up front (reserveKey) and
@@ -217,6 +218,19 @@ class EventQueue
     /** Schedule @p ev at @p when under a previously reserved @p key. */
     void scheduleKeyed(Event *ev, Tick when, std::uint64_t key);
 
+    /**
+     * True when execution has reached position (@p when, @p key) of
+     * the total order: an event scheduled there under a key reserved
+     * before this call would already have run (or be running now).
+     * Lets a component that keeps timed work off the heap tell which
+     * of its items a per-item event would already have consumed.
+     */
+    bool
+    passed(Tick when, std::uint64_t key) const
+    {
+        return when < now_ || (when == now_ && key <= curKey_);
+    }
+
     /** Schedule @p ev @p delta ticks from now. */
     void
     scheduleIn(Event *ev, Tick delta)
@@ -250,11 +264,11 @@ class EventQueue
         scheduleFn(std::move(fn), now_ + delta);
     }
 
-    /** True when no executable events remain. */
-    bool empty() const { return live_ == 0; }
+    /** True when no events remain. */
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of live (scheduled) events. */
-    std::size_t size() const { return live_; }
+    /** Number of scheduled events. */
+    std::size_t size() const { return heap_.size(); }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -295,7 +309,7 @@ class EventQueue
     /** Idle one-shot wrappers currently held for reuse. */
     std::size_t poolSize() const { return pool_.size(); }
 
-    /** Heap slots including tombstones (for compaction tests). */
+    /** Heap slots in use; removal is eager, so always size(). */
     std::size_t heapSlots() const { return heap_.size(); }
 
   private:
@@ -305,12 +319,16 @@ class EventQueue
         std::uint64_t seq;
         Event *ev;
 
+        /** Strictly earlier in the (when, seq) total order. */
         bool
-        operator>(const Entry &o) const
+        operator<(const Entry &o) const
         {
-            return when != o.when ? when > o.when : seq > o.seq;
+            return when != o.when ? when < o.when : seq < o.seq;
         }
     };
+
+    /** Heap arity: children of slot i are kArity*i+1 .. kArity*i+kArity. */
+    static constexpr std::size_t kArity = 4;
 
     /** One-shot wrapper for scheduleFn(), recycled via pool_. */
     class OneShot;
@@ -318,30 +336,21 @@ class EventQueue
 
     void heapPush(Entry e);
     Entry heapPop();
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    void siftUp(std::size_t i, Entry e);
+    void siftDown(std::size_t i, Entry e);
 
-    /** Record entry @p i's position in its event (tombstones skip). */
+    /** Store @p e at slot @p i and record the slot in its event. */
     void
-    setIndex(std::size_t i)
+    place(std::size_t i, const Entry &e)
     {
-        if (heap_[i].ev != nullptr)
-            heap_[i].ev->heapIndex_ = i;
+        heap_[i] = e;
+        e.ev->heapIndex_ = i;
     }
-
-    /**
-     * Rebuild the heap without tombstones once dead entries outnumber
-     * live ones; amortized O(1) per deschedule, and it bounds heap
-     * growth under retimer churn that would otherwise accumulate
-     * tombstones without limit.
-     */
-    void maybeCompact();
 
     std::vector<Entry> heap_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
-    std::size_t live_ = 0;
-    std::size_t dead_ = 0;   //!< tombstones still in heap_
+    std::uint64_t curKey_ = 0;   //!< running event's key, or ~0
     std::uint64_t executed_ = 0;
     std::uint64_t descheduled_ = 0;
     std::uint64_t pastClamps_ = 0;

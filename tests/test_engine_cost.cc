@@ -106,9 +106,9 @@ struct EngineCost
 /** Committed counts; lower one only when the engine's work drops. */
 const std::map<std::string, EngineCost> kCommitted = {
     //                   frames  executed  descheduled  allocations
-    {"hal_nat_60g",     {20000,  154652,   7585,        20072}},
-    {"hal_rem_40g",     {6667,   47894,    19,          10610}},
-    {"hal_kvs_diurnal", {6904,   55973,    448,         9156}},
+    {"hal_nat_60g",     {20000,  114652,   7585,        20068}},
+    {"hal_rem_40g",     {6667,   36296,    19,          10608}},
+    {"hal_kvs_diurnal", {6904,   42165,    448,         9153}},
     {"fleet_crash",     {16339,  93388,    0,           35750}},
 };
 

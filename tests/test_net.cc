@@ -1,9 +1,9 @@
 /**
  * @file
  * Network substrate: checksums (full vs incremental), frame codecs,
- * the address-rewrite datapaths HAL relies on, link timing, timed
- * channel ordering, and the traffic generators' statistical
- * properties (Fig. 8 anchors).
+ * the address-rewrite datapaths HAL relies on, link timing (and the
+ * fixed hops folded into links), timed channel ordering, and the
+ * traffic generators' statistical properties (Fig. 8 anchors).
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "net/packet_pool.hh"
 #include "net/timed_channel.hh"
 #include "net/traffic.hh"
+#include "nic/eswitch.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -242,6 +243,172 @@ TEST(Link, TailDropsWhenSaturated)
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 4u);
     EXPECT_EQ(link.drops(), 6u);
+}
+
+// ---- Fixed hops folded into a link ------------------------------------
+
+namespace {
+
+/** One offered frame of a seeded load. */
+struct Offer
+{
+    Tick at;
+    std::size_t bytes;
+    bool upstream;   //!< arrives through an upstream channel hop
+};
+
+/** Delivery log and losses of one link topology under a load. */
+struct FoldRun
+{
+    std::vector<std::pair<Tick, std::uint64_t>> log;   //!< (tick, id)
+    std::uint64_t drops = 0;
+};
+
+/** Records (tick, packet id) per delivery. */
+struct TickLog : PacketSink
+{
+    explicit TickLog(EventQueue &eq) : eq(eq) {}
+
+    void
+    accept(PacketPtr pkt) override
+    {
+        log.emplace_back(eq.now(), pkt->id);
+    }
+
+    EventQueue &eq;
+    std::vector<std::pair<Tick, std::uint64_t>> log;
+};
+
+enum class Topology
+{
+    LinkThenDelay,     //!< Link(p) -> FixedDelay(d)
+    FoldedIngress,     //!< Link(p) with hop_after = d
+    DelayThenLink,     //!< FixedDelay(d) -> Link(p)
+    FoldedEgress,      //!< Link(p) with hop_before = d
+};
+
+// A 100 ns grid (8 Gbps: one byte per ns) puts many wire ends on the
+// very tick of a later send, so the same-tick rule of the Tx-FIFO
+// bound is exercised, not just its strict cases.
+constexpr Tick kGrid = 100 * kNs;
+constexpr Tick kProp = 5 * kGrid;
+constexpr Tick kHop = 4 * kGrid;
+// Longer than any frame's serialization plus propagation, so a send
+// from the upstream hop can run under a key reserved before the
+// frame whose wire ends on its tick was even sent.
+constexpr Tick kUpstream = 9 * kGrid;
+constexpr std::uint32_t kMaxQueue = 6;
+
+/**
+ * Random sizes and gaps, mostly on the grid, same-tick sends, and
+ * bursts that overfill max_queue. Half the frames come through an upstream
+ * channel, so some sends run in events keyed long before their tick.
+ */
+std::vector<Offer>
+seededOffers(std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Offer> offers;
+    Tick t = 0;
+    for (int i = 0; i < 3000; ++i) {
+        if (rng.uniformInt(4) != 0)
+            t += rng.uniformInt(16) * kGrid;   // zero gap: same tick
+        const int burst = rng.uniformInt(20) == 0 ? 2 * kMaxQueue : 1;
+        for (int b = 0; b < burst; ++b) {
+            // Mostly on the grid; one frame in eight is any size.
+            const std::size_t bytes = rng.uniformInt(8) == 0
+                                          ? 64 + rng.uniformInt(400)
+                                          : (1 + rng.uniformInt(4)) * 100;
+            offers.push_back(Offer{t, bytes, rng.uniformInt(2) == 0});
+        }
+    }
+    return offers;
+}
+
+FoldRun
+runTopology(Topology topo, const std::vector<Offer> &offers)
+{
+    EventQueue eq;
+    TickLog sink(eq);
+    Link::Config cfg{.rate_gbps = 8.0, .propagation = kProp,
+                     .max_queue = kMaxQueue};
+    std::unique_ptr<nic::FixedDelay> after, before;
+    std::unique_ptr<Link> link;
+    PacketSink *entry = nullptr;
+    switch (topo) {
+      case Topology::LinkThenDelay:
+        after = std::make_unique<nic::FixedDelay>(eq, kHop, sink);
+        link = std::make_unique<Link>(eq, cfg, *after);
+        entry = link.get();
+        break;
+      case Topology::FoldedIngress:
+        cfg.hop_after = kHop;
+        link = std::make_unique<Link>(eq, cfg, sink);
+        entry = link.get();
+        break;
+      case Topology::DelayThenLink:
+        link = std::make_unique<Link>(eq, cfg, sink);
+        before = std::make_unique<nic::FixedDelay>(eq, kHop, *link);
+        entry = before.get();
+        break;
+      case Topology::FoldedEgress:
+        cfg.hop_before = kHop;
+        link = std::make_unique<Link>(eq, cfg, sink);
+        entry = link.get();
+        break;
+    }
+    nic::FixedDelay upstream(eq, kUpstream, *entry);
+
+    // Direct frames are sent by an event that schedules itself from
+    // one offer tick to the next, a few frames per event; upstream
+    // frames enter the upstream hop kUpstream before their tick.
+    std::size_t next = 0;
+    CallbackEvent sender;
+    sender.setCallback([&] {
+        const Tick now = eq.now();
+        for (; next < offers.size() && offers[next].at == now; ++next) {
+            PacketPtr pkt = testFrame(offers[next].bytes);
+            pkt->id = next;
+            if (offers[next].upstream)
+                upstream.accept(std::move(pkt));
+            else
+                entry->accept(std::move(pkt));
+        }
+        if (next < offers.size())
+            eq.schedule(&sender, offers[next].at);
+    });
+    eq.schedule(&sender, 0);
+    eq.run();
+    return FoldRun{std::move(sink.log), link->drops()};
+}
+
+} // namespace
+
+TEST(Link, FoldedHopsMatchSeparateDelayElements)
+{
+    // A fixed hop behind the wire is more propagation; one in front
+    // of the link commutes with its FIFO. Either way every frame must
+    // arrive on the same tick and the Tx-FIFO bound must drop exactly
+    // the same frames as the two-element chain it replaces.
+    for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const std::vector<Offer> offers = seededOffers(seed);
+        const FoldRun ingress = runTopology(Topology::LinkThenDelay, offers);
+        const FoldRun egress = runTopology(Topology::DelayThenLink, offers);
+        // Bursts overfill the FIFO, yet most frames get through.
+        EXPECT_GT(ingress.drops, 0u);
+        EXPECT_GT(egress.drops, 0u);
+        EXPECT_GT(ingress.log.size(), offers.size() / 2);
+        EXPECT_GT(egress.log.size(), offers.size() / 2);
+
+        const FoldRun foldedIn = runTopology(Topology::FoldedIngress, offers);
+        EXPECT_EQ(foldedIn.log, ingress.log);
+        EXPECT_EQ(foldedIn.drops, ingress.drops);
+
+        const FoldRun foldedOut = runTopology(Topology::FoldedEgress, offers);
+        EXPECT_EQ(foldedOut.log, egress.log);
+        EXPECT_EQ(foldedOut.drops, egress.drops);
+    }
 }
 
 // ---- TimedChannel ---------------------------------------------------

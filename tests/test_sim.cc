@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -174,12 +177,11 @@ TEST(EventQueue, OneShotWrappersAreRecycled)
     EXPECT_GE(eq.poolSize(), 1u);
 }
 
-TEST(EventQueue, HeapCompactionBoundsTombstones)
+TEST(EventQueue, HeapHoldsOnlyLiveEventsUnderChurn)
 {
     // A rate-limiter retimer pattern: events that constantly
-    // reschedule leave one tombstone per move. Without compaction
-    // heap_ grows without bound; with it, slots stay within a small
-    // multiple of the live count.
+    // reschedule. Removal is eager, so the heap never holds more
+    // slots than live events, however many moves there were.
     EventQueue eq;
     constexpr int kEvents = 32;
     std::vector<std::unique_ptr<CallbackEvent>> evs;
@@ -188,11 +190,15 @@ TEST(EventQueue, HeapCompactionBoundsTombstones)
         evs.push_back(std::make_unique<CallbackEvent>());
 
     std::uint64_t moves = 0;
+    std::size_t maxSlots = 0;
     CallbackEvent churn;
     churn.setCallback([&] {
-        for (auto &ev : evs)
+        for (auto &ev : evs) {
             eq.reschedule(ev.get(),
                           eq.now() + 1000 + (rng.next() & 255));
+            EXPECT_EQ(eq.heapSlots(), eq.size());
+        }
+        maxSlots = std::max(maxSlots, eq.heapSlots());
         if (++moves < 2000)
             eq.scheduleIn(&churn, 10);
         else
@@ -204,9 +210,13 @@ TEST(EventQueue, HeapCompactionBoundsTombstones)
     eq.scheduleIn(&churn, 1);
     eq.run();
 
-    // 2000 churn rounds x 32 reschedules = 64k tombstones created;
-    // the heap must stay within a constant factor of the live set.
+    // 2000 churn rounds x 32 reschedules = 64k removals; the heap
+    // held at most the 32 events plus the churn timer itself.
+    EXPECT_EQ(moves, 2000u);
+    EXPECT_LE(maxSlots, static_cast<std::size_t>(kEvents) + 1);
     EXPECT_LE(eq.heapSlots(), 4u * kEvents + 64u);
+    EXPECT_EQ(eq.heapSlots(), 0u);
+    EXPECT_EQ(eq.descheduled(), 2000u * kEvents + kEvents);
 }
 
 TEST(EventQueue, DescheduledCountsLiveRemovalsOnly)
@@ -249,8 +259,7 @@ TEST(EventQueue, DescheduledCountsLiveRemovalsOnly)
     EXPECT_EQ(eq.executed(), 1u);
     expectCounts(2);
 
-    // Churn past the compaction threshold: at least 64 slots, and
-    // tombstones outnumbering live entries.
+    // Removal is eager: each deschedule frees its heap slot at once.
     std::vector<std::unique_ptr<CallbackEvent>> evs;
     for (int i = 0; i < 80; ++i) {
         evs.push_back(std::make_unique<CallbackEvent>([] {}));
@@ -262,8 +271,9 @@ TEST(EventQueue, DescheduledCountsLiveRemovalsOnly)
     for (int i = 0; i < 60; ++i) {
         eq.deschedule(evs[i].get());
         expectCounts(3 + i);
+        EXPECT_EQ(eq.heapSlots(), slots - (i + 1));
+        EXPECT_EQ(eq.heapSlots(), eq.size());
     }
-    EXPECT_LT(eq.heapSlots(), slots);   // compaction ran
 
     eq.run();
     EXPECT_TRUE(eq.empty());
@@ -307,16 +317,21 @@ TEST(EventQueue, RecurringEventReschedulesItself)
     EXPECT_EQ(eq.now(), 4000u);
 }
 
-TEST(EventQueue, StepSkipsTombstonedRoot)
+TEST(EventQueue, StepAfterDescheduledRootRunsNext)
 {
+    // Descheduling the root removes it at once: the next step runs
+    // the following event and nothing is left behind.
     EventQueue eq;
     CallbackEvent a([] {});
     eq.schedule(&a, 10);
     eq.scheduleFn([] {}, 20);
     eq.deschedule(&a);
+    EXPECT_EQ(eq.heapSlots(), 1u);
+    EXPECT_EQ(eq.size(), 1u);
     EXPECT_TRUE(eq.step());
     EXPECT_EQ(eq.now(), 20u);
     EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_EQ(eq.heapSlots(), 0u);
     EXPECT_FALSE(eq.step());
 }
 
@@ -334,6 +349,33 @@ TEST(EventQueue, ReservedKeyKeepsReservationOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(EventQueue, PassedTracksExecutionPosition)
+{
+    // passed(when, key) says whether an event at that position of the
+    // (tick, key) order would already have run: what a link asks of
+    // the frames it keeps off the heap.
+    EventQueue eq;
+    const std::uint64_t before = eq.reserveKey();
+    CallbackEvent probe;
+    eq.schedule(&probe, 50);   // takes the next key
+    const std::uint64_t own = before + 1;
+    const std::uint64_t after = eq.reserveKey();
+    EXPECT_FALSE(eq.passed(50, before));
+    probe.setCallback([&] {
+        EXPECT_TRUE(eq.passed(49, after));
+        EXPECT_TRUE(eq.passed(50, before));
+        EXPECT_TRUE(eq.passed(50, own));     // running now
+        EXPECT_FALSE(eq.passed(50, after));  // later on this tick
+        EXPECT_FALSE(eq.passed(51, 0));
+    });
+    eq.scheduleFn([] {}, 200);
+    EXPECT_EQ(eq.runUntil(100), 1u);
+    // Every event up to the bound has run, so all of tick 100 has
+    // passed for keys reserved so far; tick 101 has not.
+    EXPECT_TRUE(eq.passed(100, after));
+    EXPECT_FALSE(eq.passed(101, 0));
+}
+
 TEST(EventQueue, RunUntilClampsTimeOnDrain)
 {
     // Time reaches the bound even when the queue runs dry before it,
@@ -344,6 +386,267 @@ TEST(EventQueue, RunUntilClampsTimeOnDrain)
     EXPECT_EQ(eq.now(), Tick{100});
     EXPECT_EQ(eq.runUntil(250), 0u);
     EXPECT_EQ(eq.now(), Tick{250});
+}
+
+namespace {
+
+/**
+ * Drives an EventQueue and a reference std::set of (when, key) with
+ * the same seeded operations. Every execution must be the reference
+ * minimum, and the heap must hold exactly the live events throughout.
+ */
+class QueueDifferential
+{
+  public:
+    static constexpr int kEvents = 256;
+
+    explicit QueueDifferential(std::uint64_t seed) : rng_(seed)
+    {
+        for (int i = 0; i < kEvents; ++i) {
+            evs_.push_back(std::make_unique<CallbackEvent>());
+            evs_.back()->setCallback([this, i] { fired(i); });
+        }
+        pos_.assign(kEvents, ref_.end());
+        reserved_.assign(kEvents, 0);
+    }
+
+    void
+    run(int ops)
+    {
+        for (int i = 0; i < ops; ++i) {
+            topLevelOp();
+            checkSizes();
+        }
+        eq_.run();
+        EXPECT_TRUE(ref_.empty());
+        checkSizes();
+    }
+
+    std::uint64_t fired() const { return fired_; }
+    std::uint64_t nested() const { return nested_; }
+    std::size_t maxSize() const { return maxSize_; }
+    std::uint64_t removals(int kind) const { return removals_[kind]; }
+
+  private:
+    struct Ref
+    {
+        Tick when;
+        std::uint64_t key;
+        int id;   //!< event index, or kEvents + n for the nth one-shot
+
+        bool
+        operator<(const Ref &o) const
+        {
+            return when != o.when ? when < o.when : key < o.key;
+        }
+    };
+    using RefSet = std::set<Ref>;
+
+    /**
+     * Mostly within 30 ticks on a coarse grid (same-tick ties), now
+     * and then far ahead, so removals leave holes that the moved last
+     * entry must fill by sifting either way.
+     */
+    Tick
+    soon()
+    {
+        if (rng_.uniformInt(4) == 0)
+            return eq_.now() + 10 * rng_.uniformInt(100);
+        return eq_.now() + 10 * rng_.uniformInt(4);
+    }
+
+    void
+    checkSizes()
+    {
+        ASSERT_EQ(eq_.heapSlots(), eq_.size());
+        ASSERT_EQ(eq_.size(), ref_.size());
+        maxSize_ = std::max(maxSize_, ref_.size());
+    }
+
+    void
+    fired(int id)
+    {
+        ASSERT_FALSE(ref_.empty());
+        const Ref top = *ref_.begin();
+        ASSERT_EQ(top.id, id) << "executed out of (when, key) order";
+        ASSERT_EQ(top.when, eq_.now());
+        EXPECT_TRUE(eq_.passed(top.when, top.key));
+        ref_.erase(ref_.begin());
+        if (!ref_.empty()) {
+            const Ref &next = *ref_.begin();
+            EXPECT_FALSE(eq_.passed(next.when, next.key));
+        }
+        if (id < kEvents)
+            pos_[id] = ref_.end();
+        ++fired_;
+        // Events scheduled (or removed) from inside execute().
+        if (rng_.uniformInt(3) == 0) {
+            ++nested_;
+            mutateOp();
+        }
+        checkSizes();
+    }
+
+    /** An idle callback event with no key reserved, or -1. */
+    int
+    idleEvent()
+    {
+        const int start = static_cast<int>(rng_.uniformInt(kEvents));
+        for (int k = 0; k < kEvents; ++k) {
+            const int i = (start + k) % kEvents;
+            if (pos_[i] == ref_.end() && reserved_[i] == 0)
+                return i;
+        }
+        return -1;
+    }
+
+    void
+    add(int id, Tick when, std::uint64_t key)
+    {
+        const auto it = ref_.insert(Ref{when, key, id}).first;
+        if (id < kEvents)
+            pos_[id] = it;
+    }
+
+    void
+    removeRef(int i)
+    {
+        ref_.erase(pos_[i]);
+        pos_[i] = ref_.end();
+    }
+
+    /** Deschedule the pending callback event nearest @p it. */
+    void
+    descheduleAt(RefSet::iterator it, int kind)
+    {
+        // One-shots cannot be descheduled; walk to a callback event.
+        for (; it != ref_.end(); ++it) {
+            if (it->id < kEvents) {
+                const int i = it->id;
+                removeRef(i);
+                eq_.deschedule(evs_[i].get());
+                ++removals_[kind];
+                return;
+            }
+        }
+    }
+
+    void
+    mutateOp()
+    {
+        // Adds outweigh removals, so the heap grows several levels
+        // deep before steps drain it.
+        switch (rng_.uniformInt(12)) {
+          case 0:
+          case 8:
+          case 9:
+          case 10:
+          case 11: {   // schedule
+            const int i = idleEvent();
+            if (i < 0)
+                break;
+            const Tick when = soon();
+            eq_.schedule(evs_[i].get(), when);
+            add(i, when, ++seq_);
+            break;
+          }
+          case 1: {   // reserve a key now, attach it later
+            const int i = idleEvent();
+            if (i < 0)
+                break;
+            reserved_[i] = eq_.reserveKey();
+            ASSERT_EQ(reserved_[i], ++seq_);
+            break;
+          }
+          case 2: {   // attach a reservation
+            for (int i = 0; i < kEvents; ++i) {
+                if (reserved_[i] == 0)
+                    continue;
+                const Tick when = soon();
+                eq_.scheduleKeyed(evs_[i].get(), when, reserved_[i]);
+                add(i, when, reserved_[i]);
+                reserved_[i] = 0;
+                break;
+            }
+            break;
+          }
+          case 3: {   // reschedule, pending or idle
+            const int i = static_cast<int>(rng_.uniformInt(kEvents));
+            if (reserved_[i] != 0)
+                break;
+            if (pos_[i] != ref_.end())
+                removeRef(i);
+            const Tick when = soon();
+            eq_.reschedule(evs_[i].get(), when);
+            add(i, when, ++seq_);
+            break;
+          }
+          case 4: {   // one-shot
+            const int id = kEvents + static_cast<int>(oneShots_++);
+            const Tick when = soon();
+            eq_.scheduleFn([this, id] { fired(id); }, when);
+            add(id, when, ++seq_);
+            break;
+          }
+          case 5:   // the root
+            descheduleAt(ref_.begin(), 0);
+            break;
+          case 6:   // a leaf: the latest entry of a heap is a leaf
+            if (!ref_.empty())
+                descheduleAt(std::prev(ref_.end()), 1);
+            break;
+          case 7: {   // a middle entry
+            auto it = ref_.begin();
+            std::advance(it, ref_.size() / 2);
+            descheduleAt(it, 2);
+            break;
+          }
+        }
+    }
+
+    void
+    topLevelOp()
+    {
+        const std::uint64_t r = rng_.uniformInt(10);
+        if (r < 7)
+            mutateOp();
+        else if (r < 9)
+            eq_.step();
+        else
+            eq_.runUntil(eq_.now() + 10 * rng_.uniformInt(3));
+    }
+
+    Rng rng_;
+    std::vector<std::unique_ptr<CallbackEvent>> evs_;
+    // Declared after the events: its destructor orphans whatever is
+    // still scheduled (after a failed assertion) before they go.
+    EventQueue eq_;
+    RefSet ref_;
+    std::vector<RefSet::iterator> pos_;     //!< ref entry per event
+    std::vector<std::uint64_t> reserved_;   //!< reserved key, or 0
+    std::uint64_t seq_ = 0;                 //!< mirrors the queue's keys
+    std::uint64_t oneShots_ = 0;
+    std::uint64_t fired_ = 0;
+    std::uint64_t nested_ = 0;
+    std::uint64_t removals_[3] = {};
+    std::size_t maxSize_ = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesOrderedSetReference)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        QueueDifferential diff(seed);
+        diff.run(20000);
+        // The mix really exercised what it claims to.
+        EXPECT_GT(diff.fired(), 3000u);
+        EXPECT_GT(diff.nested(), 1000u);
+        EXPECT_GT(diff.maxSize(), 21u);   // four heap levels or more
+        for (int kind = 0; kind < 3; ++kind)
+            EXPECT_GT(diff.removals(kind), 100u) << "removal kind " << kind;
+    }
 }
 
 TEST(Accumulator, Moments)
