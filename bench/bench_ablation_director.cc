@@ -39,19 +39,12 @@ splitPoint(const char *name, SplitMode mode, bool trace)
     ServerConfig cfg = ServerConfig::halDefault();
     cfg.split_mode = mode;
 
-    SweepPoint p;
-    p.cfg = std::move(cfg);
-    p.warmup = 20 * kMs;
-    p.label = std::string(trace ? "hadoop:" : "const70:") + name;
-    if (trace) {
-        p.trace = net::TraceKind::Hadoop;
-        p.measure = 300 * kMs;
-        p.resample = 2 * kMs;
-    } else {
-        p.rate_gbps = 70.0;
-        p.measure = 100 * kMs;
-    }
-    return p;
+    if (trace)
+        return {.cfg = cfg, .trace = net::TraceKind::Hadoop,
+                .measure = 300 * kMs, .resample = 2 * kMs,
+                .label = std::string("hadoop:") + name};
+    return point(cfg, 70.0, 20 * kMs, 100 * kMs,
+                 std::string("const70:") + name);
 }
 
 } // namespace

@@ -19,6 +19,7 @@ using namespace halsim::core;
 
 namespace {
 
+/** On ServerSystem directly, not runSweep: reads the final DVFS scale. */
 RunResult
 runDvfs(Mode mode, double rate, bool dvfs, double *scale_out)
 {
@@ -38,8 +39,9 @@ runDvfs(Mode mode, double rate, bool dvfs, double *scale_out)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    ArgRegistrar(argv[0], "§VIII: SNIC DVFS ablation.").parse(argc, argv);
     banner("§VIII: SNIC DVFS ablation (NAT)");
     std::printf("%5s %5s | %8s %9s %8s %8s | %9s\n", "Gbps", "dvfs",
                 "tp", "p99us", "sysW", "ee", "fscaleEnd");

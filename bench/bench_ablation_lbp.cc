@@ -57,19 +57,12 @@ variantPoint(const Variant &v, bool trace)
     cfg.lbp.wm_high = v.wm_high;
     cfg.lbp.adaptive_step = v.adaptive;
 
-    SweepPoint p;
-    p.cfg = std::move(cfg);
-    p.warmup = 20 * kMs;
-    p.label = std::string(trace ? "cache:" : "const60:") + v.name;
-    if (trace) {
-        p.trace = net::TraceKind::Cache;
-        p.measure = 300 * kMs;
-        p.resample = 2 * kMs;
-    } else {
-        p.rate_gbps = 60.0;
-        p.measure = 100 * kMs;
-    }
-    return p;
+    if (trace)
+        return {.cfg = cfg, .trace = net::TraceKind::Cache,
+                .measure = 300 * kMs, .resample = 2 * kMs,
+                .label = std::string("cache:") + v.name};
+    return point(cfg, 60.0, 20 * kMs, 100 * kMs,
+                 std::string("const60:") + v.name);
 }
 
 } // namespace

@@ -1,21 +1,19 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction binaries: run a
- * ServerSystem operating point (or a parallel sweep of them) and
- * print paper-style rows.
+ * Shared helpers for the figure/table reproduction binaries: build
+ * sweep points, run the shared saturation phase, print banners.
  *
- * Sweep-style benches accept `--threads N|all` and `--json PATH` via
- * core::parseSweepArgs(); points run concurrently but results are
- * always reported in input order and are identical to a serial run.
+ * Benches run ServerSystems through core::runSweep() and parse argv
+ * with core::parseSweepArgs(); results come in input order and are
+ * identical to a serial run.
  */
 
 #ifndef HALSIM_BENCH_COMMON_HH
 #define HALSIM_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/server.hh"
@@ -26,37 +24,6 @@ namespace halsim::bench {
 /** Default measurement windows (simulated time). */
 inline constexpr Tick kWarmup = 20 * kMs;
 inline constexpr Tick kMeasure = 100 * kMs;
-
-/** One constant-rate operating point. */
-inline core::RunResult
-runPoint(core::ServerConfig cfg, double rate_gbps, Tick warmup = kWarmup,
-         Tick measure = kMeasure)
-{
-    EventQueue eq;
-    core::ServerSystem sys(eq, cfg);
-    return sys.run(std::make_unique<net::ConstantRate>(rate_gbps), warmup,
-                   measure);
-}
-
-/** One datacenter-trace operating point (§VI traces, compressed). */
-inline core::RunResult
-runTrace(core::ServerConfig cfg, net::TraceKind trace,
-         Tick measure = 600 * kMs, Tick resample = 1 * kMs)
-{
-    EventQueue eq;
-    core::ServerSystem sys(eq, cfg);
-    return sys.run(net::makeTrace(trace), kWarmup, measure, resample);
-}
-
-/**
- * Find the maximum sustainable throughput of a configuration by
- * offering well above any profile and reading the delivered rate.
- */
-inline core::RunResult
-runSaturated(core::ServerConfig cfg, double line_rate = 100.0)
-{
-    return runPoint(std::move(cfg), line_rate);
-}
 
 /** Build a constant-rate sweep point with bench-default windows. */
 inline core::SweepPoint
@@ -72,38 +39,61 @@ point(core::ServerConfig cfg, double rate_gbps, Tick warmup = kWarmup,
     return p;
 }
 
+/**
+ * Options for an intermediate phase of a multi-phase bench: only
+ * @p opts' worker count, no artifacts (those belong to the bench's
+ * measured phase), and the bench name `<name>_<phase>`.
+ */
+inline core::SweepOptions
+phaseOptions(const core::SweepOptions &opts, const std::string &phase)
+{
+    core::SweepOptions phase_opts;
+    phase_opts.threads = opts.threads;
+    phase_opts.bench_name = opts.bench_name + "_" + phase;
+    return phase_opts;
+}
+
+/** Configs to sweep, each with the label its points carry. */
+using LabelledConfigs =
+    std::vector<std::pair<std::string, core::ServerConfig>>;
+
+/**
+ * The saturation phase: offer 100 Gbps, above any profile, to each
+ * config and read the delivered rate as its maximum sustainable
+ * throughput. One artifact-free sweep (phaseOptions(opts,
+ * "saturate")), 10 ms warm-up, @p measure window, labels `sat:<label>`.
+ */
+inline std::vector<core::RunResult>
+saturate(const LabelledConfigs &cfgs, const core::SweepOptions &opts,
+         Tick measure = 60 * kMs)
+{
+    std::vector<core::SweepPoint> points;
+    for (const auto &[label, cfg] : cfgs)
+        points.push_back(
+            point(cfg, 100.0, 10 * kMs, measure, "sat:" + label));
+    return core::runSweep(points, phaseOptions(opts, "saturate"));
+}
+
+/**
+ * The paper's "packet rate achieving the maximum throughput": each
+ * config at 95% of the rate it delivered saturated (@p sat, from
+ * saturate()), with 10/60 ms windows and its own label.
+ */
+inline std::vector<core::SweepPoint>
+atMaxTp(const LabelledConfigs &cfgs, const std::vector<core::RunResult> &sat)
+{
+    std::vector<core::SweepPoint> points;
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        points.push_back(point(cfgs[i].second, sat[i].delivered_gbps * 0.95,
+                               10 * kMs, 60 * kMs, cfgs[i].first));
+    return points;
+}
+
 /** Section banner. */
 inline void
 banner(const std::string &title)
 {
     std::printf("\n=== %s ===\n", title.c_str());
-}
-
-/**
- * The standard bench command line: the shared sweep flag set
- * (--threads/--json/--stats-out/--trace/--slo-p99/--governor) plus
- * the ubiquitous `--quick` switch, all through the
- * one ArgRegistrar so every bench shares help text and the strict
- * exit-2 contract. @p extra, when given, registers bench-specific
- * flags before parsing.
- */
-inline core::SweepOptions
-parseBenchArgs(int argc, char **argv, std::string bench_name,
-               bool *quick, const std::string &description = "",
-               const std::function<void(core::ArgRegistrar &)> &extra = {})
-{
-    core::SweepOptions opts;
-    opts.bench_name = std::move(bench_name);
-    core::ArgRegistrar reg(argv[0], description);
-    core::registerSweepFlags(reg, opts);
-    if (quick != nullptr) {
-        reg.flag("--quick", "CI-sized run (shorter windows, fewer points)",
-                 [quick] { *quick = true; });
-    }
-    if (extra)
-        extra(reg);
-    reg.parse(argc, argv);
-    return opts;
 }
 
 } // namespace halsim::bench

@@ -68,33 +68,17 @@ main(int argc, char **argv)
                     "rem-lite"});
 
     // Phase 1: saturate to find each platform's max throughput.
-    std::vector<SweepPoint> sat_points;
+    LabelledConfigs cfgs;
     for (const RowSpec &spec : rows) {
-        sat_points.push_back(point(configFor(spec, Mode::SnicOnly), 100.0,
-                                   10 * kMs, 60 * kMs,
-                                   "sat:snic:" + spec.label));
-        sat_points.push_back(point(configFor(spec, Mode::HostOnly), 100.0,
-                                   10 * kMs, 60 * kMs,
-                                   "sat:host:" + spec.label));
+        cfgs.emplace_back("snic:" + spec.label,
+                          configFor(spec, Mode::SnicOnly));
+        cfgs.emplace_back("host:" + spec.label,
+                          configFor(spec, Mode::HostOnly));
     }
-    SweepOptions sat_opts;
-    sat_opts.threads = opts.threads;
-    sat_opts.bench_name = opts.bench_name + "_saturate";
-    const std::vector<RunResult> sat = runSweep(sat_points, sat_opts);
+    const std::vector<RunResult> sat = saturate(cfgs, opts);
 
     // Phase 2: p99 at 95% of each max; writes the requested artifacts.
-    std::vector<SweepPoint> lat_points;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        lat_points.push_back(point(configFor(rows[i], Mode::SnicOnly),
-                                   sat[2 * i].delivered_gbps * 0.95,
-                                   10 * kMs, 60 * kMs,
-                                   "snic:" + rows[i].label));
-        lat_points.push_back(point(configFor(rows[i], Mode::HostOnly),
-                                   sat[2 * i + 1].delivered_gbps * 0.95,
-                                   10 * kMs, 60 * kMs,
-                                   "host:" + rows[i].label));
-    }
-    const std::vector<RunResult> lat = runSweep(lat_points, opts);
+    const std::vector<RunResult> lat = runSweep(atMaxTp(cfgs, sat), opts);
 
     banner("Fig. 2: max throughput and p99 latency, SNIC vs host (MTU)");
     std::printf("%-10s %8s %8s %8s | %9s %9s %8s\n", "function",

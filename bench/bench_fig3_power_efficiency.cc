@@ -39,11 +39,9 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    SweepOptions opts = parseBenchArgs(
+    const SweepOptions opts = parseSweepArgs(
         argc, argv, "fig3_power_efficiency", &quick,
         "Fig. 3: SNIC vs host power and energy efficiency at max TP.");
-    if (quick)
-        opts.bench_name += "_quick";
 
     std::vector<funcs::FunctionId> fns;
     if (quick)
@@ -54,37 +52,19 @@ main(int argc, char **argv)
 
     // Phase 1: saturate both platforms to find each one's max
     // sustainable throughput (no artifacts for this pass).
-    std::vector<SweepPoint> sat_points;
+    LabelledConfigs cfgs;
     for (funcs::FunctionId fn : fns) {
-        sat_points.push_back(point(ServerConfig::snicBaseline(fn), 100.0,
-                                   10 * kMs, 60 * kMs,
-                                   std::string("sat:snic:") +
-                                       funcs::functionName(fn)));
-        sat_points.push_back(point(ServerConfig::hostBaseline(fn), 100.0,
-                                   10 * kMs, 60 * kMs,
-                                   std::string("sat:host:") +
-                                       funcs::functionName(fn)));
+        cfgs.emplace_back(std::string("snic:") + funcs::functionName(fn),
+                          ServerConfig::snicBaseline(fn));
+        cfgs.emplace_back(std::string("host:") + funcs::functionName(fn),
+                          ServerConfig::hostBaseline(fn));
     }
-    SweepOptions sat_opts;
-    sat_opts.threads = opts.threads;
-    sat_opts.bench_name = opts.bench_name + "_saturate";
-    const std::vector<RunResult> sat = runSweep(sat_points, sat_opts);
+    const std::vector<RunResult> sat = saturate(cfgs, opts);
 
     // Phase 2: measure power/EE at 95% of each max (the paper's
     // operating point); this pass writes the requested artifacts.
-    std::vector<SweepPoint> points;
-    for (std::size_t i = 0; i < fns.size(); ++i) {
-        const funcs::FunctionId fn = fns[i];
-        points.push_back(point(
-            ServerConfig::snicBaseline(fn),
-            sat[2 * i].delivered_gbps * 0.95, 10 * kMs, 60 * kMs,
-            std::string("snic:") + funcs::functionName(fn)));
-        points.push_back(point(
-            ServerConfig::hostBaseline(fn),
-            sat[2 * i + 1].delivered_gbps * 0.95, 10 * kMs, 60 * kMs,
-            std::string("host:") + funcs::functionName(fn)));
-    }
-    const std::vector<RunResult> results = runSweep(points, opts);
+    const std::vector<RunResult> results =
+        runSweep(atMaxTp(cfgs, sat), opts);
 
     banner("Fig. 3: system power and energy efficiency at max TP "
            "(SNIC/host normalized)");

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "core/sweep.hh"
 #include "net/traffic.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -19,8 +20,9 @@ using namespace halsim;
 using namespace halsim::net;
 
 int
-main()
+main(int argc, char **argv)
 {
+    core::ArgRegistrar(argv[0], "Fig. 8.").parse(argc, argv);
     std::printf("=== Fig. 8: datacenter traffic traces ===\n");
     std::printf("%-8s %8s %8s | %9s %9s %9s | %6s\n", "trace", "mu",
                 "sigma", "analytic", "empirical", "paperAvg", "p(cap)");

@@ -144,11 +144,9 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    SweepOptions opts = parseBenchArgs(
+    const SweepOptions opts = parseSweepArgs(
         argc, argv, "fleet_drill", &quick,
         "Fleet resilience drill: crash/stall/flap/storm scenarios.");
-    if (quick)
-        opts.bench_name += "_quick";
 
     const Tick warmup = quick ? 5 * kMs : 10 * kMs;
     const Tick measure = quick ? 25 * kMs : 60 * kMs;

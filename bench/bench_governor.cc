@@ -64,11 +64,9 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    SweepOptions opts = parseBenchArgs(
+    const SweepOptions opts = parseSweepArgs(
         argc, argv, "governor", &quick,
         "Core-scaling governor vs. static cores: diurnal/burst sweep.");
-    if (quick)
-        opts.bench_name += "_quick";
 
     const Tick warmup = quick ? 10 * kMs : 20 * kMs;
     const Tick measure = quick ? 60 * kMs : 240 * kMs;

@@ -17,8 +17,9 @@ using namespace halsim::bench;
 using namespace halsim::core;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const SweepOptions opts = parseSweepArgs(argc, argv, "hlb_costs");
     banner("§VII-C: HLB cost accounting");
 
     // Latency cost: DPDK forwarding round trip with and without HAL
@@ -26,9 +27,12 @@ main()
     ServerConfig base;
     base.function = funcs::FunctionId::DpdkFwd;
     base.mode = Mode::SnicOnly;
-    const auto without = runPoint(base, 5.0, 10 * kMs, 50 * kMs);
+    std::vector<SweepPoint> pair{
+        point(base, 5.0, 10 * kMs, 50 * kMs, "dpdk:snic")};
     base.mode = Mode::Hal;
-    const auto with = runPoint(base, 5.0, 10 * kMs, 50 * kMs);
+    pair.push_back(point(base, 5.0, 10 * kMs, 50 * kMs, "dpdk:hal"));
+    const auto dpdk = runSweep(pair, opts);
+    const RunResult &without = dpdk[0], &with = dpdk[1];
 
     const double added_us = with.mean_us - without.mean_us;
     std::printf("DPDK RTT without HLB: %7.2f us (mean), %7.2f us (p99)\n",
@@ -49,7 +53,8 @@ main()
     std::printf("HLB area:  13861 LUTs = 1.1%% of U280, 16.7%% of a "
                 "Corundum NIC (paper report)\n");
 
-    // Control-plane bandwidth: LBP -> FPGA threshold updates.
+    // Control-plane bandwidth: LBP -> FPGA threshold updates (on
+    // ServerSystem directly, not runSweep: it reads sys.lbp() after run()).
     ServerConfig hal;
     hal.mode = Mode::Hal;
     hal.function = funcs::FunctionId::Nat;

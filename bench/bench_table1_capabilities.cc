@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "core/sweep.hh"
 #include "funcs/calibration.hh"
 #include "funcs/registry.hh"
 
@@ -16,8 +17,9 @@ using namespace halsim;
 using namespace halsim::funcs;
 
 int
-main()
+main(int argc, char **argv)
 {
+    core::ArgRegistrar(argv[0], "Table I.").parse(argc, argv);
     std::printf("=== Table I: host acceleration support for BF-2 "
                 "functions ===\n");
     std::printf("%-10s %4s %4s\n", "function", "ISA", "QAT");

@@ -4,9 +4,10 @@
  * print the metrics, without writing code. The Swiss-army knife for
  * exploring the model.
  *
- * All flags are declared through core::ArgRegistrar (DESIGN.md §15),
- * so `--help` lists everything and malformed values exit 2 with a
- * diagnostic, same as every bench binary.
+ * All flags are declared through core::ArgRegistrar (DESIGN.md §8,
+ * "Parallel sweep harness"), so `--help` lists everything and
+ * malformed values exit 2 with a diagnostic, same as every bench
+ * binary.
  *
  * Examples:
  *   halsim_cli --mode hal --function nat --rate 80

@@ -1,9 +1,7 @@
 #include "core/sweep.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "funcs/registry.hh"
@@ -243,21 +241,18 @@ parseThreadsValue(std::string_view text, std::string *error)
     if (text[0] == '-')
         return fail("thread count cannot be negative: '" +
                     std::string(text) + "'");
-    unsigned long value = 0;
-    for (char c : text) {
-        if (std::isdigit(static_cast<unsigned char>(c)) == 0)
-            return fail("thread count is not a number: '" +
-                        std::string(text) + "'");
-        value = value * 10 + static_cast<unsigned long>(c - '0');
-        if (value > kMaxThreads)
-            return fail("thread count out of range (1.." +
-                        std::to_string(kMaxThreads) + "): '" +
-                        std::string(text) + "'");
-    }
-    if (value == 0)
+    const auto value = parseNumberArg<unsigned>(text);
+    if (!value)
+        return fail("thread count is not a number: '" +
+                    std::string(text) + "'");
+    if (*value == 0)
         return fail("thread count must be positive; use 'all' for "
                     "every hardware thread");
-    return static_cast<unsigned>(value);
+    if (*value > kMaxThreads)
+        return fail("thread count out of range (1.." +
+                    std::to_string(kMaxThreads) + "): '" +
+                    std::string(text) + "'");
+    return *value;
 }
 
 void
@@ -368,12 +363,22 @@ applyPowerFlags(const SweepOptions &opts, ServerConfig &cfg)
 }
 
 SweepOptions
-parseSweepArgs(int argc, char **argv, std::string bench_name)
+parseSweepArgs(int argc, char **argv, std::string bench_name, bool *quick,
+               const std::string &description,
+               const std::function<void(ArgRegistrar &)> &extra)
 {
     SweepOptions opts;
     opts.bench_name = std::move(bench_name);
-    ArgRegistrar reg(argv[0]);
+    ArgRegistrar reg(argv[0], description);
     registerSweepFlags(reg, opts);
+    if (quick != nullptr)
+        reg.flag("--quick", "CI-sized run (shorter windows, fewer points)",
+                 [quick, &opts] {
+                     *quick = true;
+                     opts.bench_name += "_quick";
+                 });
+    if (extra)
+        extra(reg);
     reg.parse(argc, argv);
     return opts;
 }

@@ -45,7 +45,7 @@ struct SweepPoint
      *  precedence over both @ref trace and @ref rate_gbps. A factory
      *  (not an instance) so the point list stays copyable and each
      *  run gets a fresh process. */
-    std::function<std::unique_ptr<net::RateProcess>()> make_rate;
+    std::function<std::unique_ptr<net::RateProcess>()> make_rate = nullptr;
     Tick warmup = 20 * kMs;
     Tick measure = 100 * kMs;
     Tick resample = 1 * kMs;
@@ -86,12 +86,12 @@ struct SweepOptions
 };
 
 /**
- * The one place bench/CLI flags are declared (DESIGN.md §15): each
- * binary registers its flags once — name, metavar, help line, parse
- * callback — and gets uniform `--help` text and the strict malformed-
- * value contract (diagnostic + exit 2) for free. registerSweepFlags()
- * adds the shared sweep set, so a flag like `--governor` registers in
- * one line and appears in every binary's help.
+ * The one place bench/CLI flags are declared (DESIGN.md §8, "Parallel
+ * sweep harness"): each binary registers its flags once — name,
+ * metavar, help line, parse callback — and gets uniform `--help` text
+ * and the strict malformed-value contract (diagnostic + exit 2) for
+ * free. registerSweepFlags() adds the shared sweep set, so a flag like
+ * `--governor` registers in one line and appears in every binary's help.
  */
 class ArgRegistrar
 {
@@ -272,14 +272,16 @@ std::vector<RunResult> runSweep(const std::vector<SweepPoint> &points,
                                 const SweepOptions &opts = {});
 
 /**
- * Parse exactly the registerSweepFlags() set (a thin wrapper over
- * ArgRegistrar); one worker thread unless `--threads` says otherwise.
- * Malformed values — negative, zero, or non-numeric counts, bad
- * on|off — are rejected with a diagnostic and exit code 2, as are
- * unknown arguments; `--help` exits 0.
+ * The one bench argv parser: registerSweepFlags(), `--quick` when
+ * @p quick is given (it names the bench `<bench_name>_quick`) and
+ * whatever @p extra registers. Malformed values, e.g. a zero thread
+ * count or a bad on|off, and unknown arguments print a diagnostic
+ * and exit 2; `--help` exits 0.
  */
-SweepOptions parseSweepArgs(int argc, char **argv,
-                            std::string bench_name);
+SweepOptions
+parseSweepArgs(int argc, char **argv, std::string bench_name,
+               bool *quick = nullptr, const std::string &description = "",
+               const std::function<void(ArgRegistrar &)> &extra = {});
 
 /** One flat results row: the point's labeling fields (label, mode,
  *  function, rate_gbps) spliced with every RunResult field. */

@@ -400,21 +400,22 @@ Accelerator::pump()
         setPowerLevel(1.0);
     }
 
-    // The real function work happens at pipeline entry; coherent
-    // state accesses extend the slot occupancy just as they stall a
-    // hardware pipeline.
+    // The real function work happens at pipeline entry.
     coherence::StateContext ctx(domain_, cfg_.node);
     fn_.process(*pkt, ctx);
 
     // Software fallback after a failure serializes at a fraction of
-    // the accelerated rate on the feeding cores.
+    // the accelerated rate on the feeding cores, where a coherent
+    // state access stalls the core and so stays in the slot; in the
+    // hardware pipeline it is one more stage after the slot (§V-C).
     const double rate = failed_
                             ? cfg_.profile.max_tp_gbps * kFallbackFrac
                             : cfg_.profile.max_tp_gbps;
-    const Tick ser =
-        transferTicks(pkt->size(), rate) + ctx.latency() + extra;
+    const Tick pipelined = failed_ ? 0 : ctx.latency();
+    const Tick ser = transferTicks(pkt->size(), rate) +
+                     (ctx.latency() - pipelined) + extra;
     eq_.scheduleFnIn(
-        [this, p = std::move(pkt)]() mutable {
+        [this, p = std::move(pkt), pipelined]() mutable {
             // Serialization slot free: the next packet can enter
             // while this one traverses the fixed pipeline latency
             // (software fallback has no hardware pipeline to cross).
@@ -423,7 +424,7 @@ Accelerator::pump()
                 [this, q = std::move(p)]() mutable {
                     finish(std::move(q));
                 },
-                failed_ ? 0 : cfg_.profile.accel_latency);
+                (failed_ ? 0 : cfg_.profile.accel_latency) + pipelined);
             if (!queue_.empty()) {
                 pump();
             } else {

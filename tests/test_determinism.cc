@@ -353,6 +353,27 @@ TEST(Determinism, SweepThreads1VsNIdentical)
         p.measure = 30 * kMs;
         points.push_back(std::move(p));
     }
+    // The two kinds of Table V run: a datacenter-trace point and a
+    // coherent HAL pipeline whose stateful stage feeds an accelerator.
+    {
+        SweepPoint p;
+        p.cfg.mode = Mode::Hal;
+        p.cfg.function = funcs::FunctionId::Nat;
+        p.trace = net::TraceKind::Hadoop;
+        p.warmup = 5 * kMs;
+        p.measure = 30 * kMs;
+        points.push_back(std::move(p));
+    }
+    {
+        SweepPoint p;
+        p.cfg.mode = Mode::Hal;
+        p.cfg.function = funcs::FunctionId::Count;
+        p.cfg.pipeline_second = funcs::FunctionId::Rem;
+        p.rate_gbps = 60.0;
+        p.warmup = 2 * kMs;
+        p.measure = 10 * kMs;
+        points.push_back(std::move(p));
+    }
 
     SweepOptions serial, parallel;
     serial.threads = 1;

@@ -191,6 +191,26 @@ TEST(System, CoherenceOverheadIsSmall)
     const auto ro = runConstant(without, 60.0);
     EXPECT_NEAR(rw.delivered_gbps / ro.delivered_gbps, 1.0, 0.05);
     EXPECT_LT(rw.p99_us, ro.p99_us * 2.0 + 5.0);
+
+    // The same holds when the stateful stage feeds an accelerator
+    // (§V-C): the coherent access is a pipeline stage, not serialization
+    // slot time that every packet behind it waits on. Short windows keep
+    // the four crypto/REM runs cheap.
+    for (funcs::FunctionId second :
+         {funcs::FunctionId::Crypto, funcs::FunctionId::Rem}) {
+        SCOPED_TRACE(funcs::functionName(second));
+        auto pipe = cfgFor(Mode::Hal, funcs::FunctionId::Count);
+        pipe.pipeline_second = second;
+        EventQueue eq3;
+        ServerSystem coherent(eq3, pipe);
+        pipe.coherent_state = false;
+        EventQueue eq4;
+        ServerSystem stateless(eq4, pipe);
+        const auto pc = runConstant(coherent, 60.0, 2 * kMs, 8 * kMs);
+        const auto ps = runConstant(stateless, 60.0, 2 * kMs, 8 * kMs);
+        EXPECT_NEAR(pc.delivered_gbps / ps.delivered_gbps, 1.0, 0.05);
+        EXPECT_LT(pc.p99_us, ps.p99_us * 1.1 + 1.0);
+    }
 }
 
 TEST(System, SlbWorseThanHal)
