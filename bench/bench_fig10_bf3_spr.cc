@@ -91,7 +91,7 @@ main(int argc, char **argv)
         std::vector<RunResult> all_results = sat;
         all_results.insert(all_results.end(), lat.begin(), lat.end());
         writeSweepJson(opts.json_path, opts.bench_name, all_points,
-                       all_results, opts.threads);
+                       all_results);
     }
 
     banner("Fig. 10: BF-3 CPU vs Sapphire Rapids CPU (software "

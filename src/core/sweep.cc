@@ -50,8 +50,7 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
     });
 
     if (!opts.json_path.empty())
-        writeSweepJson(opts.json_path, opts.bench_name, points, results,
-                       opts.threads);
+        writeSweepJson(opts.json_path, opts.bench_name, points, results);
     artifacts.save(points.empty() ? "" : modeName(points[0].cfg.mode),
                    points.empty() ? 0 : points[0].cfg.seed);
     return results;
@@ -118,7 +117,7 @@ SweepArtifacts::save(const std::string &preset, std::uint64_t seed) const
     const bool want_fr = !opts_.flightrec_path.empty();
     if (!(want_stats || want_trace || want_fr))
         return;
-    obs::SweepReport rep(opts_.bench_name, opts_.threads);
+    obs::SweepReport rep(opts_.bench_name);
     if (!labels_.empty())
         rep.setTraceMetadata(preset, seed);
     for (std::size_t i = 0; i < labels_.size(); ++i) {
@@ -386,9 +385,9 @@ parseSweepArgs(int argc, char **argv, std::string bench_name, bool *quick,
 void
 writeSweepJson(const std::string &path, const std::string &bench_name,
                const std::vector<SweepPoint> &points,
-               const std::vector<RunResult> &results, unsigned threads)
+               const std::vector<RunResult> &results)
 {
-    obs::SweepReport rep(bench_name, threads);
+    obs::SweepReport rep(bench_name);
     for (std::size_t i = 0; i < points.size(); ++i)
         rep.addRow(sweepRowJson(points[i], results[i]));
     rep.saveResultsJson(path);

@@ -289,13 +289,13 @@ std::string sweepRowJson(const SweepPoint &point, const RunResult &r);
 
 /**
  * Write a results artifact: one flat sweepRowJson() row per point
- * under {"bench","threads","points":[...]}.
+ * under {"bench","points":[...]}. The artifact is the same bytes for
+ * every worker count.
  */
 void writeSweepJson(const std::string &path,
                     const std::string &bench_name,
                     const std::vector<SweepPoint> &points,
-                    const std::vector<RunResult> &results,
-                    unsigned threads);
+                    const std::vector<RunResult> &results);
 
 } // namespace halsim::core
 

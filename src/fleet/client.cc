@@ -15,11 +15,14 @@ FleetClient::FleetClient(EventQueue &eq, Config cfg,
     assert(cfg_.frame_bytes >= net::kFrameHeaderLen);
     emitEvent_.setCallback([this] { emitOne(); });
     resampleEvent_.setCallback([this] { resample(); });
+    timeoutEvent_.setCallback([this] { expireHead(); });
 }
 
 FleetClient::~FleetClient()
 {
     stop();
+    if (timeoutEvent_.scheduled())
+        eq_.deschedule(&timeoutEvent_);
 }
 
 void
@@ -101,10 +104,37 @@ FleetClient::sendAttempt(std::uint64_t id, Pending &p)
     sink_.accept(std::move(pkt));
 
     if (cfg_.retry.enabled()) {
-        eq_.scheduleFnIn(
-            [this, id, attempt = p.attempt] { onTimeout(id, attempt); },
-            cfg_.retry.timeout);
+        // Reserve the order key here, where a per-attempt one-shot
+        // would have been scheduled, so the timeout keeps its slot.
+        const Tick when = eq_.now() + cfg_.retry.timeout;
+        const std::uint64_t key = eq_.reserveKey();
+        deadlines_.push({when, key, Deadline{id, p.attempt}});
+        if (deadlines_.size() == 1)
+            eq_.scheduleKeyed(&timeoutEvent_, when, key);
     }
+}
+
+bool
+FleetClient::live(const Deadline &d) const
+{
+    auto it = pending_.find(d.id);
+    return it != pending_.end() && it->second.attempt == d.attempt;
+}
+
+void
+FleetClient::expireHead()
+{
+    // Re-arm for the successor before running the timeout, as
+    // TimedChannel::execute does. Heads whose request already
+    // resolved would fire as no-ops, so they are dropped; the last
+    // entry is kept so the drain still ends on its tick.
+    const Deadline d = deadlines_.pop().payload;
+    while (deadlines_.size() > 1 && !live(deadlines_.front().payload))
+        deadlines_.pop();
+    if (!deadlines_.empty())
+        eq_.scheduleKeyed(&timeoutEvent_, deadlines_.front().when,
+                          deadlines_.front().key);
+    onTimeout(d.id, d.attempt);
 }
 
 void

@@ -33,6 +33,7 @@
 #include "obs/slo.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
+#include "sim/keyed_fifo.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -156,9 +157,20 @@ class FleetClient : public net::PacketSink
         Tick firstTx = 0;
     };
 
+    /** One armed attempt timeout: which attempt of which request. */
+    struct Deadline
+    {
+        std::uint64_t id;
+        unsigned attempt;
+    };
+
     void emitOne();
     void resample();
     void sendAttempt(std::uint64_t id, Pending &p);
+    /** False once the request resolved or moved to a later attempt;
+     *  neither reverts, so a dead deadline stays dead. */
+    bool live(const Deadline &d) const;
+    void expireHead();
     void onTimeout(std::uint64_t id, unsigned attempt);
     void retransmit(std::uint64_t id);
 
@@ -171,6 +183,17 @@ class FleetClient : public net::PacketSink
 
     CallbackEvent emitEvent_;
     CallbackEvent resampleEvent_;
+
+    /**
+     * Attempt timeouts, in send order. The timeout is one fixed
+     * duration, so deadlines are nondecreasing and only the head sits
+     * in the heap (timeoutEvent_, armed under the key reserved at
+     * send time, as net::TimedChannel does). Dead heads are dropped
+     * when re-arming, except the last entry: the drain still ends on
+     * the latest deadline's tick, as it did with one event each.
+     */
+    KeyedFifo<Deadline> deadlines_;
+    CallbackEvent timeoutEvent_;
     Tick until_ = 0;
     double rateGbps_ = 0.0;
     std::uint64_t nextId_ = 1;

@@ -582,7 +582,7 @@ runFleetSweep(const std::vector<FleetSweepPoint> &points,
     });
 
     if (!opts.json_path.empty()) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
+        obs::SweepReport rep(opts.bench_name);
         for (std::size_t i = 0; i < points.size(); ++i)
             rep.addRow(fleetRowJson(points[i], results[i]));
         rep.saveResultsJson(opts.json_path);

@@ -30,7 +30,6 @@ void
 SweepReport::writeResultsJson(std::ostream &os) const
 {
     os << "{\"bench\":\"" << jsonEscape(bench_) << "\"";
-    os << ",\"threads\":" << threads_;
     os << ",\"points\":[";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
         if (i)

@@ -7,7 +7,7 @@
  * point's labeling fields), so the report stays generic and src/obs
  * keeps no dependency on src/core. Three documents can be emitted:
  *
- *  - results:   {"bench","threads","points":[{...}, ...]}
+ *  - results:   {"bench","points":[{...}, ...]}
  *  - stats:     {"bench","points":[{"label","stats":{tree}}, ...]}
  *  - trace:     {"traceEvents":[...]} with one pid per sweep point
  *  - flightrec: {"bench","points":[{"label","flightrec":{...}}]}
@@ -36,8 +36,8 @@ inline constexpr const char *kBuildTag = "halsim";
 class SweepReport
 {
   public:
-    SweepReport(std::string bench_name, unsigned threads)
-        : bench_(std::move(bench_name)), threads_(threads)
+    explicit SweepReport(std::string bench_name)
+        : bench_(std::move(bench_name))
     {}
 
     /** Append one point row: a complete JSON object string. */
@@ -96,7 +96,6 @@ class SweepReport
 
   private:
     std::string bench_;
-    unsigned threads_;
     std::vector<std::string> rows_;
     std::vector<std::string> statsLabels_;
     std::vector<std::string> stats_;

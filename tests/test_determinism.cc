@@ -172,15 +172,7 @@ TEST(Determinism, ObsArtifactsIdenticalAcrossSweepThreads)
     ASSERT_FALSE(serial[0].empty());
     ASSERT_FALSE(serial[1].empty());
     ASSERT_FALSE(serial[2].empty());
-    // The results header records the worker count used, which is the
-    // one field that legitimately differs; everything from the point
-    // rows onward must match byte for byte.
-    const auto fromPoints = [](const std::string &s) {
-        const std::size_t pos = s.find("\"points\"");
-        EXPECT_NE(pos, std::string::npos);
-        return s.substr(pos == std::string::npos ? 0 : pos);
-    };
-    EXPECT_EQ(fromPoints(serial[0]), fromPoints(parallel[0]));
+    EXPECT_EQ(serial[0], parallel[0]);   // results, header included
     EXPECT_EQ(serial[1], parallel[1]);   // stats trees
     EXPECT_EQ(serial[2], parallel[2]);   // Chrome trace
 }
@@ -235,12 +227,7 @@ TEST(Determinism, FleetSweepThreads1VsNIdentical)
     }
     ASSERT_FALSE(as[0].empty());
     ASSERT_FALSE(as[1].empty());
-    const auto fromPoints = [](const std::string &s) {
-        const std::size_t pos = s.find("\"points\"");
-        EXPECT_NE(pos, std::string::npos);
-        return s.substr(pos == std::string::npos ? 0 : pos);
-    };
-    EXPECT_EQ(fromPoints(as[0]), fromPoints(ap[0]));
+    EXPECT_EQ(as[0], ap[0]); // results, header included
     EXPECT_EQ(as[1], ap[1]); // stats trees
 }
 

@@ -109,7 +109,7 @@ const std::map<std::string, EngineCost> kCommitted = {
     {"hal_nat_60g",     {20000,  114652,   7585,        20068}},
     {"hal_rem_40g",     {6667,   36296,    19,          10608}},
     {"hal_kvs_diurnal", {6904,   42165,    448,         9153}},
-    {"fleet_crash",     {16339,  93388,    0,           35750}},
+    {"fleet_crash",     {16339,  79393,    0,           31768}},
 };
 
 /** Run @p w once; @p pending receives the events left in the queue. */

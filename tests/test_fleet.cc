@@ -1,11 +1,11 @@
 /**
  * @file
  * Fleet resilience layer: consistent-hash ring properties, retry
- * backoff, health-check hysteresis flap bounds, backend admission
- * control and crash semantics, FleetConfig validation, and the
- * end-to-end drills the issue's acceptance gates name — a crash
- * drill whose attempt ledger reconciles exactly, and a retry storm
- * where shedding holds the tail while the no-shed ablation collapses.
+ * backoff, the client's attempt-timeout FIFO, health-check hysteresis
+ * flap bounds, backend admission control and crash semantics,
+ * FleetConfig validation, and the end-to-end drills: a crash drill
+ * whose attempt ledger reconciles exactly, and a retry storm where
+ * shedding holds the tail while the no-shed ablation collapses.
  */
 
 #include <gtest/gtest.h>
@@ -422,6 +422,183 @@ TEST(ConfigValidation, FleetRejectsRetryBudgetWithZeroTimeout)
     const auto errors = cfg.validate();
     ASSERT_EQ(errors.size(), 1u);
     EXPECT_NE(errors[0].find("retry budget"), std::string::npos);
+}
+
+// --- client attempt timeouts ------------------------------------------
+
+namespace {
+
+constexpr Tick kTimeout = 100 * kUs;
+
+/** Keeps every attempt the client sends; the test answers each one
+ *  (or not) at a tick of its choosing. */
+class CaptureSink : public net::PacketSink
+{
+  public:
+    void accept(net::PacketPtr pkt) override { sent.push_back(std::move(pkt)); }
+    std::vector<net::PacketPtr> sent;
+};
+
+/** Answers each attempt @p delay after it is sent, except the first
+ *  attempt of request @p drop_first_of (0 = answer everything). */
+class EchoSink : public net::PacketSink
+{
+  public:
+    EchoSink(EventQueue &eq, Tick delay, std::uint64_t drop_first_of = 0)
+        : eq_(eq), delay_(delay), dropFirstOf_(drop_first_of)
+    {}
+
+    void
+    accept(net::PacketPtr pkt) override
+    {
+        if (pkt->id == dropFirstOf_ && !dropped_) {
+            dropped_ = true;
+            return;
+        }
+        eq_.scheduleFnIn(
+            [this, p = std::move(pkt)]() mutable {
+                client->accept(std::move(p));
+            },
+            delay_);
+    }
+
+    FleetClient *client = nullptr;
+
+  private:
+    EventQueue &eq_;
+    Tick delay_;
+    std::uint64_t dropFirstOf_;
+    bool dropped_ = false;
+};
+
+FleetClient::Config
+timeoutClientConfig(unsigned max_retries)
+{
+    FleetClient::Config cc;
+    cc.retry.timeout = kTimeout;
+    cc.retry.max_retries = max_retries;
+    cc.retry.backoff_base = 10 * kUs;
+    cc.retry.backoff_cap = 10 * kUs;
+    return cc;
+}
+
+constexpr double kTimeoutTestGbps = 1.0;
+
+/** Gap between the client's sends at kTimeoutTestGbps. */
+Tick
+sendGap(const FleetClient::Config &cc)
+{
+    return transferTicks(cc.frame_bytes, kTimeoutTestGbps);
+}
+
+/** Start @p c so it sends exactly @p n requests, at 0, gap, 2 gap... */
+void
+sendRequests(FleetClient &c, std::size_t n)
+{
+    const Tick gap = sendGap(c.config());
+    c.start(std::make_unique<net::ConstantRate>(kTimeoutTestGbps),
+            static_cast<Tick>(n - 1) * gap + 1);
+}
+
+} // namespace
+
+TEST(FleetClient, ResponseOnTheDeadlineTickRunsAfterTheTimeout)
+{
+    // Request 2's response lands on its timeout's exact tick. The
+    // timeout's order key was reserved when request 2 was sent, before
+    // the response was scheduled, so the timeout runs first (as a
+    // per-attempt event would): the request fails and the response is
+    // a duplicate. Arming the successor under a fresh key when request
+    // 1's timeout fires would let the response complete it instead.
+    EventQueue eq;
+    CaptureSink sink;
+    FleetClient c(eq, timeoutClientConfig(0), sink);
+    sendRequests(c, 2);
+    const Tick gap = sendGap(c.config());
+    eq.runUntil(gap);
+    ASSERT_EQ(sink.sent.size(), 2u);
+
+    eq.scheduleFn(
+        [&c, p = std::move(sink.sent[1])]() mutable {
+            c.accept(std::move(p));
+        },
+        gap + kTimeout);
+    eq.run();
+
+    EXPECT_EQ(c.timeouts(), 2u);
+    EXPECT_EQ(c.failed(), 2u);
+    EXPECT_EQ(c.completions(), 0u);
+    EXPECT_EQ(c.duplicates(), 1u);
+    EXPECT_EQ(c.outstanding(), 0u);
+}
+
+TEST(FleetClient, ResolvedRequestsTimeoutsAreDroppedUnfired)
+{
+    // Eight requests, each answered 10 us after its send, except the
+    // first attempt of request 3: it times out, is retried after the
+    // backoff, and the retry is answered. Only that one timeout
+    // counts, and a resolved request's timeout (the answered retry's
+    // included) never counts.
+    constexpr std::size_t kRequests = 8;
+    EventQueue eq;
+    EchoSink sink(eq, 10 * kUs, 3);
+    FleetClient c(eq, timeoutClientConfig(3), sink);
+    sink.client = &c;
+    sendRequests(c, kRequests);
+    eq.run();
+
+    EXPECT_EQ(c.timeouts(), 1u);
+    EXPECT_EQ(c.retries(), 1u);
+    EXPECT_EQ(c.completions(), kRequests);
+    EXPECT_EQ(c.duplicates(), 0u);
+    EXPECT_EQ(c.failed(), 0u);
+    EXPECT_EQ(c.attempts().sum(), static_cast<double>(c.sends()));
+
+    // Dead timeouts are dropped from the FIFO, not fired. Events: one
+    // emit per request, one response per answered attempt, the
+    // retransmission, and four of the nine timeouts: the head armed
+    // at the first send, request 3's expiry, and the two entries that
+    // were last when the FIFO re-armed (request 8's, then the retry's).
+    const std::uint64_t answered = c.sends() - 1;
+    EXPECT_EQ(eq.executed(), kRequests + answered + 1 + 4);
+}
+
+TEST(FleetClient, DrainEndsOnTheLastDeadlineEvenWhenResolvedEarly)
+{
+    // Every request is answered long before its timeout, yet the
+    // drain still ends on the last deadline's tick, as it did with one
+    // timeout event per attempt: FleetSystem::run hands that tick to
+    // the flight recorder.
+    constexpr std::size_t kRequests = 5;
+    EventQueue eq;
+    EchoSink sink(eq, 10 * kUs);
+    FleetClient c(eq, timeoutClientConfig(3), sink);
+    sink.client = &c;
+    sendRequests(c, kRequests);
+    eq.run();
+
+    EXPECT_EQ(c.completions(), kRequests);
+    EXPECT_EQ(c.timeouts(), 0u);
+    const Tick lastSend = (kRequests - 1) * sendGap(c.config());
+    EXPECT_EQ(eq.now(), lastSend + kTimeout);
+}
+
+TEST(FleetClient, DestroyWithArmedTimeoutsLeavesNothingScheduled)
+{
+    // The queue outlives the client: destruction must take the armed
+    // timeout event out of the heap, or the queue later touches freed
+    // memory (ASan) or fires a dangling event.
+    EventQueue eq;
+    CaptureSink sink;
+    {
+        FleetClient c(eq, timeoutClientConfig(3), sink);
+        sendRequests(c, 4);
+        eq.runUntil(sendGap(c.config()));
+        ASSERT_EQ(sink.sent.size(), 2u);
+        EXPECT_GT(eq.size(), 0u);
+    }
+    EXPECT_EQ(eq.size(), 0u);
+    EXPECT_EQ(eq.run(), 0u);
 }
 
 // --- end-to-end drills ------------------------------------------------

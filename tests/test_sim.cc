@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/keyed_fifo.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -278,6 +279,30 @@ TEST(EventQueue, DescheduledCountsLiveRemovalsOnly)
     eq.run();
     EXPECT_TRUE(eq.empty());
     expectCounts(62);
+}
+
+TEST(KeyedFifo, GrowsWhileWrappedAndKeepsOrder)
+{
+    // Wrap the head around the initial ring, then grow it: the copy
+    // must unroll the wrapped entries in FIFO order.
+    KeyedFifo<int> f;
+    int pushed = 0;
+    int popped = 0;
+    for (; pushed < 6; ++pushed)
+        f.push({static_cast<Tick>(pushed), 100u + pushed, pushed});
+    for (; popped < 5; ++popped)
+        EXPECT_EQ(f.pop().payload, popped);
+    for (; pushed < 40; ++pushed)
+        f.push({static_cast<Tick>(pushed), 100u + pushed, pushed});
+    ASSERT_EQ(f.size(), 35u);
+    for (std::size_t i = 0; i < f.size(); ++i) {
+        EXPECT_EQ(f.at(i).payload, popped + static_cast<int>(i));
+        EXPECT_EQ(f.at(i).key, 100u + popped + i);
+    }
+    EXPECT_EQ(f.back().when, 39u);
+    while (!f.empty())
+        EXPECT_EQ(f.pop().payload, popped++);
+    EXPECT_EQ(popped, 40);
 }
 
 TEST(ParallelFor, CoversAllIndicesOnceAnyThreadCount)
