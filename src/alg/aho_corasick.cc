@@ -1,7 +1,9 @@
 #include "alg/aho_corasick.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <limits>
 
 namespace halsim::alg {
@@ -17,17 +19,18 @@ AhoCorasick::build(const std::vector<std::string> &patterns)
     // 1. Byte classes: the pattern bytes in ascending order, then one
     //    "other" class for the rest (none when patterns use all 256).
     std::array<bool, 256> used{};
-    std::size_t maxLen = 0;
     for (const auto &p : patterns) {
         assert(!p.empty() && "empty pattern is not allowed");
-        maxLen = std::max(maxLen, p.size());
         for (unsigned char c : p)
             used[c] = true;
     }
+    std::array<std::uint8_t, 256> byteOf{};   // pattern class -> byte
     unsigned classes = 0;
     for (unsigned b = 0; b < 256; ++b)
-        if (used[b])
+        if (used[b]) {
+            byteOf[classes] = static_cast<std::uint8_t>(b);
             classOf_[b] = static_cast<std::uint8_t>(classes++);
+        }
     if (classes < 256) {
         for (unsigned b = 0; b < 256; ++b)
             if (!used[b])
@@ -35,7 +38,6 @@ AhoCorasick::build(const std::vector<std::string> &patterns)
         ++classes;
     }
     stride_ = classes + 1;
-    warmup_ = maxLen > 0 ? maxLen - 1 : 0;
 
     // 2. Sparse trie: first-child / next-sibling lists labelled by
     //    class, and the patterns ending at each node. Node 0 is the
@@ -108,12 +110,88 @@ AhoCorasick::build(const std::vector<std::string> &patterns)
             row[label[v]] = newId[v] * stride_;
         }
     }
+
+    // 5. The prefix skip: F and S are the depth-1 and depth-2 labels.
+    //    BFS numbered the depth-1 states 1..depth1.
+    std::array<bool, 256> inF{}, inS{};
+    std::uint32_t depth1 = 0;
+    bool oneByte = false;
+    for (std::uint32_t v = firstChild[0]; v != kNone; v = nextSibling[v]) {
+        ++depth1;
+        inF[byteOf[label[v]]] = true;
+        oneByte = oneByte || !own[v].empty();
+        for (std::uint32_t w = firstChild[v]; w != kNone; w = nextSibling[w])
+            inS[byteOf[label[w]]] = true;
+    }
+    const auto setOf = [](const std::array<bool, 256> &in) {
+        ByteSet set;
+        std::size_t k = 0;
+        for (unsigned b = 0; b < 256; ++b) {
+            if (!in[b])
+                continue;
+            if (k == kSetBudget)
+                return set;   // over budget: any byte
+            set.bytes[k++] = static_cast<std::uint8_t>(b);
+        }
+        for (std::size_t i = k; i < kSetBudget; ++i)
+            set.bytes[i] = set.bytes[0];
+        set.any = false;
+        return set;
+    };
+    first_ = setOf(inF);
+    second_ = setOf(inS);
+    skip_ = depth1 > 0 && !oneByte && !(first_.any && second_.any);
+    shallowEnd_ = skip_ ? (1 + depth1) * stride_ : 0;
+}
+
+std::size_t
+AhoCorasick::nextCandidate(const std::uint8_t *p, std::size_t from,
+                           std::size_t n) const
+{
+    using Bytes16 = std::uint8_t __attribute__((vector_size(16)));
+    const auto splat = [](const ByteSet &set) {
+        std::array<Bytes16, kSetBudget> v;
+        for (std::size_t i = 0; i < kSetBudget; ++i)
+            v[i] = Bytes16{} + set.bytes[i];
+        return v;
+    };
+    const auto member = [](const ByteSet &set,
+                           const std::array<Bytes16, kSetBudget> &v,
+                           Bytes16 x) {
+        if (set.any)
+            return ~Bytes16{};
+        return (Bytes16)((x == v[0]) | (x == v[1]) | (x == v[2]) |
+                         (x == v[3]));
+    };
+    const auto f = splat(first_);
+    const auto s = splat(second_);
+    std::size_t j = std::max<std::size_t>(from, 1);
+    for (; j + 16 <= n; j += 16) {
+        Bytes16 prev, cur;
+        std::memcpy(&prev, p + j - 1, sizeof prev);
+        std::memcpy(&cur, p + j, sizeof cur);
+        const Bytes16 hit = member(first_, f, prev) & member(second_, s, cur);
+        std::uint64_t lanes[2];
+        std::memcpy(lanes, &hit, sizeof lanes);
+        if ((lanes[0] | lanes[1]) == 0)
+            continue;
+        // Lane k is pair j + k; memory order is lane order.
+        const std::uint64_t w = lanes[0] != 0 ? lanes[0] : lanes[1];
+        const std::size_t lane =
+            (std::endian::native == std::endian::little
+                 ? std::countr_zero(w)
+                 : std::countl_zero(w)) / 8;
+        return j + (lanes[0] != 0 ? 0 : 8) + lane;
+    }
+    for (; j < n; ++j)
+        if (first_.has(p[j - 1]) && second_.has(p[j]))
+            return j;
+    return n;
 }
 
 std::uint64_t
 AhoCorasick::countMatches(std::span<const std::uint8_t> data) const
 {
-    static_assert(kStreams == 4, "the interleaved loop keeps four chains");
     const std::uint32_t *delta = delta_.data();
     const std::uint8_t *cls = classOf_.data();
     const std::uint32_t countCol = stride_ - 1;
@@ -122,36 +200,18 @@ AhoCorasick::countMatches(std::span<const std::uint8_t> data) const
     std::uint64_t count = 0;
     std::uint32_t s = 0;
     std::size_t i = 0;
-    if (n >= kStreams * warmup_) {
-        // Chunk k is [k*len, (k+1)*len); the n % 4 tail goes on with
-        // chunk 3's chain below.
-        const std::size_t len = n / kStreams;
-        const std::uint8_t *p1 = p + len - warmup_;
-        const std::uint8_t *p2 = p1 + len;
-        const std::uint8_t *p3 = p2 + len;
-        std::uint32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-        for (std::size_t j = 0; j < warmup_; ++j) {
-            s1 = delta[s1 + cls[p1[j]]];
-            s2 = delta[s2 + cls[p2[j]]];
-            s3 = delta[s3 + cls[p3[j]]];
+    while (i < n) {
+        if (skip_) {
+            i = nextCandidate(p, i, n);
+            if (i == n)
+                break;
+            s = delta[cls[p[i - 1]]];   // delta(root, p[i-1])
         }
-        p1 += warmup_;
-        p2 += warmup_;
-        p3 += warmup_;
-        for (std::size_t j = 0; j < len; ++j) {
-            s0 = delta[s0 + cls[p[j]]];
-            s1 = delta[s1 + cls[p1[j]]];
-            s2 = delta[s2 + cls[p2[j]]];
-            s3 = delta[s3 + cls[p3[j]]];
-            count += delta[s0 + countCol] + delta[s1 + countCol] +
-                     delta[s2 + countCol] + delta[s3 + countCol];
-        }
-        s = s3;
-        i = kStreams * len;
-    }
-    for (; i < n; ++i) {
-        s = delta[s + cls[p[i]]];
-        count += delta[s + countCol];
+        // Without the skip shallowEnd_ is 0 and this runs to the end.
+        do {
+            s = delta[s + cls[p[i]]];
+            count += delta[s + countCol];
+        } while (++i < n && s >= shallowEnd_);
     }
     return count;
 }

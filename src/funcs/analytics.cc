@@ -1,6 +1,7 @@
 #include "funcs/analytics.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -121,8 +122,12 @@ void
 Bm25Function::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(kQueryTerms);
-    for (unsigned i = 0; i < kQueryTerms; ++i) {
+    if (p.empty())
+        return;
+    const unsigned nterms =
+        std::min(kQueryTerms, static_cast<unsigned>((p.size() - 1) / 2));
+    p[0] = static_cast<std::uint8_t>(nterms);
+    for (unsigned i = 0; i < nterms; ++i) {
         // Bias queries toward common (low-id) terms.
         const double u = rng.uniform();
         const auto t = static_cast<std::uint16_t>(
@@ -202,7 +207,10 @@ void
 KnnFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(classify(p.data()));
+    // Features a short payload lacks read as 0.
+    std::array<std::uint8_t, kDims> q{};
+    std::memcpy(q.data(), p.data(), std::min<std::size_t>(p.size(), kDims));
+    p[0] = static_cast<std::uint8_t>(classify(q.data()));
 }
 
 void
@@ -211,11 +219,13 @@ KnnFunction::makeRequest(net::Packet &pkt, Rng &rng)
     auto p = pkt.payload();
     // Query near a random class centroid, with noise.
     const unsigned c = static_cast<unsigned>(rng.uniformInt(kClasses));
+    std::array<std::uint8_t, kDims> q;
     for (unsigned d = 0; d < kDims; ++d) {
         const int v = centroids_[c][d] +
                       static_cast<int>(rng.normal(0.0, 10.0));
-        p[d] = static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+        q[d] = static_cast<std::uint8_t>(std::clamp(v, 0, 255));
     }
+    std::memcpy(p.data(), q.data(), std::min<std::size_t>(p.size(), kDims));
 }
 
 BayesFunction::BayesFunction()
@@ -264,7 +274,11 @@ void
 BayesFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(classify(p.data()));
+    // Feature bits a short payload lacks read as 0.
+    std::array<std::uint8_t, (kFeatures + 7) / 8> bits{};
+    std::memcpy(bits.data(), p.data(),
+                std::min<std::size_t>(p.size(), bits.size()));
+    p[0] = static_cast<std::uint8_t>(classify(bits.data()));
 }
 
 void
@@ -272,10 +286,12 @@ BayesFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
     const unsigned c = static_cast<unsigned>(rng.uniformInt(kClasses));
-    std::memset(p.data(), 0, (kFeatures + 7) / 8);
+    std::array<std::uint8_t, (kFeatures + 7) / 8> bits{};
     for (unsigned f = 0; f < kFeatures; ++f)
         if (rng.chance(genProb_[c][f]))
-            p[f / 8] |= static_cast<std::uint8_t>(1u << (f % 8));
+            bits[f / 8] |= static_cast<std::uint8_t>(1u << (f % 8));
+    std::memcpy(p.data(), bits.data(),
+                std::min<std::size_t>(p.size(), bits.size()));
 }
 
 } // namespace halsim::funcs

@@ -1,6 +1,7 @@
 #include "funcs/stateful.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "net/bytes.hh"
@@ -14,7 +15,7 @@ void
 KvsFunction::process(net::Packet &pkt, coherence::StateContext &state)
 {
     auto p = pkt.payload();
-    if (p.size() < 41) {
+    if (p.size() < kRequestBytes) {
         p[0] = 0xff;   // malformed
         return;
     }
@@ -71,10 +72,14 @@ KvsFunction::makeRequest(net::Packet &pkt, Rng &rng)
         op = 1;
     else
         op = 2;
-    p[0] = op;
-    store64(p.data() + 1, rng.uniformInt(kKeySpace));
+    // A payload shorter than a request gets what fits, and process()
+    // answers it as malformed.
+    std::array<std::uint8_t, kRequestBytes> req;
+    req[0] = op;
+    store64(req.data() + 1, rng.uniformInt(kKeySpace));
     for (int i = 0; i < 32; ++i)
-        p[9 + i] = static_cast<std::uint8_t>(rng.next());
+        req[9 + i] = static_cast<std::uint8_t>(rng.next());
+    std::memcpy(p.data(), req.data(), std::min(p.size(), req.size()));
 }
 
 void
@@ -102,8 +107,12 @@ void
 CountFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(kBatch);
-    for (unsigned i = 0; i < kBatch; ++i)
+    if (p.empty())
+        return;
+    const unsigned batch =
+        std::min(kBatch, static_cast<unsigned>((p.size() - 1) / 8));
+    p[0] = static_cast<std::uint8_t>(batch);
+    for (unsigned i = 0; i < batch; ++i)
         store64(p.data() + 1 + 8 * i, rng.uniformInt(kKeySpace));
 }
 
@@ -152,8 +161,12 @@ void
 EmaFunction::makeRequest(net::Packet &pkt, Rng &rng)
 {
     auto p = pkt.payload();
-    p[0] = static_cast<std::uint8_t>(kBatch);
-    for (unsigned i = 0; i < kBatch; ++i) {
+    if (p.empty())
+        return;
+    const unsigned batch =
+        std::min(kBatch, static_cast<unsigned>((p.size() - 1) / 16));
+    p[0] = static_cast<std::uint8_t>(batch);
+    for (unsigned i = 0; i < batch; ++i) {
         store64(p.data() + 1 + 16 * i, rng.uniformInt(kKeySpace));
         store64(p.data() + 9 + 16 * i, rng.uniformInt(1000000));
     }

@@ -45,6 +45,8 @@ class KvsFunction : public NetworkFunction
 
   private:
     using Value = std::array<std::uint8_t, 32>;
+    /** Request bytes: op, key, value. */
+    static constexpr std::size_t kRequestBytes = 1 + 8 + 32;
 
     alg::FixedMap<std::uint64_t, Value> store_{1 << 12};
 };

@@ -61,9 +61,9 @@ sortMatches(std::vector<Match> &m)
 
 /**
  * countMatches and findAll against naiveFindAll on every prefix of
- * @p text up to 4 * maxlen + 8 bytes, which covers 0..3 * maxlen and
- * the one-stream/four-stream cutover at 4 * (maxlen - 1), and on the
- * whole text.
+ * @p text up to max(4 * maxlen + 8, 48) bytes, which ends partial
+ * 16-byte blocks of the prefix skip at every offset, and on the whole
+ * text.
  */
 void
 expectAgreesWithNaive(const std::vector<std::string> &patterns,
@@ -76,7 +76,8 @@ expectAgreesWithNaive(const std::vector<std::string> &patterns,
     const auto all = naiveFindAll(patterns, text);
 
     std::vector<std::size_t> lengths;
-    for (std::size_t n = 0; n <= 4 * maxlen + 8 && n < text.size(); ++n)
+    const std::size_t upTo = std::max<std::size_t>(4 * maxlen + 8, 48);
+    for (std::size_t n = 0; n <= upTo && n < text.size(); ++n)
         lengths.push_back(n);
     lengths.push_back(text.size());
     for (std::size_t n : lengths) {
@@ -195,6 +196,73 @@ TEST(AhoCorasick, MatchesAgainstNaiveRandomized)
         }
 
         SCOPED_TRACE("full alphabet, trial " + std::to_string(trial));
+        expectAgreesWithNaive(patterns, text);
+    }
+
+    for (int trial = 0; trial < 40; ++trial) {
+        // The prefix skip: first bytes from F and second bytes from S,
+        // each of 1..4 bytes (or 6, over the compare budget, on one
+        // side), rest from a small alphabet that shares bytes with
+        // both. Odd trials add a 2-byte pattern; every fifth a 1-byte
+        // one, which must turn the skip off.
+        const auto pickSet = [&](std::size_t size) {
+            std::string set;
+            while (set.size() < size) {
+                const char c = static_cast<char>(rng.uniformInt(256));
+                if (set.find(c) == std::string::npos)
+                    set.push_back(c);
+            }
+            return set;
+        };
+        const bool wideF = trial % 8 == 3, wideS = trial % 8 == 6;
+        const std::string F = pickSet(wideF ? 6 : 1 + rng.uniformInt(4));
+        const std::string S = pickSet(wideS ? 6 : 1 + rng.uniformInt(4));
+        const std::string rest = F + S + pickSet(3);
+        const auto from = [&](const std::string &set) {
+            return set[rng.uniformInt(set.size())];
+        };
+        std::vector<std::string> patterns;
+        const std::size_t npat = 1 + rng.uniformInt(6);
+        for (std::size_t i = 0; i < npat; ++i) {
+            std::string p{from(F), from(S)};
+            const std::size_t len = rng.uniformInt(5);
+            for (std::size_t j = 0; j < len; ++j)
+                p.push_back(from(rest));
+            patterns.push_back(std::move(p));
+        }
+        if (trial % 2 == 1)
+            patterns.push_back({from(F), from(S)});
+        if (trial % 5 == 4)
+            patterns.push_back({from(rest)});
+
+        // Random bytes, then near misses: F x S pairs that begin no
+        // pattern, and patterns cut short by their last byte.
+        std::vector<std::uint8_t> text(1459);
+        for (auto &c : text)
+            c = static_cast<std::uint8_t>(rng.chance(0.5)
+                                              ? rng.uniformInt(256)
+                                              : from(rest));
+        const auto plant = [&](const std::string &p, std::size_t at) {
+            std::copy(p.begin(), p.end(), text.begin() + at);
+        };
+        for (int k = 0; k < 120; ++k) {
+            const std::string &p = patterns[rng.uniformInt(npat)];
+            const std::size_t at = rng.uniformInt(text.size() - p.size());
+            switch (k % 3) {
+              case 0: plant({from(F), from(S)}, at); break;
+              case 1: plant(p.substr(0, p.size() - 1), at); break;
+              default: plant(p, at); break;
+            }
+        }
+        // Candidates at offset 1, at n - 1 and around the first block
+        // edges (pairs at j = 15..18 and 31..34).
+        plant(patterns[0].substr(0, 2), 0);
+        plant(patterns[0].substr(0, 2), text.size() - 2);
+        for (std::size_t j : {15u, 17u, 32u, 34u})
+            plant(patterns[rng.uniformInt(patterns.size())].substr(0, 2),
+                  j - 1);
+
+        SCOPED_TRACE("prefix skip, trial " + std::to_string(trial));
         expectAgreesWithNaive(patterns, text);
     }
 }

@@ -465,6 +465,64 @@ TEST(Pipeline, StatefulnessPropagates)
         makePipeline(FunctionId::Nat, FunctionId::Ema)->stateful());
 }
 
+TEST(Requests, ShortPayloadsStayInBounds)
+{
+    // The payload of a 64 B frame, and one byte short of each full
+    // request: count 65, KVS 41, EMA 129, BM25 17, KNN 16, Bayes 32
+    // and crypto 128 bytes.
+    const std::size_t sizes[] = {
+        net::kSmallFrameBytes - net::kFrameHeaderLen, 64, 40, 128, 16,
+        15, 31, 127};
+    constexpr std::size_t kGuard = 256;
+    constexpr std::uint8_t kFill = 0xA5;
+    std::vector<FunctionPtr> fns;
+    for (FunctionId id : allFunctions())
+        fns.push_back(makeFunction(id));
+    for (const auto &[first, second] : tableVPipelines())
+        fns.push_back(makePipeline(first, second));
+
+    auto st = nullState();
+    for (const auto &fn : fns) {
+        Rng rng(7);
+        for (std::size_t n : sizes) {
+            SCOPED_TRACE(std::string(fn->name()) + ", payload " +
+                         std::to_string(n));
+            // Shrinking the payload keeps the buffer, so the guard
+            // bytes sit right where a write past the payload lands.
+            const std::vector<std::uint8_t> body(n + kGuard, kFill);
+            auto pkt = net::makeUdpPacket(
+                net::MacAddr::fromUint(1), net::MacAddr::fromUint(2),
+                net::Ipv4Addr(10, 0, 0, 1), net::Ipv4Addr(10, 0, 0, 2),
+                40000, 9000, body);
+            pkt->resizePayload(n);
+            const std::uint8_t *guard = pkt->payload().data() + n;
+
+            fn->makeRequest(*pkt, rng);
+            const std::uint8_t batch = pkt->payload()[0];
+            switch (fn->id()) {
+              case FunctionId::Count:
+                EXPECT_EQ(batch, std::min<std::size_t>(
+                                     CountFunction::kBatch, (n - 1) / 8));
+                break;
+              case FunctionId::Ema:
+                EXPECT_EQ(batch, std::min<std::size_t>(
+                                     EmaFunction::kBatch, (n - 1) / 16));
+                break;
+              default:
+                break;
+            }
+            EXPECT_TRUE(std::all_of(guard, guard + kGuard,
+                                    [](std::uint8_t b) { return b == kFill; }))
+                << "makeRequest wrote past the payload";
+
+            fn->process(*pkt, st);
+            EXPECT_TRUE(std::all_of(guard, guard + kGuard,
+                                    [](std::uint8_t b) { return b == kFill; }))
+                << "process wrote past the payload";
+        }
+    }
+}
+
 TEST(Calibration, ProfilesMatchPaperAnchors)
 {
     using enum FunctionId;

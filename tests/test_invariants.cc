@@ -5,7 +5,7 @@
  * delivered throughput is monotone in offered load up to saturation
  * and flat after; power is monotone; the director's counters account
  * for every packet; HAL never does worse than the better of its two
- * processors on throughput.
+ * processors on throughput, on KNN and on REM with either ruleset.
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +21,13 @@ using namespace halsim::core;
 namespace {
 
 RunResult
-runPoint(Mode mode, funcs::FunctionId fn, double rate)
+runPoint(Mode mode, funcs::FunctionId fn, double rate,
+         alg::RulesetKind ruleset = alg::RulesetKind::Teakettle)
 {
     ServerConfig cfg;
     cfg.mode = mode;
     cfg.function = fn;
+    cfg.rem_ruleset = ruleset;
     EventQueue eq;
     ServerSystem sys(eq, cfg);
     return sys.run(std::make_unique<net::ConstantRate>(rate), 10 * kMs,
@@ -51,16 +53,35 @@ TEST(Invariants, DeliveredMonotoneThenFlatSnicOnly)
 
 TEST(Invariants, HalAtLeastMaxOfBothProcessors)
 {
-    for (double rate : {20.0, 50.0, 90.0}) {
-        const auto host =
-            runPoint(Mode::HostOnly, funcs::FunctionId::Knn, rate);
-        const auto snic =
-            runPoint(Mode::SnicOnly, funcs::FunctionId::Knn, rate);
-        const auto hal = runPoint(Mode::Hal, funcs::FunctionId::Knn, rate);
-        EXPECT_GE(hal.delivered_gbps,
-                  std::max(host.delivered_gbps, snic.delivered_gbps) -
-                      1.0)
-            << "rate " << rate;
+    // KNN, and REM on both rulesets: teakettle runs faster on the host,
+    // snort_literals on the SNIC's accelerator (§III-A).
+    struct Workload
+    {
+        const char *name;
+        funcs::FunctionId fn;
+        alg::RulesetKind ruleset;
+    };
+    const Workload workloads[] = {
+        {"knn", funcs::FunctionId::Knn, alg::RulesetKind::Teakettle},
+        {"rem teakettle", funcs::FunctionId::Rem,
+         alg::RulesetKind::Teakettle},
+        {"rem snort_literals", funcs::FunctionId::Rem,
+         alg::RulesetKind::SnortLiterals},
+    };
+    for (const Workload &w : workloads) {
+        for (double rate : {20.0, 50.0, 90.0}) {
+            const auto host =
+                runPoint(Mode::HostOnly, w.fn, rate, w.ruleset);
+            const auto snic =
+                runPoint(Mode::SnicOnly, w.fn, rate, w.ruleset);
+            const auto hal = runPoint(Mode::Hal, w.fn, rate, w.ruleset);
+            EXPECT_GE(hal.delivered_gbps,
+                      std::max(host.delivered_gbps, snic.delivered_gbps) -
+                          1.0)
+                << w.name << " at " << rate << " Gbps: host "
+                << host.delivered_gbps << ", snic " << snic.delivered_gbps
+                << ", hal " << hal.delivered_gbps;
+        }
     }
 }
 
