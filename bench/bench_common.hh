@@ -40,15 +40,19 @@ point(core::ServerConfig cfg, double rate_gbps, Tick warmup = kWarmup,
 }
 
 /**
- * Options for an intermediate phase of a multi-phase bench: only
- * @p opts' worker count, no artifacts (those belong to the bench's
- * measured phase), and the bench name `<name>_<phase>`.
+ * Options for an intermediate phase of a multi-phase bench: every
+ * option of @p opts (worker count, `--governor`, `--slo-p99`, ...)
+ * except the four artifact paths, which belong to the bench's measured
+ * phase, and the bench name `<name>_<phase>`.
  */
 inline core::SweepOptions
 phaseOptions(const core::SweepOptions &opts, const std::string &phase)
 {
-    core::SweepOptions phase_opts;
-    phase_opts.threads = opts.threads;
+    core::SweepOptions phase_opts = opts;
+    phase_opts.json_path.clear();
+    phase_opts.stats_path.clear();
+    phase_opts.trace_path.clear();
+    phase_opts.flightrec_path.clear();
     phase_opts.bench_name = opts.bench_name + "_" + phase;
     return phase_opts;
 }

@@ -9,10 +9,10 @@
  * functions (Count, NAT) look similar only because the 100 Gbps
  * client saturates first — we keep that cap to match the setup.
  *
- * Two chained parallel sweeps: first saturate every (function,
- * processor) point, then measure latency/EE at 95% of the saturated
- * rate. `--json PATH` writes both sweeps' rows in one artifact;
- * `--stats-out`/`--trace` cover the reported (latency) sweep.
+ * Two chained parallel sweeps (bench_common.hh's saturate() and
+ * atMaxTp()): first saturate every (function, processor) point, then
+ * measure latency/EE at 95% of the saturated rate; artifacts are
+ * written for the measured pass only.
  */
 
 #include <cstdio>
@@ -54,45 +54,19 @@ main(int argc, char **argv)
 {
     const SweepOptions opts = parseSweepArgs(argc, argv, "fig10_bf3_spr");
 
-    std::vector<SweepPoint> sat_points;
+    LabelledConfigs cfgs;
     for (funcs::FunctionId fn : kSwFuncs) {
         for (Mode mode : {Mode::SnicOnly, Mode::HostOnly}) {
             const char *cpu = mode == Mode::SnicOnly ? "bf3" : "spr";
-            sat_points.push_back(
-                point(platformConfig(fn, mode), 100.0, 10 * kMs,
-                      60 * kMs,
-                      std::string("sat:") + cpu + ":" +
-                          funcs::functionName(fn)));
+            cfgs.emplace_back(std::string(cpu) + ":" +
+                                  funcs::functionName(fn),
+                              platformConfig(fn, mode));
         }
     }
-    SweepOptions sat_opts = opts;
-    sat_opts.json_path.clear();
-    sat_opts.stats_path.clear();
-    sat_opts.trace_path.clear();
-    const std::vector<RunResult> sat = runSweep(sat_points, sat_opts);
-
+    const std::vector<RunResult> sat = saturate(cfgs, opts);
     // The reported latency/EE point sits just under each processor's
     // saturated rate.
-    std::vector<SweepPoint> lat_points;
-    for (std::size_t i = 0; i < sat_points.size(); ++i) {
-        SweepPoint p = sat_points[i];
-        p.rate_gbps = sat[i].delivered_gbps * 0.95;
-        p.label = "lat:" + p.label.substr(4);
-        lat_points.push_back(std::move(p));
-    }
-    SweepOptions lat_opts = opts;
-    lat_opts.json_path.clear();
-    const std::vector<RunResult> lat = runSweep(lat_points, lat_opts);
-
-    if (!opts.json_path.empty()) {
-        std::vector<SweepPoint> all_points = sat_points;
-        all_points.insert(all_points.end(), lat_points.begin(),
-                          lat_points.end());
-        std::vector<RunResult> all_results = sat;
-        all_results.insert(all_results.end(), lat.begin(), lat.end());
-        writeSweepJson(opts.json_path, opts.bench_name, all_points,
-                       all_results);
-    }
+    const std::vector<RunResult> lat = runSweep(atMaxTp(cfgs, sat), opts);
 
     banner("Fig. 10: BF-3 CPU vs Sapphire Rapids CPU (software "
            "functions, 100 Gbps client cap)");

@@ -2,35 +2,64 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "funcs/registry.hh"
 #include "obs/registry.hh"
-#include "obs/report.hh"
 #include "obs/span.hh"
 #include "sim/parallel.hh"
 
 namespace halsim::core {
 
-std::string
-sweepRowJson(const SweepPoint &point, const RunResult &r)
+namespace {
+
+/** Build tag stamped into trace metadata. A constant by design:
+ *  artifacts must be byte-identical across checkouts and rebuilds,
+ *  so no git-describe, hostnames, or timestamps. */
+constexpr const char *kBuildTag = "halsim";
+
+/**
+ * Write @p head, the non-empty @p items joined by commas, @p tail and
+ * a newline to @p path (nothing when @p path is empty). A document
+ * that cannot be written prints a diagnostic naming @p path and
+ * exits 1.
+ */
+void
+writeDocument(const std::string &path, const std::string &head,
+              const std::vector<std::string> &items, const char *tail)
 {
-    std::ostringstream os;
-    os << "{\"label\":\"" << obs::jsonEscape(point.label) << "\""
-       << ",\"mode\":\"" << modeName(point.cfg.mode) << "\""
-       << ",\"function\":\"" << funcs::functionName(point.cfg.function)
-       << "\",\"rate_gbps\":"
-       << obs::jsonNumber(point.trace ? 0.0 : point.rate_gbps) << ",";
-    r.toJsonFields(os);
-    os << "}";
-    return os.str();
+    if (path.empty())
+        return;
+    std::ofstream os(path, std::ios::binary);
+    os << head;
+    bool first = true;
+    for (const std::string &item : items) {
+        if (item.empty())
+            continue;
+        if (!first)
+            os << ",";
+        first = false;
+        os << item;
+    }
+    os << tail << "\n";
+    os.flush();
+    if (!os) {
+        std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+        std::exit(1);
+    }
 }
+
+} // namespace
 
 std::vector<RunResult>
 runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
 {
     std::vector<RunResult> results(points.size());
-    SweepArtifacts artifacts(opts, points.size());
+    SweepArtifacts artifacts(
+        opts, points.size(),
+        points.empty() ? "" : modeName(points[0].cfg.mode),
+        points.empty() ? 0 : points[0].cfg.seed);
     parallelFor(points.size(), opts.threads, [&](std::size_t i) {
         SweepPoint p = points[i];
         applyObsFlags(opts, p.cfg.obs, p.cfg.slo);
@@ -46,13 +75,12 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
             rate = std::make_unique<net::ConstantRate>(p.rate_gbps);
         results[i] =
             sys.run(std::move(rate), p.warmup, p.measure, p.resample);
-        artifacts.capture(i, p.label, sys.obs());
+        artifacts.capture(i, p.label, modeName(p.cfg.mode),
+                          funcs::functionName(p.cfg.function),
+                          p.trace ? 0.0 : p.rate_gbps, results[i],
+                          sys.obs());
     });
-
-    if (!opts.json_path.empty())
-        writeSweepJson(opts.json_path, opts.bench_name, points, results);
-    artifacts.save(points.empty() ? "" : modeName(points[0].cfg.mode),
-                   points.empty() ? 0 : points[0].cfg.seed);
+    artifacts.save();
     return results;
 }
 
@@ -77,63 +105,74 @@ applyObsFlags(const SweepOptions &opts, obs::ObsConfig &obs,
 }
 
 SweepArtifacts::SweepArtifacts(const SweepOptions &opts,
-                               std::size_t points)
-    : opts_(opts), labels_(points), stats_(points), traces_(points),
+                               std::size_t points,
+                               const std::string &preset,
+                               std::uint64_t seed)
+    : opts_(opts), rows_(points), stats_(points), traces_(points + 1),
       frs_(points)
 {
+    if (points > 0)
+        traces_[0] = "{\"name\":\"run_metadata\",\"ph\":\"M\",\"pid\":0,"
+                     "\"tid\":0,\"args\":{\"bench\":\"" +
+                     obs::jsonEscape(opts.bench_name) + "\",\"preset\":\"" +
+                     obs::jsonEscape(preset) +
+                     "\",\"seed\":" + std::to_string(seed) +
+                     ",\"build\":\"" + kBuildTag + "\"}}";
 }
 
 void
-SweepArtifacts::capture(std::size_t i, std::string label,
+SweepArtifacts::capture(std::size_t i, const std::string &label,
+                        std::string_view mode, std::string_view function,
+                        double rate_gbps, const RunResult &r,
                         const obs::Observability *obs)
 {
-    labels_[i] = std::move(label);
+    const std::string labelled =
+        "{\"label\":\"" + obs::jsonEscape(label) + "\",";
+    if (!opts_.json_path.empty()) {
+        std::ostringstream os;
+        os << labelled << "\"mode\":\"" << mode << "\",\"function\":\""
+           << function << "\",\"rate_gbps\":" << obs::jsonNumber(rate_gbps)
+           << ",";
+        r.toJsonFields(os);
+        os << "}";
+        rows_[i] = os.str();
+    }
     if (obs == nullptr)
         return;
     if (!opts_.stats_path.empty()) {
         std::ostringstream os;
+        os << labelled << "\"stats\":";
         obs->writeStatsJson(os);
+        os << "}";
         stats_[i] = os.str();
     }
     if (!opts_.trace_path.empty() && obs->tracer() != nullptr) {
         std::ostringstream os;
         bool first = true;
         obs->tracer()->writeChromeEvents(os, static_cast<int>(i), first);
-        traces_[i] = os.str();
+        traces_[i + 1] = os.str();
     }
     if (!opts_.flightrec_path.empty() &&
         obs->flightRecorder() != nullptr) {
         std::ostringstream os;
+        os << labelled << "\"flightrec\":";
         obs->flightRecorder()->writeJson(os);
+        os << "}";
         frs_[i] = os.str();
     }
 }
 
 void
-SweepArtifacts::save(const std::string &preset, std::uint64_t seed) const
+SweepArtifacts::save() const
 {
-    const bool want_stats = !opts_.stats_path.empty();
-    const bool want_trace = !opts_.trace_path.empty();
-    const bool want_fr = !opts_.flightrec_path.empty();
-    if (!(want_stats || want_trace || want_fr))
-        return;
-    obs::SweepReport rep(opts_.bench_name);
-    if (!labels_.empty())
-        rep.setTraceMetadata(preset, seed);
-    for (std::size_t i = 0; i < labels_.size(); ++i) {
-        if (want_stats)
-            rep.addStats(labels_[i], stats_[i]);
-        if (want_trace)
-            rep.addChromeEvents(traces_[i]);
-        if (want_fr)
-            rep.addFlightRec(labels_[i], frs_[i]);
-    }
-    if (want_stats)
-        rep.saveStatsJson(opts_.stats_path);
-    if (want_trace)
-        rep.saveTraceJson(opts_.trace_path);
-    if (want_fr)
-        rep.saveFlightRecJson(opts_.flightrec_path);
+    const std::string points_head =
+        "{\"bench\":\"" + obs::jsonEscape(opts_.bench_name) +
+        "\",\"points\":[";
+    writeDocument(opts_.json_path, points_head, rows_, "]}");
+    writeDocument(opts_.stats_path, points_head, stats_, "]}");
+    writeDocument(opts_.trace_path, "{\"traceEvents\":[", traces_,
+                  "],\"displayTimeUnit\":\"ns\"}");
+    writeDocument(opts_.flightrec_path, points_head, frs_, "]}");
 }
 
 void
@@ -380,17 +419,6 @@ parseSweepArgs(int argc, char **argv, std::string bench_name, bool *quick,
         extra(reg);
     reg.parse(argc, argv);
     return opts;
-}
-
-void
-writeSweepJson(const std::string &path, const std::string &bench_name,
-               const std::vector<SweepPoint> &points,
-               const std::vector<RunResult> &results)
-{
-    obs::SweepReport rep(bench_name);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        rep.addRow(sweepRowJson(points[i], results[i]));
-    rep.saveResultsJson(path);
 }
 
 } // namespace halsim::core

@@ -233,29 +233,46 @@ void applyObsFlags(const SweepOptions &opts, obs::ObsConfig &obs,
                    obs::SloConfig &slo);
 
 /**
- * The per-point obs documents a sweep writes (stats trees, the trace
- * ring, flight-recorder dumps), captured after each point's run and
- * saved in input order, so artifacts are byte-identical for any
- * worker count. capture() for distinct points may run concurrently.
+ * The one writer of sweep artifacts. Each point's documents are
+ * captured after its run: its results row (label, mode, function,
+ * rate_gbps and every RunResult field) and, when requested, its stats
+ * tree, trace events and flight-recorder dump. save() writes them in
+ * input order, so artifacts are byte-identical for any worker count.
+ * capture() for distinct points may run concurrently.
+ *
+ * Documents, each under the path its SweepOptions field names:
+ *  - results:   {"bench","points":[{row}, ...]}
+ *  - stats:     {"bench","points":[{"label","stats":{tree}}, ...]}
+ *  - trace:     {"traceEvents":[...]}, one pid per point, led by a
+ *               run_metadata event (bench, preset, seed, build tag)
+ *  - flightrec: {"bench","points":[{"label","flightrec":{...}}]}
  */
 class SweepArtifacts
 {
   public:
-    SweepArtifacts(const SweepOptions &opts, std::size_t points);
+    /** The trace document's run_metadata carries @p preset and
+     *  @p seed. */
+    SweepArtifacts(const SweepOptions &opts, std::size_t points,
+                   const std::string &preset, std::uint64_t seed);
 
-    /** Serialize point @p i's requested documents from @p obs (null
-     *  when the point ran with obs off). */
-    void capture(std::size_t i, std::string label,
+    /** Capture point @p i: its results row from @p label, @p mode,
+     *  @p function, @p rate_gbps and @p r, and its requested obs
+     *  documents from @p obs (null when the point ran with obs off). */
+    void capture(std::size_t i, const std::string &label,
+                 std::string_view mode, std::string_view function,
+                 double rate_gbps, const RunResult &r,
                  const obs::Observability *obs);
 
-    /** Write every requested document; the trace document's
-     *  run_metadata carries @p preset and @p seed. */
-    void save(const std::string &preset, std::uint64_t seed) const;
+    /** Write every requested document. One that cannot be written
+     *  prints `error: cannot write '<path>'` and exits 1, so a bench
+     *  never reports success without its artifact. */
+    void save() const;
 
   private:
     const SweepOptions &opts_;
-    std::vector<std::string> labels_;
+    std::vector<std::string> rows_;
     std::vector<std::string> stats_;
+    /** [0] is the run_metadata event, [i + 1] point i's events. */
     std::vector<std::string> traces_;
     std::vector<std::string> frs_;
 };
@@ -282,20 +299,6 @@ SweepOptions
 parseSweepArgs(int argc, char **argv, std::string bench_name,
                bool *quick = nullptr, const std::string &description = "",
                const std::function<void(ArgRegistrar &)> &extra = {});
-
-/** One flat results row: the point's labeling fields (label, mode,
- *  function, rate_gbps) spliced with every RunResult field. */
-std::string sweepRowJson(const SweepPoint &point, const RunResult &r);
-
-/**
- * Write a results artifact: one flat sweepRowJson() row per point
- * under {"bench","points":[...]}. The artifact is the same bytes for
- * every worker count.
- */
-void writeSweepJson(const std::string &path,
-                    const std::string &bench_name,
-                    const std::vector<SweepPoint> &points,
-                    const std::vector<RunResult> &results);
 
 } // namespace halsim::core
 

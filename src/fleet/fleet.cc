@@ -1,13 +1,11 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "net/traffic.hh"
 #include "obs/registry.hh"
-#include "obs/report.hh"
 #include "obs/span.hh"
 #include "sim/parallel.hh"
 
@@ -552,24 +550,13 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     return r;
 }
 
-std::string
-fleetRowJson(const FleetSweepPoint &point, const core::RunResult &r)
-{
-    std::ostringstream os;
-    os << "{\"label\":\"" << obs::jsonEscape(point.label) << "\""
-       << ",\"mode\":\"fleet\",\"function\":\"fleet\""
-       << ",\"rate_gbps\":" << obs::jsonNumber(point.rate_gbps) << ",";
-    r.toJsonFields(os);
-    os << "}";
-    return os.str();
-}
-
 std::vector<core::RunResult>
 runFleetSweep(const std::vector<FleetSweepPoint> &points,
               const core::SweepOptions &opts)
 {
     std::vector<core::RunResult> results(points.size());
-    core::SweepArtifacts artifacts(opts, points.size());
+    core::SweepArtifacts artifacts(opts, points.size(), "fleet",
+                                   points.empty() ? 0 : points[0].cfg.seed);
     parallelFor(points.size(), opts.threads, [&](std::size_t i) {
         FleetSweepPoint p = points[i];
         core::applyObsFlags(opts, p.cfg.obs, p.cfg.slo);
@@ -578,16 +565,10 @@ runFleetSweep(const std::vector<FleetSweepPoint> &points,
         auto rate = std::make_unique<net::ConstantRate>(p.rate_gbps);
         results[i] =
             sys.run(std::move(rate), p.warmup, p.measure, p.resample);
-        artifacts.capture(i, p.label, sys.obs());
+        artifacts.capture(i, p.label, "fleet", "fleet", p.rate_gbps,
+                          results[i], sys.obs());
     });
-
-    if (!opts.json_path.empty()) {
-        obs::SweepReport rep(opts.bench_name);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addRow(fleetRowJson(points[i], results[i]));
-        rep.saveResultsJson(opts.json_path);
-    }
-    artifacts.save("fleet", points.empty() ? 0 : points[0].cfg.seed);
+    artifacts.save();
     return results;
 }
 

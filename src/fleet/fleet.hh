@@ -172,10 +172,6 @@ std::vector<core::RunResult>
 runFleetSweep(const std::vector<FleetSweepPoint> &points,
               const core::SweepOptions &opts = {});
 
-/** One flat results row, schema-compatible with core::sweepRowJson. */
-std::string fleetRowJson(const FleetSweepPoint &point,
-                         const core::RunResult &r);
-
 } // namespace halsim::fleet
 
 #endif // HALSIM_FLEET_FLEET_HH

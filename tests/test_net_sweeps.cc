@@ -2,7 +2,9 @@
  * @file
  * Parameterized property sweeps over the network substrate: link
  * timing across rates and frame sizes, generator rate accuracy, and
- * histogram quantile accuracy across bin densities.
+ * histogram quantile accuracy across bin densities. Also the sweep
+ * harness itself: input order, argv parsing, the bench phase helpers
+ * and the artifact writer's failure contract.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "core/sweep.hh"
+#include "funcs/function.hh"
 #include "net/link.hh"
 #include "net/traffic.hh"
 #include "sim/stats.hh"
@@ -266,6 +270,64 @@ TEST(ParseSweepArgs, ThreadsAllMeansAllHardwareThreads)
     const core::SweepOptions opts =
         core::parseSweepArgs(3, argv, "bench_x");
     EXPECT_EQ(opts.threads, 0u); // runSweep resolves 0 to all cores
+}
+
+// ---- bench phases and the artifact writer ----------------------------
+
+TEST(BenchPhases, SaturateCarriesEveryOptionButArtifactPaths)
+{
+    core::SweepOptions opts;
+    opts.threads = 2;
+    opts.governor = true;
+    opts.slo_p99_us = 500.0;
+    opts.fr_armed = 3;
+    opts.json_path = "r.json";
+    opts.stats_path = "s.json";
+    opts.trace_path = "t.json";
+    opts.flightrec_path = "f.json";
+    opts.bench_name = "fig";
+    const core::SweepOptions phase = bench::phaseOptions(opts, "saturate");
+    EXPECT_EQ(phase.threads, 2u);
+    EXPECT_EQ(phase.governor, std::optional<bool>(true));
+    EXPECT_EQ(phase.slo_p99_us, 500.0);
+    EXPECT_EQ(phase.fr_armed, 3u);
+    EXPECT_TRUE(phase.json_path.empty());
+    EXPECT_TRUE(phase.stats_path.empty());
+    EXPECT_TRUE(phase.trace_path.empty());
+    EXPECT_TRUE(phase.flightrec_path.empty());
+    EXPECT_EQ(phase.bench_name, "fig_saturate");
+
+    // The saturation pass runs with the governor and SLO monitor the
+    // measured pass gets.
+    const bench::LabelledConfigs cfgs = {
+        {"snic:nat", core::ServerConfig::snicBaseline(
+                         funcs::FunctionId::Nat)}};
+    const core::RunResult sat =
+        bench::saturate(cfgs, phase, 5 * kMs).at(0);
+    EXPECT_GT(sat.gov_epochs, 0u);
+    EXPECT_EQ(sat.slo_target_p99_us, 500.0);
+}
+
+TEST(SweepArtifactsDeathTest, UnwritableArtifactExits1NamingPath)
+{
+    core::SweepPoint p;
+    p.cfg.mode = core::Mode::SnicOnly;
+    p.rate_gbps = 1.0;
+    p.warmup = 1 * kMs;
+    p.measure = 1 * kMs;
+    const std::vector<core::SweepPoint> points = {p};
+    const std::string path =
+        ::testing::TempDir() + "no-such-dir/artifact.json";
+    for (std::string core::SweepOptions::*field :
+         {&core::SweepOptions::json_path, &core::SweepOptions::stats_path,
+          &core::SweepOptions::trace_path,
+          &core::SweepOptions::flightrec_path}) {
+        core::SweepOptions opts;
+        opts.*field = path;
+        EXPECT_EXIT(core::runSweep(points, opts),
+                    ::testing::ExitedWithCode(1),
+                    "error: cannot write '" + path + "'");
+    }
 }
 
 // ---- parseNumberArg / ArgRegistrar numeric operands ----------------

@@ -14,7 +14,7 @@ compared directly. A baseline field missing from the current artifact
 fails too.
 
 Example:
-  bench_diff.py --baseline bench/BENCH_fig3_quick.json --current fig3.json
+  bench_diff.py --baseline bench/BENCH_fig2_quick.json --current fig2.json
 
 Exit codes: 0 clean, 1 drift found, 2 usage or input error.
 """
