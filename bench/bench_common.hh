@@ -1,16 +1,17 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction binaries: build
- * sweep points, run the shared saturation phase, print banners.
+ * Shared helpers for the sections of halsim_paper, one per paper
+ * table or figure: build sweep points, run the shared saturation
+ * phase, print into the section's buffered stdout.
  *
- * Benches run ServerSystems through core::runSweep() and parse argv
- * with core::parseSweepArgs(); results come in input order and are
- * identical to a serial run.
+ * Sections run ServerSystems through core::runSweep(); results come in
+ * input order and are identical to a serial run.
  */
 
 #ifndef HALSIM_BENCH_COMMON_HH
 #define HALSIM_BENCH_COMMON_HH
 
+#include <cstdarg>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -20,6 +21,66 @@
 #include "core/sweep.hh"
 
 namespace halsim::bench {
+
+/**
+ * A section's stdout. Sections run concurrently, so each prints into
+ * its own buffer and halsim_paper writes the buffers out in paper
+ * order.
+ */
+class Out
+{
+  public:
+    /** Append std::printf(@p fmt, ...) output. */
+    [[gnu::format(printf, 2, 3)]] void
+    printf(const char *fmt, ...)
+    {
+        std::va_list args;
+        va_start(args, fmt);
+        std::va_list again;
+        va_copy(again, args);
+        const int n = std::vsnprintf(nullptr, 0, fmt, args);
+        va_end(args);
+        if (n > 0) {
+            const std::size_t at = text_.size();
+            text_.resize(at + static_cast<std::size_t>(n) + 1);
+            std::vsnprintf(text_.data() + at,
+                           static_cast<std::size_t>(n) + 1, fmt, again);
+            text_.resize(at + static_cast<std::size_t>(n));
+        }
+        va_end(again);
+    }
+
+    const std::string &text() const { return text_; }
+
+  private:
+    std::string text_;
+};
+
+/**
+ * A section body: print its tables to @p out and return its exit
+ * status. @p opts carries the shared flags, with `bench_name` set to
+ * the section's name (plus `_quick` under @p quick); only sections
+ * with a quick set ever see @p quick true.
+ */
+using SectionFn = int (*)(const core::SweepOptions &opts, bool quick,
+                          Out &out);
+
+/** The sections, in paper order; each is defined in bench/<name>.cc. */
+int table1_capabilities(const core::SweepOptions &, bool, Out &);
+int fig2_throughput_latency(const core::SweepOptions &, bool, Out &);
+int table2_slo(const core::SweepOptions &, bool, Out &);
+int fig5_slb(const core::SweepOptions &, bool, Out &);
+int fig8_traces(const core::SweepOptions &, bool, Out &);
+int fig9_hal_sweep(const core::SweepOptions &, bool, Out &);
+int table5_workloads(const core::SweepOptions &, bool, Out &);
+int fig10_bf3_spr(const core::SweepOptions &, bool, Out &);
+int hlb_costs(const core::SweepOptions &, bool, Out &);
+int ablation_lbp(const core::SweepOptions &, bool, Out &);
+int ablation_director(const core::SweepOptions &, bool, Out &);
+int ablation_dvfs(const core::SweepOptions &, bool, Out &);
+int fault_recovery(const core::SweepOptions &, bool, Out &);
+int fleet_drill(const core::SweepOptions &, bool, Out &);
+int governor(const core::SweepOptions &, bool, Out &);
 
 /** Default measurement windows (simulated time). */
 inline constexpr Tick kWarmup = 20 * kMs;
@@ -95,9 +156,9 @@ atMaxTp(const LabelledConfigs &cfgs, const std::vector<core::RunResult> &sat)
 
 /** Section banner. */
 inline void
-banner(const std::string &title)
+banner(Out &out, const std::string &title)
 {
-    std::printf("\n=== %s ===\n", title.c_str());
+    out.printf("\n=== %s ===\n", title.c_str());
 }
 
 } // namespace halsim::bench

@@ -50,7 +50,7 @@ enum class SplitMode : std::uint8_t
      * Packet-spraying splits a flow's state across both processors;
      * pinning flows keeps stateful lookups local at the cost of a
      * coarser split. An extension beyond the paper's design,
-     * evaluated in bench_ablation_director.
+     * evaluated by the ablation_director section of halsim_paper.
      */
     FlowAffinity,
 };

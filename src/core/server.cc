@@ -6,6 +6,7 @@
 #include <string>
 
 #include "funcs/content.hh"
+#include "funcs/stateful.hh"
 
 namespace halsim::core {
 
@@ -53,8 +54,21 @@ ServerConfig::validate() const
 
     if (lbp.epoch <= 0)
         fail("lbp.epoch must be positive");
-    if (frame_bytes == 0)
-        fail("frame_bytes must be > 0");
+    // Below the smallest Ethernet frame a payload would underflow;
+    // below a whole KVS request every request would be malformed.
+    if (frame_bytes < net::kSmallFrameBytes)
+        fail("frame_bytes (" + std::to_string(frame_bytes) +
+             ") must be >= " + std::to_string(net::kSmallFrameBytes));
+    constexpr std::size_t kKvsFrameBytes =
+        net::kFrameHeaderLen + funcs::KvsFunction::kRequestBytes;
+    if ((function == funcs::FunctionId::Kvs ||
+         pipeline_second == funcs::FunctionId::Kvs) &&
+        frame_bytes < kKvsFrameBytes)
+        fail("frame_bytes (" + std::to_string(frame_bytes) +
+             ") must be >= " + std::to_string(kKvsFrameBytes) +
+             " with kvs, whose requests are " +
+             std::to_string(funcs::KvsFunction::kRequestBytes) +
+             " payload bytes");
 
     if (mode == Mode::Slb || mode == Mode::HostSlb) {
         if (slb_cores == 0)

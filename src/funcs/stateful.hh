@@ -43,10 +43,11 @@ class KvsFunction : public NetworkFunction
 
     std::size_t storeSize() const { return store_.size(); }
 
+    /** Request bytes: op, key, value. A shorter payload is malformed. */
+    static constexpr std::size_t kRequestBytes = 1 + 8 + 32;
+
   private:
     using Value = std::array<std::uint8_t, 32>;
-    /** Request bytes: op, key, value. */
-    static constexpr std::size_t kRequestBytes = 1 + 8 + 32;
 
     alg::FixedMap<std::uint64_t, Value> store_{1 << 12};
 };

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -126,6 +127,52 @@ TEST(FaultConfig, RejectsSlbCoresThatLeaveNoFunctionCore)
 TEST(ConfigValidation, DefaultServerConfigIsValid)
 {
     EXPECT_TRUE(ServerConfig{}.validate().empty());
+}
+
+TEST(ConfigValidation, RejectsFramesTheModelCannotCarry)
+{
+    const auto mentions = [](const std::vector<std::string> &errors,
+                             const std::string &what) {
+        return std::any_of(errors.begin(), errors.end(),
+                           [&what](const std::string &e) {
+                               return e.find(what) != std::string::npos;
+                           });
+    };
+
+    // Every violation is named in one pass: a frame below the 64 B
+    // minimum alongside two unrelated faults.
+    ServerConfig cfg;
+    cfg.mode = Mode::HostOnly;
+    cfg.host_cores = 0;
+    cfg.lbp.epoch = 0;
+    cfg.frame_bytes = 41; // one byte short of the headers
+    auto errors = cfg.validate();
+    EXPECT_EQ(errors.size(), 3u);
+    EXPECT_TRUE(mentions(errors, "host_cores"));
+    EXPECT_TRUE(mentions(errors, "lbp.epoch"));
+    EXPECT_TRUE(mentions(errors, "frame_bytes (41) must be >= 64"));
+
+    cfg = ServerConfig{};
+    cfg.function = funcs::FunctionId::DpdkFwd;
+    cfg.frame_bytes = net::kSmallFrameBytes - 1;
+    EXPECT_TRUE(mentions(cfg.validate(), "frame_bytes"));
+    cfg.frame_bytes = net::kSmallFrameBytes;
+    EXPECT_TRUE(cfg.validate().empty());
+
+    // A KVS request (41 B of payload) needs an 83 B frame, alone or as
+    // a pipeline's second stage.
+    cfg.function = funcs::FunctionId::Kvs;
+    EXPECT_TRUE(mentions(cfg.validate(), "frame_bytes (64) must be >= 83"));
+    cfg.frame_bytes = 82;
+    EXPECT_EQ(cfg.validate().size(), 1u);
+    cfg.frame_bytes = 83;
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.function = funcs::FunctionId::Nat;
+    cfg.pipeline_second = funcs::FunctionId::Kvs;
+    cfg.frame_bytes = 64;
+    EXPECT_TRUE(mentions(cfg.validate(), "with kvs"));
+    cfg.frame_bytes = 83;
+    EXPECT_TRUE(cfg.validate().empty());
 }
 
 // --- satellite: director clamps at the device boundary ---------------

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <iterator>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -314,6 +316,38 @@ TEST(ParallelFor, CoversAllIndicesOnceAnyThreadCount)
         for (std::size_t i = 0; i < hits.size(); ++i)
             ASSERT_EQ(hits[i], 1) << "i=" << i << " threads=" << threads;
     }
+}
+
+TEST(ParallelFor, BudgetCapsInvocationsAcrossConcurrentCallers)
+{
+    // Two callers ask for four workers each; with a budget of two, at
+    // most two invocations run at once in the whole process.
+    setParallelBudget(2);
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    std::vector<int> hits(64, 0);
+    const auto body = [&](std::size_t i) {
+        const int now = ++running;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        for (int spin = 0; spin < 2000; ++spin)
+            std::this_thread::yield();
+        hits[i]++;
+        --running;
+    };
+    std::thread first([&] { parallelFor(32, 4, body); });
+    std::thread second([&] {
+        setParallelRank(1);
+        parallelFor(32, 4, [&](std::size_t i) { body(32 + i); });
+    });
+    first.join();
+    second.join();
+    setParallelBudget(0);
+    EXPECT_LE(peak.load(), 2);
+    EXPECT_GE(peak.load(), 1);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i], 1) << "i=" << i;
 }
 
 TEST(ParallelFor, PropagatesFirstException)

@@ -2,10 +2,10 @@
 """Validate sweep-bench artifacts against the committed schema.
 
 This is the only artifact-schema check. ctest runs it on a server
-set (bench_governor --quick --json/--stats-out/--trace) and a fleet
-set (bench_fleet_drill --quick, same flags) as the
+set (halsim_paper --only governor --quick --json/--stats-out/--trace)
+and a fleet set (--only fleet_drill --quick, same flags) as the
 check_bench_json.governor and check_bench_json.fleet tests; CI's
-release job also runs it on the multi-threaded fig4 sweep. The check
+release job also runs it on the multi-threaded fig9_hal_sweep set. The check
 is exact in both directions: a RunResult field added (or renamed) in
 src/core/results.cc without a matching edit to tools/bench_schema.json,
 a stale schema field, or a required stats path that no point exposes
