@@ -3,7 +3,7 @@
  * Scenario: inline intrusion detection (REM over the snort-style
  * literal ruleset) on the SNIC's RXP-like accelerator, with HAL
  * spilling to the host when bursts exceed the accelerator's rate.
- * Shows the functional side too: the same Aho-Corasick automaton the
+ * Shows the functional side too: the same literal matcher the
  * simulation executes per packet, the planted-attack hit counts, and
  * why the host CPU alone cannot run this ruleset (19x slower,
  * §III-A).
@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <memory>
 
-#include "alg/aho_corasick.hh"
 #include "alg/corpus.hh"
+#include "alg/literal_matcher.hh"
 #include "core/server.hh"
 #include "funcs/content.hh"
 
@@ -26,18 +26,18 @@ main()
     // --- The detection substrate itself -----------------------------
     const auto rules = alg::makeRuleset(
         alg::RulesetKind::SnortLiterals, 500);
-    alg::AhoCorasick automaton(rules);
-    std::printf("IDS ruleset: %zu literals -> %zu automaton states\n",
-                rules.size(), automaton.stateCount());
+    const alg::LiteralMatcher matcher(rules);
+    std::printf("IDS ruleset: %zu literals -> %zu-byte match table\n",
+                rules.size(), matcher.tableBytes());
 
     const auto clean = alg::makeScanStream(1 << 16, rules, 0.0, 1);
     const auto hostile = alg::makeScanStream(1 << 16, rules, 0.02, 2);
     std::printf("64 KiB clean traffic:   %llu hits\n",
                 static_cast<unsigned long long>(
-                    automaton.countMatches(clean)));
+                    matcher.countMatches(clean)));
     std::printf("64 KiB hostile traffic: %llu hits\n\n",
                 static_cast<unsigned long long>(
-                    automaton.countMatches(hostile)));
+                    matcher.countMatches(hostile)));
 
     // --- Deployment comparison under a bursty trace ------------------
     std::printf("inline IDS under the hadoop trace (avg ~10.9 Gbps, "

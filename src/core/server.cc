@@ -55,10 +55,15 @@ ServerConfig::validate() const
     if (lbp.epoch <= 0)
         fail("lbp.epoch must be positive");
     // Below the smallest Ethernet frame a payload would underflow;
-    // below a whole KVS request every request would be malformed.
+    // below a whole KVS request every request would be malformed;
+    // above the largest IPv4 packet the total length would wrap.
     if (frame_bytes < net::kSmallFrameBytes)
         fail("frame_bytes (" + std::to_string(frame_bytes) +
              ") must be >= " + std::to_string(net::kSmallFrameBytes));
+    if (frame_bytes > net::kMaxFrameBytes)
+        fail("frame_bytes (" + std::to_string(frame_bytes) +
+             ") must be <= " + std::to_string(net::kMaxFrameBytes) +
+             ", the largest frame an IPv4 total length describes");
     constexpr std::size_t kKvsFrameBytes =
         net::kFrameHeaderLen + funcs::KvsFunction::kRequestBytes;
     if ((function == funcs::FunctionId::Kvs ||

@@ -71,7 +71,7 @@ struct ServerConfig
     /** Second stage for the pipelined compositions of §VII-B. */
     std::optional<funcs::FunctionId> pipeline_second;
     /** REM ruleset when REM runs alone (§III-A): selects both the
-     *  calibrated profile and the automaton the payloads are scanned
+     *  calibrated profile and the patterns the payloads are scanned
      *  with. Pipelines keep teakettle for both. */
     alg::RulesetKind rem_ruleset = alg::RulesetKind::Teakettle;
 

@@ -61,6 +61,11 @@ FleetConfig::validate() const
         fail("client.frame_bytes must be >= " +
              std::to_string(net::kFrameHeaderLen));
     }
+    if (client.frame_bytes > net::kMaxFrameBytes) {
+        fail("client.frame_bytes must be <= " +
+             std::to_string(net::kMaxFrameBytes) +
+             ", the largest frame an IPv4 total length describes");
+    }
     if (client.resample_epoch <= 0)
         fail("client.resample_epoch must be positive");
     if (client.retry.max_retries > 0 && client.retry.timeout == 0) {

@@ -27,10 +27,13 @@ DpdkFwdFunction::makeRequest(net::Packet &, Rng &)
 {
 }
 
+// Every payload slice fits the corpus: the validators cap frames at
+// net::kMaxFrameBytes.
+static_assert(RemFunction::kCorpusBytes > net::kMaxFrameBytes);
+
 RemFunction::RemFunction(alg::RulesetKind ruleset)
-    : rules_(alg::makeRuleset(ruleset, kRules, kSeed)),
-      ac_(std::make_unique<alg::AhoCorasick>(rules_)),
-      corpus_(alg::makeScanStream(1 << 20, rules_, kHitRate,
+    : rules_(alg::makeRuleset(ruleset, kRules, kSeed)), matcher_(rules_),
+      corpus_(alg::makeScanStream(kCorpusBytes, rules_, kHitRate,
                                   kSeed ^ 0xC0))
 {}
 
@@ -38,7 +41,7 @@ void
 RemFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
     auto p = pkt.payload();
-    const std::uint64_t matches = ac_->countMatches(p);
+    const std::uint64_t matches = matcher_.countMatches(p);
     totalMatches_ += matches;
     store64(p.data(), matches);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * The content-processing functions: plain DPDK forwarding, REM
- * (literal multi-pattern matching over the payload via Aho-Corasick,
- * with teakettle/snort rulesets), public-key cryptography (RSA / DH /
+ * (literal multi-pattern matching over the payload with teakettle/
+ * snort rulesets), public-key cryptography (RSA / DH /
  * DSA over real bignum modexp), and Deflate compression.
  */
 
@@ -10,12 +10,11 @@
 #define HALSIM_FUNCS_CONTENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "alg/aho_corasick.hh"
 #include "alg/bignum.hh"
 #include "alg/corpus.hh"
+#include "alg/literal_matcher.hh"
 #include "funcs/function.hh"
 
 namespace halsim::funcs {
@@ -36,7 +35,7 @@ class DpdkFwdFunction : public NetworkFunction
 
 /**
  * Regular-expression matching (Hyperscan-style literal rulesets run
- * through an Aho-Corasick automaton).
+ * through alg::LiteralMatcher).
  *
  * Request payload: scan text (whole payload)
  * Response payload: [match_count:8]
@@ -48,6 +47,8 @@ class RemFunction : public NetworkFunction
     /** Fraction of generated payload windows with a planted hit. */
     static constexpr double kHitRate = 0.05;
     static constexpr std::uint64_t kSeed = 5;
+    /** Bytes of the scan corpus payloads are sliced from. */
+    static constexpr std::size_t kCorpusBytes = std::size_t{1} << 20;
 
     explicit RemFunction(
         alg::RulesetKind ruleset = alg::RulesetKind::Teakettle);
@@ -58,12 +59,12 @@ class RemFunction : public NetworkFunction
                  coherence::StateContext &state) override;
     void makeRequest(net::Packet &pkt, Rng &rng) override;
 
-    const alg::AhoCorasick &automaton() const { return *ac_; }
+    const alg::LiteralMatcher &matcher() const { return matcher_; }
     std::uint64_t totalMatches() const { return totalMatches_; }
 
   private:
     std::vector<std::string> rules_;
-    std::unique_ptr<alg::AhoCorasick> ac_;
+    alg::LiteralMatcher matcher_;
     /** Pre-generated scan corpus sliced into payloads. */
     std::vector<std::uint8_t> corpus_;
     std::uint64_t totalMatches_ = 0;

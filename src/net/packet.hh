@@ -39,6 +39,8 @@ inline constexpr std::uint8_t kIpProtoUdp = 17;
 /** Dominant datacenter packet sizes used throughout the paper. */
 inline constexpr std::size_t kMtuFrameBytes = 1500;
 inline constexpr std::size_t kSmallFrameBytes = 64;
+/** Largest frame whose IPv4 total length (16 bits) can describe it. */
+inline constexpr std::size_t kMaxFrameBytes = kEthHeaderLen + 65535;
 
 /** Where a packet was ultimately processed (for stats breakdowns). */
 enum class Processor : std::uint8_t

@@ -6,10 +6,10 @@
  * Hyperscan executes literal rulesets with an FDR/Teddy-style
  * prefilter: a hash over a short window of text selects candidate
  * patterns, which are then verified exactly. This is the engine shape
- * the paper's *host* runs (Table I / §III-A), while the BF-2 RXP
- * accelerator behaves like a DFA walker (our AhoCorasick). Built only
- * into the tests, it cross-checks AhoCorasick with an independently
- * structured engine.
+ * the paper's *host* runs (Table I / §III-A). Built only into the
+ * tests, it cross-checks alg::LiteralMatcher with an independently
+ * built engine: a 4-byte hash window looked up at every position,
+ * per-bucket pattern lists and no pair filter.
  *
  * Patterns must be at least kWindow (4) bytes long, which both
  * paper rulesets satisfy.
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "alg/aho_corasick.hh"   // for Match
+#include "alg/literal_matcher.hh"   // for Match
 
 namespace halsim::alg {
 
@@ -49,7 +49,7 @@ class PrefilterMatcher
 
     /**
      * Count all occurrences of all patterns (same match semantics as
-     * AhoCorasick::countMatches: overlaps and nested matches count).
+     * LiteralMatcher::countMatches: overlaps and nested matches count).
      */
     std::uint64_t countMatches(std::span<const std::uint8_t> data) const;
 

@@ -8,9 +8,9 @@
 
 #include <set>
 
-#include "alg/aho_corasick.hh"
 #include "alg/corpus.hh"
 #include "alg/deflate.hh"
+#include "alg/literal_matcher.hh"
 
 using namespace halsim::alg;
 
@@ -46,7 +46,7 @@ TEST(Corpus, RulesetShapesDiffer)
 TEST(Corpus, ScanStreamHitRateScales)
 {
     const auto rules = makeRuleset(RulesetKind::SnortLiterals, 100);
-    AhoCorasick ac(rules);
+    LiteralMatcher ac(rules);
     const auto low = makeScanStream(1 << 17, rules, 0.01, 4);
     const auto high = makeScanStream(1 << 17, rules, 0.5, 4);
     EXPECT_GT(ac.countMatches(high), 5 * ac.countMatches(low));

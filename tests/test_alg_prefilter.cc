@@ -1,8 +1,9 @@
 /**
  * @file
- * PrefilterMatcher: cross-engine equivalence with AhoCorasick on the
+ * PrefilterMatcher: cross-engine equivalence with LiteralMatcher on the
  * REM rulesets and random inputs, prefilter selectivity, and edge
- * cases.
+ * cases. Two test names keep AhoCorasick, the engine they were
+ * written against, so their ids stay stable.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "alg/aho_corasick.hh"
 #include "alg/corpus.hh"
+#include "alg/literal_matcher.hh"
 #include "funcs/content.hh"
 #include "net/packet.hh"
 #include "support/prefilter.hh"
@@ -67,7 +68,7 @@ TEST(Prefilter, AgreesWithAhoCorasickOnRulesets)
     for (auto kind :
          {RulesetKind::Teakettle, RulesetKind::SnortLiterals}) {
         const auto rules = makeRuleset(kind, 400, 31);
-        AhoCorasick ac(rules);
+        LiteralMatcher ac(rules);
         PrefilterMatcher pf(rules);
         const auto text = makeScanStream(100000, rules, 0.2, 32);
         EXPECT_EQ(pf.countMatches(text), ac.countMatches(text))
@@ -79,7 +80,8 @@ TEST(Prefilter, AgreesWithRemFunctionOnMtuSlices)
 {
     // Each paper ruleset's REM corpus, sliced into MTU payloads by
     // RemFunction::makeRequest. The totals were taken with the
-    // dense-table scanner the byte-class automaton replaced.
+    // dense-table Aho-Corasick scanner, before the byte-class automaton
+    // and then the literal matcher replaced it.
     const std::pair<RulesetKind, std::uint64_t> cases[] = {
         {RulesetKind::Teakettle, kTeakettleTotal},
         {RulesetKind::SnortLiterals, kSnortTotal},
@@ -97,10 +99,10 @@ TEST(Prefilter, AgreesWithRemFunctionOnMtuSlices)
                 40000, 9000, {}, net::kMtuFrameBytes);
             rem.makeRequest(*pkt, rng);
             const auto payload = pkt->payload();
-            const std::uint64_t n = rem.automaton().countMatches(payload);
+            const std::uint64_t n = rem.matcher().countMatches(payload);
             ASSERT_EQ(pf.countMatches(payload), n)
                 << rulesetName(kind) << " slice " << i;
-            auto a = rem.automaton().findAll(payload);
+            auto a = rem.matcher().findAll(payload);
             auto b = pf.findAll(payload);
             sortMatches(a);
             sortMatches(b);
@@ -114,7 +116,7 @@ TEST(Prefilter, AgreesWithRemFunctionOnMtuSlices)
 TEST(Prefilter, FindAllAgreesWithAhoCorasick)
 {
     const auto rules = makeRuleset(RulesetKind::Teakettle, 100, 33);
-    AhoCorasick ac(rules);
+    LiteralMatcher ac(rules);
     PrefilterMatcher pf(rules);
     const auto text = makeScanStream(20000, rules, 0.3, 34);
     auto a = ac.findAll(text);
@@ -140,7 +142,7 @@ TEST(Prefilter, RandomizedSmallAlphabetAgreement)
         std::vector<std::uint8_t> text(2000);
         for (auto &c : text)
             c = static_cast<std::uint8_t>('a' + rng.uniformInt(2));
-        AhoCorasick ac(patterns);
+        LiteralMatcher ac(patterns);
         PrefilterMatcher pf(patterns);
         EXPECT_EQ(pf.countMatches(text), ac.countMatches(text))
             << "trial " << trial;

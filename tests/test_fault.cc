@@ -152,12 +152,26 @@ TEST(ConfigValidation, RejectsFramesTheModelCannotCarry)
     EXPECT_TRUE(mentions(errors, "lbp.epoch"));
     EXPECT_TRUE(mentions(errors, "frame_bytes (41) must be >= 64"));
 
+    // The same for a frame one byte past the largest IPv4 packet,
+    // whose 16-bit total length would wrap.
+    cfg.frame_bytes = net::kMaxFrameBytes + 1;
+    errors = cfg.validate();
+    EXPECT_EQ(errors.size(), 3u);
+    EXPECT_TRUE(mentions(errors, "host_cores"));
+    EXPECT_TRUE(mentions(errors, "lbp.epoch"));
+    EXPECT_TRUE(mentions(errors, "frame_bytes (65550) must be <= 65549"));
+
     cfg = ServerConfig{};
     cfg.function = funcs::FunctionId::DpdkFwd;
     cfg.frame_bytes = net::kSmallFrameBytes - 1;
     EXPECT_TRUE(mentions(cfg.validate(), "frame_bytes"));
     cfg.frame_bytes = net::kSmallFrameBytes;
     EXPECT_TRUE(cfg.validate().empty());
+    cfg.frame_bytes = net::kMaxFrameBytes;
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.frame_bytes = net::kMaxFrameBytes + 1;
+    EXPECT_EQ(cfg.validate().size(), 1u);
+    cfg.frame_bytes = net::kSmallFrameBytes;
 
     // A KVS request (41 B of payload) needs an 83 B frame, alone or as
     // a pipeline's second stage.

@@ -414,6 +414,24 @@ TEST(ConfigValidation, FleetRejectsZeroBackends)
     EXPECT_THROW(fleet::FleetSystem(eq, cfg), std::invalid_argument);
 }
 
+TEST(ConfigValidation, FleetRejectsFramesPastTheIpv4Limit)
+{
+    // Every violation is named in one pass: the frame alongside an
+    // unrelated fault.
+    fleet::FleetConfig cfg;
+    cfg.backends = 0;
+    cfg.client.frame_bytes = net::kMaxFrameBytes + 1;
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 2u);
+    EXPECT_NE(errors[0].find("backends"), std::string::npos);
+    EXPECT_NE(errors[1].find("client.frame_bytes must be <= 65549"),
+              std::string::npos)
+        << errors[1];
+    cfg.backends = 4;
+    cfg.client.frame_bytes = net::kMaxFrameBytes;
+    EXPECT_TRUE(cfg.validate().empty());
+}
+
 TEST(ConfigValidation, FleetRejectsRetryBudgetWithZeroTimeout)
 {
     fleet::FleetConfig cfg;

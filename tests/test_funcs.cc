@@ -806,7 +806,7 @@ TEST_P(RemRulesetTest, CountsMatchStandaloneAutomaton)
                                           pkt->payload().end());
         rem.process(*pkt, st);
         reported += net::load64(pkt->payload().data());
-        recomputed += rem.automaton().countMatches(payload);
+        recomputed += rem.matcher().countMatches(payload);
     }
     EXPECT_EQ(reported, recomputed);
 }

@@ -5,12 +5,14 @@
  * delivered throughput is monotone in offered load up to saturation
  * and flat after; power is monotone; the director's counters account
  * for every packet; HAL never does worse than the better of its two
- * processors on throughput, on KNN and on REM with either ruleset.
+ * processors on throughput, on KNN, on REM with either ruleset and on
+ * Table V's REM pipelines.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/server.hh"
@@ -22,12 +24,14 @@ namespace {
 
 RunResult
 runPoint(Mode mode, funcs::FunctionId fn, double rate,
-         alg::RulesetKind ruleset = alg::RulesetKind::Teakettle)
+         alg::RulesetKind ruleset = alg::RulesetKind::Teakettle,
+         std::optional<funcs::FunctionId> second = {})
 {
     ServerConfig cfg;
     cfg.mode = mode;
     cfg.function = fn;
     cfg.rem_ruleset = ruleset;
+    cfg.pipeline_second = second;
     EventQueue eq;
     ServerSystem sys(eq, cfg);
     return sys.run(std::make_unique<net::ConstantRate>(rate), 10 * kMs,
@@ -81,6 +85,31 @@ TEST(Invariants, HalAtLeastMaxOfBothProcessors)
                 << w.name << " at " << rate << " Gbps: host "
                 << host.delivered_gbps << ", snic " << snic.delivered_gbps
                 << ", hal " << hal.delivered_gbps;
+        }
+    }
+}
+
+TEST(Invariants, HalAtLeastMaxOfBothProcessorsOnRemPipelines)
+{
+    // Table V's nat+rem and count+rem (§VII-B). A pipeline scans with
+    // teakettle; count keeps coherent state under HAL.
+    for (funcs::FunctionId first :
+         {funcs::FunctionId::Nat, funcs::FunctionId::Count}) {
+        for (double rate : {20.0, 50.0, 90.0}) {
+            const auto point = [&](Mode mode) {
+                return runPoint(mode, first, rate,
+                                alg::RulesetKind::Teakettle,
+                                funcs::FunctionId::Rem);
+            };
+            const auto host = point(Mode::HostOnly);
+            const auto snic = point(Mode::SnicOnly);
+            const auto hal = point(Mode::Hal);
+            EXPECT_GE(hal.delivered_gbps,
+                      std::max(host.delivered_gbps, snic.delivered_gbps) -
+                          1.0)
+                << funcs::functionName(first) << "+rem at " << rate
+                << " Gbps: host " << host.delivered_gbps << ", snic "
+                << snic.delivered_gbps << ", hal " << hal.delivered_gbps;
         }
     }
 }

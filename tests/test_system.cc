@@ -280,26 +280,27 @@ TEST(System, RemAccelConstantTailWhenSaturated)
 
 TEST(System, RemScansTheConfiguredRuleset)
 {
-    // rem_ruleset picks the automaton exactly where it picks the
+    // rem_ruleset picks the matcher exactly where it picks the
     // profile: REM alone. A pipeline keeps teakettle for both.
-    auto states = [](alg::RulesetKind kind) {
-        return alg::AhoCorasick(
+    auto table = [](alg::RulesetKind kind) {
+        return alg::LiteralMatcher(
                    alg::makeRuleset(kind, funcs::RemFunction::kRules,
                                     funcs::RemFunction::kSeed))
-            .stateCount();
+            .tableBytes();
     };
-    const std::size_t snort = states(alg::RulesetKind::SnortLiterals);
-    const std::size_t tea = states(alg::RulesetKind::Teakettle);
-    EXPECT_EQ(snort, 24549u);
-    EXPECT_EQ(tea, 6653u);
+    const std::size_t snort = table(alg::RulesetKind::SnortLiterals);
+    const std::size_t tea = table(alg::RulesetKind::Teakettle);
+    EXPECT_EQ(snort, 117328u);
+    EXPECT_EQ(tea, 100634u);
+    EXPECT_LE(snort, std::size_t{1} << 18) << "the table stays cache-sized";
 
     EventQueue eq1, eq2;
     auto cfg = cfgFor(Mode::Hal, funcs::FunctionId::Rem);
     cfg.rem_ruleset = alg::RulesetKind::SnortLiterals;
     ServerSystem alone(eq1, cfg);
     EXPECT_EQ(dynamic_cast<funcs::RemFunction &>(alone.function())
-                  .automaton()
-                  .stateCount(),
+                  .matcher()
+                  .tableBytes(),
               snort);
 
     cfg.function = funcs::FunctionId::Nat;
@@ -308,9 +309,40 @@ TEST(System, RemScansTheConfiguredRuleset)
     const auto &pipe =
         dynamic_cast<const funcs::PipelineFunction &>(piped.function());
     EXPECT_EQ(dynamic_cast<const funcs::RemFunction &>(pipe.second())
-                  .automaton()
-                  .stateCount(),
+                  .matcher()
+                  .tableBytes(),
               tea);
+}
+
+TEST(System, RemMatchTotalsArePinned)
+{
+    // Match counts reach only the response payloads, so no RunResult
+    // field or digest sees them. A short seeded HAL point per ruleset
+    // pins every payload the function scanned (warm-up included) and
+    // the responses of the window. The constants were taken with the
+    // byte-class Aho-Corasick automaton the literal matcher replaced.
+    struct Pin
+    {
+        alg::RulesetKind ruleset;
+        std::uint64_t matches, responses;
+    };
+    const Pin pins[] = {
+        {alg::RulesetKind::Teakettle, 34771, 16719},
+        {alg::RulesetKind::SnortLiterals, 26292, 18840},
+    };
+    for (const Pin &pin : pins) {
+        EventQueue eq;
+        auto cfg = cfgFor(Mode::Hal, funcs::FunctionId::Rem);
+        cfg.rem_ruleset = pin.ruleset;
+        cfg.seed = 7;
+        ServerSystem sys(eq, cfg);
+        const auto r = runConstant(sys, 40.0, 2 * kMs, 5 * kMs);
+        const auto &rem = dynamic_cast<funcs::RemFunction &>(sys.function());
+        EXPECT_EQ(rem.totalMatches(), pin.matches)
+            << alg::rulesetName(pin.ruleset);
+        EXPECT_EQ(r.responses, pin.responses)
+            << alg::rulesetName(pin.ruleset);
+    }
 }
 
 TEST(System, WindowedMaxAtLeastAverage)
