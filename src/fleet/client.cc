@@ -16,11 +16,15 @@ FleetClient::FleetClient(EventQueue &eq, Config cfg,
     emitEvent_.setCallback([this] { emitOne(); });
     resampleEvent_.setCallback([this] { resample(); });
     timeoutEvent_.setCallback([this] { expireHead(); });
+    // One emit per send: keep it off the heap.
+    eq_.pin(&emitEvent_);
 }
 
 FleetClient::~FleetClient()
 {
     stop();
+    if (emitEvent_.pinned())
+        eq_.unpin(&emitEvent_);
     if (timeoutEvent_.scheduled())
         eq_.deschedule(&timeoutEvent_);
 }

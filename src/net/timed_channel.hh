@@ -36,12 +36,17 @@ class TimedChannel : public Event
   public:
     /** Each entry is handed to @p sink at its delivery tick. */
     TimedChannel(EventQueue &eq, PacketSink &sink) : eq_(eq), sink_(sink)
-    {}
+    {
+        // The head re-arms about once per frame: keep it off the heap.
+        eq_.pin(this);
+    }
 
     ~TimedChannel() override
     {
         if (scheduled())
             eq_.deschedule(this);
+        if (pinned())
+            eq_.unpin(this);
         while (!fifo_.empty())
             delete fifo_.pop().payload;
     }

@@ -124,11 +124,15 @@ TrafficGenerator::TrafficGenerator(EventQueue &eq, Config cfg,
     assert(cfg_.frame_bytes >= kFrameHeaderLen);
     emitEvent_.setCallback([this] { emitOne(); });
     resampleEvent_.setCallback([this] { resample(); });
+    // One emit per frame: keep it off the heap.
+    eq_.pin(&emitEvent_);
 }
 
 TrafficGenerator::~TrafficGenerator()
 {
     stop();
+    if (emitEvent_.pinned())
+        eq_.unpin(&emitEvent_);
 }
 
 void

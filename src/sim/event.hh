@@ -47,13 +47,19 @@ class Event
     /** True while the event sits in a queue. */
     bool scheduled() const { return scheduled_; }
 
+    /** True while the event holds a lane (EventQueue::pin()). */
+    bool pinned() const { return lane_ != kNoLane; }
+
   private:
     friend class EventQueue;
+
+    static constexpr std::uint8_t kNoLane = 0xff;
 
     Tick when_ = kTickNever;
     std::uint64_t seq_ = 0;   //!< tie-break for same-tick ordering
     std::size_t heapIndex_ = 0;   //!< position in the owning queue's heap
     bool scheduled_ = false;
+    std::uint8_t lane_ = kNoLane;   //!< lane in the owning queue, if pinned
 };
 
 /**

@@ -172,27 +172,39 @@ class UniqueFn
 };
 
 /**
- * 4-ary-heap event queue with deterministic same-tick ordering.
+ * Event queue with deterministic same-tick ordering: a 4-ary heap
+ * plus a few lanes for pinned events.
  *
  * Events scheduled at the same tick execute in schedule order (FIFO),
- * which keeps runs bit-reproducible regardless of heap internals.
- * Removal is eager: each event knows its heap slot, so deschedule()
- * moves the last entry into the freed slot and sifts it, and the heap
- * holds exactly the live events. A 4-ary heap is half as deep as a
- * binary one and a node's children share a cache line or two, which
- * is what the pop-dominated simulator loop pays for.
- *
+ * which keeps runs bit-reproducible regardless of queue internals.
  * Ordering is the total order (when, key) where a key is reserved at
  * schedule time. Keys can also be reserved up front (reserveKey) and
  * attached later (scheduleKeyed): a component holding a FIFO of
- * timed work keeps only its head in the heap yet preserves exactly
- * the order it would have had with one heap entry per item — the
+ * timed work keeps only its head in the queue yet preserves exactly
+ * the order it would have had with one queue entry per item — the
  * contract TimedChannel builds on.
+ *
+ * Most events live in the heap. Removal is eager: each event knows
+ * its heap slot, so deschedule() moves the last entry into the freed
+ * slot and sifts it, and the heap holds exactly the live events. A
+ * 4-ary heap is half as deep as a binary one and a node's children
+ * share a cache line or two.
+ *
+ * A handful of events fire about once per simulated frame: each
+ * channel's head and each traffic source's emit. Their owners pin
+ * them (pin()), and a pinned event's pending entry lives in a fixed
+ * lane slot instead of the heap. Scheduling it writes the slot in
+ * O(1), and each step takes the earlier of the heap top and the
+ * earliest lane. The queue keeps the earliest lane's index; a
+ * fixed-length branch-free scan finds it again after that lane pops
+ * or is removed. The order is the same (when, key) total order either
+ * way, so pinning changes host cost, never results. When every lane
+ * is taken, pin() declines and the event stays on the heap.
  */
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -241,6 +253,23 @@ class EventQueue
     /** Remove a pending event; no-op if not scheduled. */
     void deschedule(Event *ev);
 
+    /** Lanes per queue: pinned events beyond this stay on the heap. */
+    static constexpr std::size_t kLanes = 8;
+
+    /**
+     * Give @p ev a lane for as long as it lives or until unpin(). Its
+     * owner must call unpin() before @p ev is destroyed.
+     * @pre !ev->scheduled() and !ev->pinned()
+     * @return false when every lane is taken; @p ev then uses the heap
+     */
+    bool pin(Event *ev);
+
+    /**
+     * Release @p ev's lane; no-op if it holds none. A pending entry
+     * moves to the heap and keeps its (when, key) position.
+     */
+    void unpin(Event *ev);
+
     /** Deschedule if pending, then schedule at @p when. */
     void
     reschedule(Event *ev, Tick when)
@@ -265,10 +294,10 @@ class EventQueue
     }
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return size() == 0; }
 
-    /** Number of scheduled events. */
-    std::size_t size() const { return heap_.size(); }
+    /** Number of scheduled events, in the heap or in lanes. */
+    std::size_t size() const { return heap_.size() + lanePending_; }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -293,10 +322,18 @@ class EventQueue
 
     /**
      * Scheduled events removed by deschedule() over the queue's
-     * lifetime (no-op calls do not count). Every schedule pushes one
-     * heap entry, so heap pushes = executed() + descheduled() + size().
+     * lifetime (no-op calls do not count). Every schedule ends
+     * executed, descheduled or still pending, so schedules =
+     * executed() + descheduled() + size().
      */
     std::uint64_t descheduled() const { return descheduled_; }
+
+    /**
+     * Entries pushed onto the heap over the queue's lifetime: the
+     * schedules of unpinned events, plus pending entries that unpin()
+     * moved there. Schedules into a lane do not count.
+     */
+    std::uint64_t heapPushes() const { return heapPushes_; }
 
     /**
      * Events clamped to now() by the release-mode guard in
@@ -309,8 +346,11 @@ class EventQueue
     /** Idle one-shot wrappers currently held for reuse. */
     std::size_t poolSize() const { return pool_.size(); }
 
-    /** Heap slots in use; removal is eager, so always size(). */
-    std::size_t heapSlots() const { return heap_.size(); }
+    /**
+     * Heap and lane slots holding a pending entry; removal is eager,
+     * so always size().
+     */
+    std::size_t heapSlots() const { return heap_.size() + lanePending_; }
 
   private:
     struct Entry
@@ -330,9 +370,28 @@ class EventQueue
     /** Heap arity: children of slot i are kArity*i+1 .. kArity*i+kArity. */
     static constexpr std::size_t kArity = 4;
 
+    /** A lane's (when, key) as one integer that compares in order. */
+    using LaneKey = unsigned __int128;
+
+    /** Key of an idle lane, free or pinned but not pending: it never
+     *  wins the scan, since no schedule reserves the all-ones key. */
+    static constexpr LaneKey kIdleLane = ~LaneKey{0};
+
+    static LaneKey
+    laneKey(Tick when, std::uint64_t key)
+    {
+        return (LaneKey{when} << 64) | key;
+    }
+
     /** One-shot wrapper for scheduleFn(), recycled via pool_. */
     class OneShot;
     friend class OneShot;
+
+    /** Point laneFirst_ at the earliest lane. */
+    void findFirstLane();
+
+    /** Execute the next event if it is due by @p until. */
+    bool stepUntil(Tick until);
 
     void heapPush(Entry e);
     Entry heapPop();
@@ -348,11 +407,22 @@ class EventQueue
     }
 
     std::vector<Entry> heap_;
+    /** Pending (when, key) per lane; lanes [0, lanesClaimed_) are
+     *  pinned to laneEv_ and the rest are free. */
+    LaneKey laneKeys_[kLanes];
+    Event *laneEv_[kLanes] = {};
+    std::size_t lanesClaimed_ = 0;
+    std::size_t lanePending_ = 0;
+    /** A lane holding the least key: every schedule into a lane
+     *  compares against it, and it is found again by a scan only when
+     *  that lane pops or is removed, or a lane is released. */
+    std::size_t laneFirst_ = 0;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t curKey_ = 0;   //!< running event's key, or ~0
     std::uint64_t executed_ = 0;
     std::uint64_t descheduled_ = 0;
+    std::uint64_t heapPushes_ = 0;
     std::uint64_t pastClamps_ = 0;
     std::vector<OneShot *> pool_;
 };

@@ -18,12 +18,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,40 +29,6 @@ Rng::Rng(std::uint64_t seed)
     // cannot produce four zeros from any seed, but guard anyway.
     if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0)
         s_[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t n)
-{
-    assert(n > 0);
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
-    return v % n;
 }
 
 double

@@ -13,6 +13,7 @@
 #define HALSIM_SIM_RNG_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 
 namespace halsim {
@@ -27,10 +28,27 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double
@@ -40,7 +58,19 @@ class Rng
     }
 
     /** Uniform integer in [0, n); @p n must be > 0. */
-    std::uint64_t uniformInt(std::uint64_t n);
+    std::uint64_t
+    uniformInt(std::uint64_t n)
+    {
+        assert(n > 0);
+        // Rejection sampling to remove modulo bias.
+        const std::uint64_t limit =
+            ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+        std::uint64_t v;
+        do {
+            v = next();
+        } while (v >= limit);
+        return v % n;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t
@@ -76,6 +106,12 @@ class Rng
     Rng fork();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> s_;
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;

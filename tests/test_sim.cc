@@ -452,12 +452,20 @@ namespace {
 /**
  * Drives an EventQueue and a reference std::set of (when, key) with
  * the same seeded operations. Every execution must be the reference
- * minimum, and the heap must hold exactly the live events throughout.
+ * minimum, and the heap and lanes must hold exactly the live events
+ * throughout.
+ *
+ * The first kPinnable events compete for the queue's lanes: more of
+ * them than there are lanes, so some pins fall back to the heap. Half
+ * of all schedules pick among them, and they are pinned and unpinned
+ * (pending or idle, from any lane) as the run goes.
  */
 class QueueDifferential
 {
   public:
     static constexpr int kEvents = 256;
+    static constexpr int kPinnable =
+        static_cast<int>(EventQueue::kLanes) + 4;
 
     explicit QueueDifferential(std::uint64_t seed) : rng_(seed)
     {
@@ -467,6 +475,12 @@ class QueueDifferential
         }
         pos_.assign(kEvents, ref_.end());
         reserved_.assign(kEvents, 0);
+        for (int i = 0; i < kPinnable; ++i) {
+            EXPECT_EQ(eq_.pin(evs_[i].get()),
+                      i < static_cast<int>(EventQueue::kLanes));
+            EXPECT_EQ(evs_[i]->pinned(),
+                      i < static_cast<int>(EventQueue::kLanes));
+        }
     }
 
     void
@@ -485,6 +499,9 @@ class QueueDifferential
     std::uint64_t nested() const { return nested_; }
     std::size_t maxSize() const { return maxSize_; }
     std::uint64_t removals(int kind) const { return removals_[kind]; }
+    std::uint64_t laneFires() const { return laneFires_; }
+    std::uint64_t laneRemovals() const { return laneRemovals_; }
+    std::uint64_t pendingUnpins() const { return pendingUnpins_; }
 
   private:
     struct Ref
@@ -520,6 +537,18 @@ class QueueDifferential
         ASSERT_EQ(eq_.heapSlots(), eq_.size());
         ASSERT_EQ(eq_.size(), ref_.size());
         maxSize_ = std::max(maxSize_, ref_.size());
+        // The queue knows a lane entry is pending, and one at a later
+        // tick has not been passed. (A key reserved earlier may be
+        // attached at the current tick behind the running event.)
+        for (int i = 0; i < kPinnable; ++i) {
+            if (!evs_[i]->pinned() || pos_[i] == ref_.end())
+                continue;
+            ASSERT_TRUE(evs_[i]->scheduled());
+            ASSERT_EQ(evs_[i]->when(), pos_[i]->when);
+            if (pos_[i]->when > eq_.now()) {
+                ASSERT_FALSE(eq_.passed(pos_[i]->when, pos_[i]->key));
+            }
+        }
     }
 
     void
@@ -538,6 +567,15 @@ class QueueDifferential
         if (id < kEvents)
             pos_[id] = ref_.end();
         ++fired_;
+        if (id < kEvents && evs_[id]->pinned()) {
+            ++laneFires_;
+            // Re-arm from inside execute(), as a channel head does.
+            if (rng_.uniformInt(2) == 0) {
+                const Tick when = soon();
+                eq_.schedule(evs_[id].get(), when);
+                add(id, when, ++seq_);
+            }
+        }
         // Events scheduled (or removed) from inside execute().
         if (rng_.uniformInt(3) == 0) {
             ++nested_;
@@ -546,11 +584,15 @@ class QueueDifferential
         checkSizes();
     }
 
-    /** An idle callback event with no key reserved, or -1. */
+    /**
+     * An idle callback event with no key reserved, or -1; half of the
+     * picks start among the pinnable events.
+     */
     int
     idleEvent()
     {
-        const int start = static_cast<int>(rng_.uniformInt(kEvents));
+        const int start = static_cast<int>(
+            rng_.uniformInt(rng_.uniformInt(2) == 0 ? kPinnable : kEvents));
         for (int k = 0; k < kEvents; ++k) {
             const int i = (start + k) % kEvents;
             if (pos_[i] == ref_.end() && reserved_[i] == 0)
@@ -582,6 +624,8 @@ class QueueDifferential
         for (; it != ref_.end(); ++it) {
             if (it->id < kEvents) {
                 const int i = it->id;
+                if (evs_[i]->pinned())
+                    ++laneRemovals_;
                 removeRef(i);
                 eq_.deschedule(evs_[i].get());
                 ++removals_[kind];
@@ -590,12 +634,32 @@ class QueueDifferential
         }
     }
 
+    /**
+     * Unpin a random pinned event, pending or idle, from whichever
+     * lane it holds (the last lane moves into the freed one); or pin
+     * an idle pinnable event when a lane is free.
+     */
+    void
+    repinOp()
+    {
+        const int i = static_cast<int>(rng_.uniformInt(kPinnable));
+        CallbackEvent *ev = evs_[i].get();
+        if (ev->pinned()) {
+            if (ev->scheduled())
+                ++pendingUnpins_;
+            eq_.unpin(ev);
+            ASSERT_FALSE(ev->pinned());
+        } else if (!ev->scheduled()) {
+            eq_.pin(ev);
+        }
+    }
+
     void
     mutateOp()
     {
         // Adds outweigh removals, so the heap grows several levels
         // deep before steps drain it.
-        switch (rng_.uniformInt(12)) {
+        switch (rng_.uniformInt(13)) {
           case 0:
           case 8:
           case 9:
@@ -660,6 +724,9 @@ class QueueDifferential
             descheduleAt(it, 2);
             break;
           }
+          case 12:
+            repinOp();
+            break;
         }
     }
 
@@ -688,6 +755,9 @@ class QueueDifferential
     std::uint64_t fired_ = 0;
     std::uint64_t nested_ = 0;
     std::uint64_t removals_[3] = {};
+    std::uint64_t laneFires_ = 0;
+    std::uint64_t laneRemovals_ = 0;
+    std::uint64_t pendingUnpins_ = 0;
     std::size_t maxSize_ = 0;
 };
 
@@ -705,7 +775,110 @@ TEST(EventQueue, MatchesOrderedSetReference)
         EXPECT_GT(diff.maxSize(), 21u);   // four heap levels or more
         for (int kind = 0; kind < 3; ++kind)
             EXPECT_GT(diff.removals(kind), 100u) << "removal kind " << kind;
+        EXPECT_GT(diff.laneFires(), 1000u);
+        EXPECT_GT(diff.laneRemovals(), 100u);
+        EXPECT_GT(diff.pendingUnpins(), 50u);
     }
+}
+
+TEST(EventQueue, DestroyedPinnedEventFreesItsLane)
+{
+    // Owners pin in the constructor and unpin in the destructor, as
+    // net::TimedChannel does. One dies while pending and one while
+    // idle, before the queue; their lanes go to new events, and the
+    // queue's teardown touches only events that are still alive.
+    struct Owner : Event
+    {
+        Owner(EventQueue &q, std::vector<int> &log, int id)
+            : q(q), log(log), id(id)
+        {
+            q.pin(this);
+        }
+
+        ~Owner() override
+        {
+            if (scheduled())
+                q.deschedule(this);
+            if (pinned())
+                q.unpin(this);
+        }
+
+        void execute() override { log.push_back(id); }
+
+        EventQueue &q;
+        std::vector<int> &log;
+        int id;
+    };
+
+    EventQueue eq;
+    std::vector<int> log;
+    std::vector<std::unique_ptr<Owner>> owners;
+    for (std::size_t i = 0; i < EventQueue::kLanes; ++i) {
+        owners.push_back(std::make_unique<Owner>(eq, log, i));
+        EXPECT_TRUE(owners.back()->pinned());
+        eq.schedule(owners.back().get(), 100 - i);
+    }
+    Owner overflow(eq, log, 99);   // every lane taken: heap
+    EXPECT_FALSE(overflow.pinned());
+    eq.schedule(&overflow, 50);
+    EXPECT_EQ(eq.size(), EventQueue::kLanes + 1);
+    EXPECT_EQ(eq.heapPushes(), 1u);
+
+    // A middle lane dies pending, another idle.
+    owners[2].reset();
+    eq.deschedule(owners[5].get());
+    owners[5].reset();
+    EXPECT_EQ(eq.size(), EventQueue::kLanes - 1);
+    EXPECT_EQ(eq.heapSlots(), eq.size());
+
+    // New events take the freed lanes; the last schedules at a tick
+    // that runs after every older one.
+    Owner late(eq, log, 7 + 100);
+    Owner early(eq, log, 1 + 100);
+    EXPECT_TRUE(late.pinned());
+    EXPECT_TRUE(early.pinned());
+    eq.schedule(&late, 200);
+    eq.schedule(&early, 10);
+    EXPECT_EQ(eq.heapPushes(), 1u);
+
+    eq.runUntil(100);
+    std::vector<int> want = {101, 99};
+    for (int i = static_cast<int>(EventQueue::kLanes) - 1; i >= 0; --i) {
+        if (i != 2 && i != 5)
+            want.push_back(i);
+    }
+    EXPECT_EQ(log, want);
+    // Leave two pinned events pending: their owners' destructors
+    // remove them before the queue goes.
+    eq.schedule(owners[0].get(), 300);
+    EXPECT_EQ(eq.size(), 2u);
+}
+
+TEST(EventQueue, UnpinKeepsPendingOrder)
+{
+    // Unpinning a pending event moves it to the heap at the same
+    // (when, key) position; events scheduled before and after it on
+    // the same tick keep their places around it.
+    EventQueue eq;
+    std::vector<int> order;
+    CallbackEvent a([&] { order.push_back(1); });
+    CallbackEvent b([&] { order.push_back(2); });
+    CallbackEvent c([&] { order.push_back(3); });
+    ASSERT_TRUE(eq.pin(&a));
+    ASSERT_TRUE(eq.pin(&b));
+    eq.schedule(&a, 10);
+    eq.schedule(&b, 10);
+    eq.schedule(&c, 10);
+    eq.unpin(&b);
+    eq.unpin(&b);   // no lane held: a no-op
+    EXPECT_FALSE(b.pinned());
+    EXPECT_TRUE(b.scheduled());
+    EXPECT_EQ(eq.heapPushes(), 2u);   // c, then b moved over
+    EXPECT_EQ(eq.size(), 3u);
+    EXPECT_EQ(eq.heapSlots(), 3u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    eq.unpin(&a);
 }
 
 TEST(Accumulator, Moments)
